@@ -18,8 +18,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import yaml
 
 from .expr import (
-    Expr, ExprError, Rat, SymbolTable, ZERO, ONE, add, free_symbols, mul,
-    rat, substitute,
+    Expr, ExprError, Rat, SymbolTable, ZERO, ONE, _rat_root, add,
+    free_symbols, mul, rat, substitute,
 )
 from .jets import VectorField
 from .linalg import Matrix, identity, matmul, nullspace, rref, solve
@@ -650,16 +650,9 @@ def _complement(rows: List[List[Fraction]], n: int,
 def _rational_roots_quadratic(tr: Fraction, det: Fraction
                               ) -> Optional[Tuple[Fraction, Fraction]]:
     """Rational roots of x^2 - tr x + det, if they exist."""
-    disc = tr * tr - 4 * det
-    if disc < 0:
+    s = _rat_root(tr * tr - 4 * det, 2)
+    if s is None:
         return None
-    from .expr import _int_nth_root
-
-    num = _int_nth_root(disc.numerator, 2)
-    den = _int_nth_root(disc.denominator, 2)
-    if num is None or den is None:
-        return None
-    s = Fraction(num, den)
     return (tr + s) / 2, (tr - s) / 2
 
 
@@ -840,16 +833,12 @@ def _identify_rotation3(L: LieAlgebra, derived, v3, M, tr, det,
                         catalog) -> Identification:
     """Complex eigenvalues sigma +- i omega: A3,6 (sigma = 0) or A3,7^a with
     a = -sigma/omega normalized positive; needs omega rational."""
-    from .expr import _int_nth_root
-
-    disc = 4 * det - tr * tr
-    num = _int_nth_root(disc.numerator, 2)
-    den = _int_nth_root(disc.denominator, 2)
-    if num is None or den is None:
+    root = _rat_root(4 * det - tr * tr, 2)
+    if root is None:
         return Identification(
             status="unidentified",
             reason="irrational rotation rate; no exact witness over Q")
-    omega = Fraction(num, den) / 2
+    omega = root / 2
     sigma = tr / 2
     # scale f3 = v3/omega' so ad f3 = [[-a,-1],[1,-a]] for some sign choice
     for sgn in (1, -1):

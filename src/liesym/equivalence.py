@@ -29,7 +29,7 @@ from .expr import (
 )
 from .expr import _factorize  # exact prime factorization of small ints
 from .jets import VectorField, jet_name
-from .linalg import rref
+from .linalg import solve
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 
 
@@ -230,7 +230,7 @@ def solve_scaling(constraints: Sequence[ScalingConstraint]
             n = sum(k for qq, k in _factorize(abs(c.value.numerator)) if qq == q)
             d = sum(k for qq, k in _factorize(c.value.denominator) if qq == q)
             rhs.append(Fraction(n - d))
-        sol = _solve_linear(rows, rhs)
+        sol = solve(rows, rhs)
         if sol is None:
             return None
         exps[q] = sol
@@ -264,19 +264,6 @@ def solve_scaling(constraints: Sequence[ScalingConstraint]
                 ks.append(k)
             return ks[0], ks[1], ks[2]
     return None
-
-
-def _solve_linear(rows: List[List[Fraction]],
-                  rhs: List[Fraction]) -> Optional[List[Fraction]]:
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    ncols = 3
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
 
 
 def _rational(e: Expr) -> Optional[Fraction]:

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -475,16 +476,32 @@ def _build_mul(coeff: Fraction, atoms: Sequence[Expr]) -> Expr:
 
 
 def _int_nth_root(n: int, k: int) -> Optional[int]:
-    """Exact k-th root of a nonnegative integer, or None."""
+    """Exact k-th root of a nonnegative integer, or None.  Integer
+    arithmetic only, so no size of n overflows or loses the root."""
     if n < 0:
         return None
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None
+    if k == 2:
+        r = math.isqrt(n)
+    else:
+        # Newton from above converges to floor(n^(1/k))
+        r = 1 << -(-n.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + n // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
+    return r if r ** k == n else None
+
+
+def _rat_root(q: Fraction, k: int) -> Optional[Fraction]:
+    """Exact k-th root of a nonnegative rational, or None."""
+    rn = _int_nth_root(q.numerator, k)
+    rd = _int_nth_root(q.denominator, k)
+    if rn is None or rd is None:
+        return None
+    return Fraction(rn, rd)
 
 
 def _rat_pow(q: Fraction, e: Fraction) -> Expr:
@@ -499,10 +516,9 @@ def _rat_pow(q: Fraction, e: Fraction) -> Expr:
         return Rat(q ** e.numerator)
     if q < 0:
         return Pow(Rat(q), Rat(e))
-    rn = _int_nth_root(q.numerator, e.denominator)
-    rd = _int_nth_root(q.denominator, e.denominator)
-    if rn is not None and rd is not None:
-        return Rat(Fraction(rn, rd) ** e.numerator)
+    root = _rat_root(q, e.denominator)
+    if root is not None:
+        return Rat(root ** e.numerator)
     parts = [_prime_pow(p, Rat(k * e)) for p, k in _factorize(q.numerator)]
     parts += [_prime_pow(p, Rat(-k * e)) for p, k in _factorize(q.denominator)]
     return _combine_prime_parts(parts)
@@ -794,10 +810,9 @@ def evaluate_exact(e: Expr, assignment: Dict[str, Fraction],
                     raise ZeroDivisionError("pole in exact evaluation")
                 return vbase ** n
             if vbase > 0:
-                rn = _int_nth_root(vbase.numerator, vexp.denominator)
-                rd = _int_nth_root(vbase.denominator, vexp.denominator)
-                if rn is not None and rd is not None:
-                    return Fraction(rn, rd) ** vexp.numerator
+                root = _rat_root(vbase, vexp.denominator)
+                if root is not None:
+                    return root ** vexp.numerator
             raise NonRationalValue(f"{x!r} has no exact rational value")
         if isinstance(x, Func):
             return _memo_value(("func", x.name, x.order, ev(x.arg)))

@@ -25,17 +25,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .expr import (
-    EULER, Expr, ExprError, Rat, ZERO, ONE, add, mul, powx, rat, substitute,
-    sym,
+    EULER, Expr, ExprError, Rat, ZERO, ONE, _rat_root, add, mul, powx, rat,
+    substitute, sym,
 )
 from .algebra import (
     CanonicalClass, Identification, LieAlgebra, canonical_class_by_name,
     identify,
 )
-from .linalg import Matrix, identity, inverse, matvec, nullspace
+from .linalg import Matrix, identity, inverse, matmul, matvec, nullspace
 
 
 RESIDUAL_TOL = 1e-9
@@ -60,8 +58,6 @@ def _char_poly(M: Matrix) -> List[Fraction]:
     coeffs[n] = Fraction(1)
     Mk = identity(n)
     c = Fraction(1)
-    from .linalg import matmul
-
     for k in range(1, n + 1):
         if k > 1:
             for i in range(n):
@@ -132,8 +128,6 @@ def _rational_roots(poly: List[Fraction]) -> Optional[Dict[Fraction, int]]:
 def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
     """exp(eps*M) as exact expressions (polynomial and exponential entries in
     eps) when the spectrum is rational; None otherwise."""
-    from .linalg import matmul
-
     n = len(M)
     roots = _rational_roots(_char_poly(M))
     if roots is None:
@@ -185,18 +179,19 @@ def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
     return out
 
 
-def _expm_np(A: np.ndarray) -> np.ndarray:
-    """Scaling-and-squaring Taylor exponential, adequate for dim <= 4."""
-    norm = np.max(np.abs(A)) if A.size else 0.0
+def _expm_float(M: Matrix, eps: float) -> List[List[float]]:
+    """exp(eps*M) in floats by scaling-and-squaring Taylor, adequate for
+    dim <= 4."""
+    A = [[eps * float(x) for x in row] for row in M]
+    norm = max((abs(x) for row in A for x in row), default=0.0)
     s = max(0, int(math.ceil(math.log2(norm + 1e-30))) + 2) if norm > 0.5 else 0
-    B = A / (2 ** s)
-    out = np.eye(A.shape[0])
-    term = np.eye(A.shape[0])
+    B = [[x / (2 ** s) for x in row] for row in A]
+    out = term = [[float(x) for x in row] for row in identity(len(A))]
     for k in range(1, 24):
-        term = term @ B / k
-        out = out + term
+        term = [[x / k for x in row] for row in matmul(term, B)]
+        out = [[a + b for a, b in zip(ro, rt)] for ro, rt in zip(out, term)]
     for _ in range(s):
-        out = out @ out
+        out = matmul(out, out)
     return out
 
 
@@ -220,14 +215,10 @@ def adjoint_matrix(L: LieAlgebra, i: int,
         if exact is not None:
             return exact
         if isinstance(eps, Rat):
-            return _expm_np(float(eps.value) * _np(M))
+            return _expm_float(M, float(eps.value))
         raise ExprError("irrational spectrum: numeric adjoint needs a "
                         "numeric epsilon")
-    return _expm_np(float(eps) * _np(M))
-
-
-def _np(M: Matrix) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in M], dtype=float)
+    return _expm_float(M, float(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -904,13 +895,12 @@ class A38Strategy(Strategy):
         steps: List[Step] = []
         if q > 0:
             if vv[2] != 0:
-                disc = q
-                root = _exact_sqrt(disc)
+                root = _rat_root(q, 2)
                 if root is not None:
                     delta = (-vv[1] + root) / (2 * vv[0]) if vv[0] != 0 \
                         else vv[2] / vv[1]
                 else:
-                    delta = (-float(vv[1]) + math.sqrt(float(disc))) / \
+                    delta = (-float(vv[1]) + math.sqrt(float(q))) / \
                         (2 * float(vv[0])) if vv[0] != 0 else float(vv[2] / vv[1])
                 # a root of c3 - d c2 - d^2 c1 kills the third slot
                 dval = delta
@@ -1097,18 +1087,6 @@ class SumA1Strategy(Strategy):
 MINUS_ONE_EXPR = mul(-1, ONE)
 
 
-def _exact_sqrt(q: Fraction) -> Optional[Fraction]:
-    if q < 0:
-        return None
-    from .expr import _int_nth_root
-
-    rn = _int_nth_root(q.numerator, 2)
-    rd = _int_nth_root(q.denominator, 2)
-    if rn is None or rd is None:
-        return None
-    return Fraction(rn, rd)
-
-
 _STRATEGIES = {
     "A1": AbelianStrategy,
     "2A1": AbelianStrategy,
@@ -1187,6 +1165,17 @@ class ClassifiedAlgebra:
                     out[j] = add(out[j], mul(rat(self.from_canonical[j][i]), ce))
         return out
 
+    def algebra_coords_symbolic(self, cand: SubalgebraRep) -> List[Expr]:
+        out: List[Expr] = [ZERO] * self.L.dim
+        for i in range(self.L.dim):
+            acc = ZERO
+            for j in range(self.L.dim):
+                if self.to_canonical[i][j]:
+                    acc = add(acc, mul(rat(self.to_canonical[i][j]),
+                                       cand.coeffs[j]))
+            out[i] = acc
+        return out
+
     def classify(self, v: Sequence[Fraction]) -> Signature:
         return self.strategy.classify(self.canonical_coords(v))
 
@@ -1231,29 +1220,28 @@ def _steps_inverse(steps: Sequence[Step]) -> List[Step]:
 
 
 def apply_steps_numeric(cls: CanonicalClass, a: Optional[Fraction],
-                        steps: Sequence[Step], v: Sequence) -> np.ndarray:
+                        steps: Sequence[Step], v: Sequence) -> List[float]:
     """Apply an adjoint word numerically in canonical coordinates."""
     alg = cls.instantiated(a)
     discretes = cls.discrete_maps()
-    x = np.array([float(t) for t in v], dtype=float)
+    x = [float(t) for t in v]
     for s in steps:
         if s.kind == "exp":
-            M = _np(ad_matrix_rational(alg, s.index))
-            x = _expm_np(float(s.epsilon) * M) @ x
+            E = _expm_float(ad_matrix_rational(alg, s.index), float(s.epsilon))
+            x = matvec(E, x)
         else:
-            D = _np(discretes[s.name])
-            x = D @ x
+            x = matvec(discretes[s.name], x)
     return x
 
 
-def projective_residual(x: np.ndarray, y: np.ndarray) -> float:
-    nx = np.linalg.norm(x)
-    ny = np.linalg.norm(y)
+def projective_residual(x: Sequence[float], y: Sequence[float]) -> float:
+    nx = math.hypot(*x)
+    ny = math.hypot(*y)
     if nx == 0 or ny == 0:
-        return float(max(nx, ny))
-    x = x / nx
-    y = y / ny
-    return float(min(np.linalg.norm(x - y), np.linalg.norm(x + y)))
+        return max(nx, ny)
+    x = [t / nx for t in x]
+    y = [t / ny for t in y]
+    return min(math.dist(x, y), math.dist(x, [-t for t in y]))
 
 
 def witness_from_steps(ca: ClassifiedAlgebra, steps: Sequence[Step],
@@ -1264,9 +1252,10 @@ def witness_from_steps(ca: ClassifiedAlgebra, steps: Sequence[Step],
     cv = ca.canonical_coords(v)
     cw = ca.canonical_coords(w)
     x = apply_steps_numeric(ca.strategy.cls, ca.strategy.a, steps, cv)
-    res = projective_residual(x, np.array([float(t) for t in cw]))
-    nx = float(np.linalg.norm(x))
-    nw = float(np.linalg.norm([float(t) for t in cw]))
+    y = [float(t) for t in cw]
+    res = projective_residual(x, y)
+    nx = math.hypot(*x)
+    nw = math.hypot(*y)
     scale = nx / nw if nw else 0.0
     return ConjugacyWitness(tuple(steps), scale, res)
 
@@ -1308,10 +1297,9 @@ def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
 
 def _membership_pattern(L: LieAlgebra, v: Sequence[Fraction]) -> Tuple[bool, ...]:
     from .algebra import _subspace_brackets, _in_span_coords
-    from .linalg import identity as _id
 
     pats = []
-    full = _id(L.dim)
+    full = identity(L.dim)
     cur = _subspace_brackets(L, full, full)
     for _ in range(3):
         pats.append(_in_span_coords(cur, list(v)) is not None if cur else not any(v))
@@ -1331,47 +1319,45 @@ def _are_conjugate_generic(L: LieAlgebra, v, w,
                                values=(str(pv), str(pw)))
     n = L.dim
     max_len = max_len or n
-    ads = [_np(ad_matrix_rational(L, i)) for i in range(n)]
-    x0 = np.array([float(t) for t in v])
-    y = np.array([float(t) for t in w])
+    ads = [ad_matrix_rational(L, i) for i in range(n)]
+    x0 = [float(t) for t in v]
+    y = [float(t) for t in w]
     rng = random.Random(1234)
 
     def apply_word(indices, eps):
-        x = x0.copy()
+        x = x0
         for i, e in zip(indices, eps):
-            x = _expm_np(e * ads[i]) @ x
+            x = matvec(_expm_float(ads[i], e), x)
         return x
 
-    best = None
     for length in range(1, max_len + 1):
         for indices in itertools.product(range(n), repeat=length):
             for trial in range(6):
-                eps = np.array([rng.uniform(-2, 2) for _ in range(length)])
+                eps = [rng.uniform(-2, 2) for _ in range(length)]
                 # damped Gauss-Newton on the projective residual
                 for it in range(60):
                     r0 = projective_residual(apply_word(indices, eps), y)
                     if r0 < RESIDUAL_TOL:
                         break
-                    grad = np.zeros(length)
+                    grad = []
                     h = 1e-6
                     for k in range(length):
-                        pe = eps.copy()
+                        pe = list(eps)
                         pe[k] += h
-                        grad[k] = (projective_residual(apply_word(indices, pe), y)
-                                   - r0) / h
-                    gn = np.linalg.norm(grad)
+                        grad.append((projective_residual(apply_word(indices, pe), y)
+                                     - r0) / h)
+                    gn = math.hypot(*grad)
                     if gn < 1e-14:
                         break
-                    eps = eps - r0 * grad / (gn * gn + 1e-12)
+                    eps = [e - r0 * g / (gn * gn + 1e-12)
+                           for e, g in zip(eps, grad)]
                 r = projective_residual(apply_word(indices, eps), y)
                 if r < RESIDUAL_TOL:
-                    steps = tuple(Step("exp", i, epsilon=float(e))
+                    steps = tuple(Step("exp", i, epsilon=e)
                                   for i, e in zip(indices, eps))
                     return ConjugacyResult(
                         "conjugate",
                         witness=ConjugacyWitness(steps, 1.0, r))
-                if best is None or r < best:
-                    best = r
     return ConjugacyResult("undecided")
 
 
@@ -1565,21 +1551,6 @@ def _ratio_solutions(ca: ClassifiedAlgebra, cand: SubalgebraRep,
     return out
 
 
-def _classified_algebra_coords_symbolic(self, cand: SubalgebraRep) -> List[Expr]:
-    out: List[Expr] = [ZERO] * self.L.dim
-    for i in range(self.L.dim):
-        acc = ZERO
-        for j in range(self.L.dim):
-            if self.to_canonical[i][j]:
-                acc = add(acc, mul(rat(self.to_canonical[i][j]),
-                                   cand.coeffs[j]))
-        out[i] = acc
-    return out
-
-
-ClassifiedAlgebra.algebra_coords_symbolic = _classified_algebra_coords_symbolic
-
-
 def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
                             n_samples: int = DEFAULT_SAMPLES,
                             seed: int = DEFAULT_SEED,
@@ -1593,10 +1564,8 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
     pairs = []
     for i in range(len(candidates)):
         sigs_i = _candidate_signatures(ca, candidates[i], probes)
-        extra = [s for s in
-                 (_special_param_values(ca, candidates[i]) if
-                  len(candidates[i].params) == 1 else [])]
-        if extra and len(candidates[i].params) == 1:
+        extra = _special_param_values(ca, candidates[i])
+        if extra:
             p = candidates[i].params[0]
             for val in extra:
                 if p.admits(val):
@@ -1619,7 +1588,6 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
                 # build a witness at the overlapping instance
                 vec_i = _instance_for_signature(ca, candidates[i], flagged,
                                                 probes)
-                vec_j_params = _covers(ca, candidates[j], flagged)
                 vec_j = _instance_for_signature(ca, candidates[j], flagged,
                                                 probes)
                 if vec_i is not None and vec_j is not None:

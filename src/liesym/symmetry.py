@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
-    Add, Expr, ExprError, Mul, Pow, Rat, Sym, ZERO, ONE, ZeroVerdict, add,
-    differentiate, free_symbols, is_zero, mul, powx, rat, sym,
+    Add, Expr, ExprError, Mul, Pow, Rat, Sym, ZERO, ONE, ZeroVerdict,
+    _coeff_monomial, add, differentiate, free_symbols, is_zero, mul, powx, rat,
+    sym,
 )
 from . import jets
 from .jets import VectorField, jet_name, prolong2, total_derivative
@@ -119,7 +120,7 @@ def _check_rhs_supported(pde: EvolutionPDE):
     table = pde.table
     terms = pde.rhs.terms if isinstance(pde.rhs, Add) else (pde.rhs,)
     for term in terms:
-        _, mono = _split_coeff(term)
+        _, mono = _coeff_monomial(term)
         factors = mono.factors if isinstance(mono, Mul) else (
             () if mono == ONE else (mono,))
         for f in factors:
@@ -142,16 +143,6 @@ def _check_rhs_supported(pde: EvolutionPDE):
             raise UnsupportedCoefficientsError(
                 f"free symbol {name} in rhs; instantiate parameters "
                 "before the ansatz search")
-
-
-def _split_coeff(term: Expr) -> Tuple[Fraction, Expr]:
-    if isinstance(term, Rat):
-        return term.value, ONE
-    if isinstance(term, Mul):
-        if len(term.factors) == 1:
-            return term.coeff, term.factors[0]
-        return term.coeff, Mul(Fraction(1), term.factors)
-    return Fraction(1), term
 
 
 @dataclass
@@ -186,7 +177,7 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
         for term in terms:
             if term.is_zero_literal:
                 continue
-            coeff, mono = _split_coeff(term)
+            coeff, mono = _coeff_monomial(term)
             row = rows.setdefault(mono.key(), [Fraction(0)] * n)
             row[k] += coeff
     matrix = [rows[k] for k in sorted(rows.keys())]

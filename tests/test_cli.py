@@ -1,8 +1,14 @@
 """Command-line behavior: exit codes, determinism, report schema."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from liesym.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(argv):
@@ -29,6 +35,8 @@ class TestExitCodes:
     def test_verify_solution_case(self, capsys):
         assert run(["verify-solution", "--pde", "case:eq1",
                     "--sol", "1"]) == 0
+        assert run(["verify-solution", "--pde", "u_t = D(u,x,2)",
+                    "--sol", "(10^400)^(1/2)"]) == 0
 
     def test_verify_solution_refuted(self):
         assert run(["verify-solution", "--pde", "u_t = D(u,x,2)",
@@ -97,3 +105,13 @@ class TestReports:
              "--params", "m=2,p=3", "--samples", "100", "--seed", "7",
              "--out", str(out)])
         assert json.loads(out.read_text())["seed"] == 7
+
+
+def test_import_leaves_numpy_out():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, liesym.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesym.expr import (
-    EULER, ZERO, ONE, ZeroVerdict, add, differentiate, evaluate_exact, exp,
-    free_symbols, func, is_zero, log, mul, powx, rat, sample_assignment,
-    simplify, substitute, sym,
+    EULER, ZERO, ONE, ZeroVerdict, _int_nth_root, add, differentiate,
+    evaluate_exact, exp, free_symbols, func, is_zero, log, mul, powx, rat,
+    sample_assignment, simplify, substitute, sym,
 )
 
 t, x, u, m, p = sym("t"), sym("x"), sym("u"), sym("m"), sym("p")
@@ -47,6 +47,19 @@ class TestCanonicalForm:
     def test_rational_roots(self):
         assert powx(rat(4), Fraction(1, 2)) == rat(2)
         assert powx(rat(27), Fraction(2, 3)) == rat(9)
+
+    def test_root_of_huge_square_does_not_overflow(self):
+        assert powx(rat(10 ** 400), Fraction(1, 2)) == rat(10 ** 200)
+
+    def test_roots_beyond_float_precision(self):
+        # a float seed misses these roots by more than one
+        r = 10 ** 17 + 3
+        assert _int_nth_root(r ** 2, 2) == r
+        assert _int_nth_root(r ** 3, 3) == r
+        assert _int_nth_root(r ** 3 + 1, 3) is None
+        assert powx(rat(r ** 2), Fraction(1, 2)) == rat(r)
+        assert powx(rat(Fraction(8, r ** 3)), Fraction(-2, 3)) == \
+            rat(Fraction(r ** 2, 4))
 
     def test_prime_splitting(self):
         assert powx(rat(6), m) == powx(rat(2), m) * powx(rat(3), m)
