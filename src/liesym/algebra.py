@@ -9,6 +9,7 @@ re-deriving the canonical constants through it before anything is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,13 +18,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import yaml
 
+from .dsl import parse
 from .expr import (
-    Expr, ExprError, Rat, SymbolTable, ZERO, ONE, _rat_root, add,
-    free_symbols, mul, rat, substitute,
+    Add, Expr, ExprError, Mul, Rat, SymbolTable, ZERO, ONE, _rat_root, add,
+    evaluate_exact, free_symbols, mul, rat, sample_assignment, substitute,
 )
 from .jets import VectorField
-from .linalg import Matrix, identity, matmul, nullspace, rref, solve
-from .linalg import solve_symbolic
+from .linalg import (
+    Matrix, identity, matmul, matvec, nullspace, rref, solve, solve_symbolic,
+)
 
 
 class NotClosedError(ExprError):
@@ -56,8 +59,6 @@ _FIELD_VARS = ("t", "x", "u")
 
 def _coefficient_map(e: Expr) -> Dict[tuple, Tuple[Expr, Expr]]:
     """Split into {monomial-in-(t,x,u) -> parameter coefficient}."""
-    from .expr import Add, Mul
-
     out: Dict[tuple, Tuple[Expr, Expr]] = {}
     terms = e.terms if isinstance(e, Add) else (e,)
     for term in terms:
@@ -112,8 +113,6 @@ def field_coordinates(fields: Sequence[VectorField]
 
 
 def _rank_at_samples(columns: List[List[Expr]], parameters: set) -> int:
-    from .expr import evaluate_exact, sample_assignment
-
     best = 0
     names = set()
     for col in columns:
@@ -159,25 +158,6 @@ class LieAlgebra:
             L.check_jacobi()
         return L
 
-    def bracket_vectors(self, v: Sequence[Expr], w: Sequence[Expr]) -> List[Expr]:
-        out = [ZERO] * self.dim
-        for i in range(self.dim):
-            if isinstance(v[i], Rat) and v[i].value == 0:
-                continue
-            for j in range(self.dim):
-                if isinstance(w[j], Rat) and w[j].value == 0:
-                    continue
-                for k in range(self.dim):
-                    cij = self.c[i][j][k]
-                    if not cij.is_zero_literal:
-                        out[k] = add(out[k], mul(v[i], w[j], cij))
-        return out
-
-    def ad_matrix_expr(self, i: int) -> List[List[Expr]]:
-        """Matrix of ad e_i: column j holds [e_i, e_j]."""
-        return [[self.c[i][j][k] for j in range(self.dim)]
-                for k in range(self.dim)]
-
     def parameters(self) -> set:
         names: set = set()
         for plane in self.c:
@@ -190,11 +170,16 @@ class LieAlgebra:
         return bool(self.parameters())
 
     def rational_constants(self) -> List[List[List[Fraction]]]:
+        """c[i][j][k] as Fractions, computed once per algebra; callers share
+        the lists and must not mutate them."""
+        return self._rational
+
+    @functools.cached_property
+    def _rational(self) -> List[List[List[Fraction]]]:
         if self.is_symbolic():
             raise ExprError("instantiate algebra parameters first")
-        return [[[self.c[i][j][k].value if isinstance(self.c[i][j][k], Rat)
-                  else Fraction(0) for k in range(self.dim)]
-                 for j in range(self.dim)] for i in range(self.dim)]
+        return [[[e.value if isinstance(e, Rat) else Fraction(0) for e in row]
+                 for row in plane] for plane in self.c]
 
     def instantiate(self, bindings: Dict[str, "Expr | int | Fraction"]
                     ) -> "LieAlgebra":
@@ -293,25 +278,34 @@ def _span_rows(vectors: List[List[Fraction]]) -> List[List[Fraction]]:
     return [red[r] for r in range(len(pivots))]
 
 
-def _subspace_brackets(L: LieAlgebra, a: List[List[Fraction]],
-                       b: List[List[Fraction]]) -> List[List[Fraction]]:
+def _bracket_rational(L: LieAlgebra, v: Sequence[Fraction],
+                      w: Sequence[Fraction]) -> List[Fraction]:
+    """[v, w] for coordinate vectors over the basis of a rational algebra."""
     c = L.rational_constants()
     n = L.dim
-    out = []
-    for v in a:
-        for w in b:
-            vec = [Fraction(0)] * n
-            for i in range(n):
-                if v[i] == 0:
-                    continue
-                for j in range(n):
-                    if w[j] == 0:
-                        continue
-                    for k in range(n):
-                        vec[k] += v[i] * w[j] * c[i][j][k]
-            if any(vec):
-                out.append(vec)
-    return _span_rows(out)
+    out = [Fraction(0)] * n
+    for i in range(n):
+        if v[i] == 0:
+            continue
+        for j in range(n):
+            if w[j] == 0:
+                continue
+            for k in range(n):
+                out[k] += v[i] * w[j] * c[i][j][k]
+    return out
+
+
+def ad_matrix(L: LieAlgebra, v: Sequence[Fraction]) -> Matrix:
+    """Matrix of ad v on the basis: column j holds [v, e_j]."""
+    cols = [_bracket_rational(L, v, e) for e in identity(L.dim)]
+    return [list(row) for row in zip(*cols)]
+
+
+def _subspace_brackets(L: LieAlgebra, a: List[List[Fraction]],
+                       b: List[List[Fraction]]) -> List[List[Fraction]]:
+    """Row-reduced basis of [span(a), span(b)]."""
+    brackets = (_bracket_rational(L, v, w) for v in a for w in b)
+    return _span_rows([vec for vec in brackets if any(vec)])
 
 
 def derived_subalgebra(L: LieAlgebra) -> List[List[Fraction]]:
@@ -319,21 +313,29 @@ def derived_subalgebra(L: LieAlgebra) -> List[List[Fraction]]:
     return _subspace_brackets(L, full, full)
 
 
+def _series(L: LieAlgebra, derived: bool) -> List[List[List[Fraction]]]:
+    """The derived series [L,L], [L',L'], ... (derived=True) or the lower
+    central series [L,L], [L^2,L], ... up to the first term that is zero or
+    has the dimension of the one before it."""
+    full = identity(L.dim)
+    terms = [derived_subalgebra(L)]
+    while terms[-1]:
+        cur = terms[-1]
+        terms.append(_subspace_brackets(L, cur, cur if derived else full))
+        if len(terms[-1]) == len(cur):
+            break
+    return terms
+
+
 def center(L: LieAlgebra) -> List[List[Fraction]]:
-    c = L.rational_constants()
-    n = L.dim
-    rows = []
-    for j in range(n):
-        for k in range(n):
-            rows.append([c[i][j][k] for i in range(n)])
-    return nullspace(rows, n)
+    """Vectors v with [e_i, v] = 0 for every basis vector e_i."""
+    rows = [row for e in identity(L.dim) for row in ad_matrix(L, e)]
+    return nullspace(rows, L.dim)
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
-    c = L.rational_constants()
     n = L.dim
-    ad = [[[c[i][j][k] for j in range(n)] for k in range(n)]
-          for i in range(n)]
+    ad = [ad_matrix(L, e) for e in identity(n)]
     K = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -417,34 +419,14 @@ class AlgebraInvariants:
 
 
 def algebra_invariants(L: LieAlgebra) -> AlgebraInvariants:
-    full = identity(L.dim)
-    derived_dims = []
-    cur = _subspace_brackets(L, full, full)
-    while True:
-        derived_dims.append(len(cur))
-        if len(cur) == 0:
-            break
-        nxt = _subspace_brackets(L, cur, cur)
-        if len(nxt) == len(cur):
-            derived_dims.append(len(nxt))
-            break
-        cur = nxt
-    lc_dims = []
-    cur = _subspace_brackets(L, full, full)
-    while True:
-        lc_dims.append(len(cur))
-        if len(cur) == 0:
-            break
-        nxt = _subspace_brackets(L, cur, full)
-        if len(nxt) == len(cur):
-            lc_dims.append(len(nxt))
-            break
-        cur = nxt
-    derived = _subspace_brackets(L, full, full)
-    derived_ab = len(_subspace_brackets(L, derived, derived)) == 0
+    derived = _series(L, derived=True)
+    derived_dims = [len(term) for term in derived]
+    lc_dims = [len(term) for term in _series(L, derived=False)]
+    # [L', L'] is the second derived term; an abelian L stops at L' = 0
+    derived_ab = len(derived) == 1 or not derived[1]
     K = killing_form(L)
     pos, neg = _signature(K)
-    if not derived_dims or derived_dims[0] == 0:
+    if derived_dims[0] == 0:
         derived_dims = []
         lc_dims = []
     return AlgebraInvariants(
@@ -495,8 +477,6 @@ def load_class_catalog() -> Dict[str, CanonicalClass]:
     raw = yaml.safe_load(text)
     table = SymbolTable()
     table.parameter("a")
-    from .dsl import parse
-
     out: Dict[str, CanonicalClass] = {}
     for item in raw["classes"]:
         dim = item["dim"]
@@ -518,6 +498,18 @@ def load_class_catalog() -> Dict[str, CanonicalClass]:
     return out
 
 
+def _sum_name(base: str) -> str:
+    """Name of the direct sum base + A1 (A2+A1 plus A1 is A2+2A1)."""
+    return "A2+2A1" if base == "A2+A1" else f"{base}+A1"
+
+
+def sum_base(name: str) -> Optional[str]:
+    """The catalog class X whose direct sum X + A1 is called name, if any."""
+    return next((b for b in load_class_catalog() if _sum_name(b) == name),
+                None)
+
+
+@functools.lru_cache(maxsize=None)
 def sum_with_a1(base: CanonicalClass) -> CanonicalClass:
     """Direct sum X + A1 of a catalog class with a central line."""
     dim = base.dim + 1
@@ -535,9 +527,8 @@ def sum_with_a1(base: CanonicalClass) -> CanonicalClass:
         tuple(Fraction(int(i == j)) * (Fraction(-1) if i == base.dim and j == base.dim else Fraction(1))
               for j in range(dim)) for i in range(dim))
     discrete.append(("Z-flip", flip))
-    name = "A2+2A1" if base.name == "A2+A1" else f"{base.name}+A1"
     return CanonicalClass(
-        name=name, dim=dim,
+        name=_sum_name(base.name), dim=dim,
         algebra=LieAlgebra.from_constants(dim, entries, check_jacobi=False),
         parameter=base.parameter, parameter_range=base.parameter_range,
         discrete=tuple(discrete))
@@ -580,22 +571,6 @@ def _transform_constants(L: LieAlgebra, T: Matrix) -> List[List[List[Fraction]]]
                 raise ExprError("witness basis is singular")
             for k in range(n):
                 out[i][j][k] = y[k]
-    return out
-
-
-def _bracket_rational(L: LieAlgebra, v: Sequence[Fraction],
-                      w: Sequence[Fraction]) -> List[Fraction]:
-    c = L.rational_constants()
-    n = L.dim
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if v[i] == 0:
-            continue
-        for j in range(n):
-            if w[j] == 0:
-                continue
-            for k in range(n):
-                out[k] += v[i] * w[j] * c[i][j][k]
     return out
 
 
@@ -692,18 +667,21 @@ def _identify_inner(L: LieAlgebra, inv: AlgebraInvariants,
     return _identify_dim4(L, inv, catalog)
 
 
+def _scaling_partner(L: LieAlgebra, w: List[Fraction]
+                     ) -> Optional[List[Fraction]]:
+    """f = e_j / lam for the first basis vector with [w, e_j] = lam*w,
+    lam != 0, so that [w, f] = w; None if there is none."""
+    for ej in identity(L.dim):
+        y = _in_span_coords([w], _bracket_rational(L, w, ej))
+        if y and y[0] != 0:
+            return [x / y[0] for x in ej]
+    return None
+
+
 def _identify_a2(L: LieAlgebra, catalog) -> Identification:
     w = derived_subalgebra(L)[0]
-    lam = None
-    for j in range(L.dim):
-        ej = [Fraction(int(i == j)) for i in range(L.dim)]
-        img = _bracket_rational(L, w, ej)
-        y = _in_span_coords([w], img)
-        if y and y[0] != 0:
-            lam, v = y[0], ej
-            break
-    T = [w, [x / lam for x in v]]
-    return Identification(status="identified", label="A2", witness=T,
+    return Identification(status="identified", label="A2",
+                          witness=[w, _scaling_partner(L, w)],
                           canonical=catalog["A2"])
 
 
@@ -725,33 +703,20 @@ def _identify_dim3(L: LieAlgebra, inv: AlgebraInvariants,
 
 def _identify_heisenberg(L: LieAlgebra, catalog) -> Identification:
     w = derived_subalgebra(L)[0]
-    n = 3
-    for i in range(n):
-        for j in range(i + 1, n):
-            ei = [Fraction(int(a == i)) for a in range(n)]
-            ej = [Fraction(int(a == j)) for a in range(n)]
-            img = _bracket_rational(L, ei, ej)
-            y = _in_span_coords([w], img)
-            if y and y[0] != 0:
-                f2, f3 = ei, [x / y[0] for x in ej]
-                return Identification(
-                    status="identified", label="A3,1",
-                    witness=[w, f2, f3], canonical=catalog["A3,1"])
+    for ei, ej in itertools.combinations(identity(3), 2):
+        y = _in_span_coords([w], _bracket_rational(L, ei, ej))
+        if y and y[0] != 0:
+            f2, f3 = ei, [x / y[0] for x in ej]
+            return Identification(
+                status="identified", label="A3,1",
+                witness=[w, f2, f3], canonical=catalog["A3,1"])
     return Identification(status="unidentified",
                           reason="no Heisenberg pair among basis vectors")
 
 
 def _identify_a2a1(L: LieAlgebra, catalog) -> Identification:
     w = derived_subalgebra(L)[0]
-    n = 3
-    f2 = None
-    for j in range(n):
-        ej = [Fraction(int(a == j)) for a in range(n)]
-        img = _bracket_rational(L, w, ej)
-        y = _in_span_coords([w], img)
-        if y and y[0] != 0:
-            f2 = [x / y[0] for x in ej]
-            break
+    f2 = _scaling_partner(L, w)
     z = center(L)
     if not z or f2 is None:
         return Identification(status="unidentified",
@@ -806,9 +771,7 @@ def _identify_solvable3(L: LieAlgebra, derived: List[List[Fraction]],
         f2c = [Fraction(1), Fraction(0)]
         if N[0][0] == 0 and N[1][0] == 0:
             f2c = [Fraction(0), Fraction(1)]
-        f1c = [N[0][0] * f2c[0] + N[0][1] * f2c[1],
-               N[1][0] * f2c[0] + N[1][1] * f2c[1]]
-        f1 = _lift(derived, f1c)
+        f1 = _lift(derived, matvec(N, f2c))
         f2 = _lift(derived, f2c)
         f3 = [-x / lam for x in v3]
         return Identification(status="identified", label="A3,2",
@@ -850,8 +813,7 @@ def _identify_rotation3(L: LieAlgebra, derived, v3, M, tr, det,
               [M[1][0] * scale, M[1][1] * scale]]
         N = [[Mf[0][0] + a, Mf[0][1]], [Mf[1][0], Mf[1][1] + a]]
         f1c = [Fraction(1), Fraction(0)]
-        f2c = [N[0][0] * f1c[0] + N[0][1] * f1c[1],
-               N[1][0] * f1c[0] + N[1][1] * f1c[1]]
+        f2c = matvec(N, f1c)
         if f2c == [Fraction(0), Fraction(0)]:
             f1c = [Fraction(0), Fraction(1)]
             f2c = [N[0][1], N[1][1]]
@@ -889,62 +851,26 @@ def _sl2_triple(L: LieAlgebra) -> Optional[Tuple[List[Fraction], List[Fraction],
     (E, H, F) triple by exact linear solves."""
     n = 3
     coeff_range = [Fraction(v) for v in (-2, -1, 0, 1, 2)]
-    candidates = []
-    for vec in itertools.product(coeff_range, repeat=3):
-        if not any(vec):
+    for vec in itertools.product(coeff_range, repeat=n):
+        E = list(vec)
+        if not any(E):
             continue
-        candidates.append(list(vec))
-    for E in candidates:
-        adE = _ad_of(L, E)
+        adE = ad_matrix(L, E)
         sq = matmul(adE, adE)
         cube = matmul(sq, adE)
         if any(any(r) for r in cube) or not any(any(r) for r in sq):
             continue
-        # solve [H, E] = 2E, then F with [E, F] = H and [H, F] = -2F
-        H = _solve_ad_equation(L, E, [2 * x for x in E])
+        # solve [H, E] = -ad(E) H = 2E, then F with [E, F] = ad(E) F = H
+        # and [H, F] = -2F, i.e. (ad(H) + 2I) F = 0, jointly
+        H = solve([[-x for x in row] for row in adE], [2 * x for x in E])
         if H is None:
             continue
-        F = _solve_pair(L, E, H)
+        adH2 = [[x + 2 * (i == j) for j, x in enumerate(row)]
+                for i, row in enumerate(ad_matrix(L, H))]
+        F = solve(adE + adH2, list(H) + [Fraction(0)] * n)
         if F is not None:
             return E, H, F
     return None
-
-
-def _ad_of(L: LieAlgebra, v: List[Fraction]) -> Matrix:
-    n = L.dim
-    cols = []
-    for j in range(n):
-        ej = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(_bracket_rational(L, v, ej))
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-
-def _solve_ad_equation(L: LieAlgebra, e: List[Fraction],
-                       target: List[Fraction]) -> Optional[List[Fraction]]:
-    """Solve [x, e] = target for x."""
-    n = L.dim
-    cols = []
-    for j in range(n):
-        ej = [Fraction(int(i == j)) for i in range(n)]
-        cols.append(_bracket_rational(L, ej, e))
-    mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return solve(mat, target)
-
-
-def _solve_pair(L: LieAlgebra, E, H) -> Optional[List[Fraction]]:
-    """Solve [E, F] = H and [H, F] = -2F jointly (linear in F)."""
-    n = L.dim
-    adE = _ad_of(L, E)
-    adH = _ad_of(L, H)
-    rows: List[List[Fraction]] = []
-    rhs: List[Fraction] = []
-    for i in range(n):
-        rows.append([adE[i][j] for j in range(n)])
-        rhs.append(H[i])
-    for i in range(n):
-        rows.append([adH[i][j] + 2 * Fraction(int(i == j)) for j in range(n)])
-        rhs.append(Fraction(0))
-    return solve(rows, rhs)
 
 
 def _identify_sl2(L: LieAlgebra, catalog) -> Identification:
@@ -990,10 +916,7 @@ def _identify_dim4(L: LieAlgebra, inv: AlgebraInvariants,
                 return Identification(
                     status="unidentified",
                     reason=f"3-dim summand unidentified: {inner.reason}")
-            base_cls = inner.canonical
-            sum_cls = sum_with_a1(base_cls)
-            if sum_cls.name not in _SUM_CACHE:
-                _SUM_CACHE[sum_cls.name] = sum_cls
+            sum_cls = sum_with_a1(inner.canonical)
             T = [_lift(S, row) for row in inner.witness] + [z]
             return Identification(status="identified", label=sum_cls.name,
                                   parameter=inner.parameter,
@@ -1006,25 +929,14 @@ def _identify_dim4(L: LieAlgebra, inv: AlgebraInvariants,
                "(2A2 and sums with A1)")
 
 
-_SUM_CACHE: Dict[str, CanonicalClass] = {}
-
-
 def canonical_class_by_name(name: str) -> CanonicalClass:
     catalog = load_class_catalog()
     if name in catalog:
         return catalog[name]
-    if name in _SUM_CACHE:
-        return _SUM_CACHE[name]
-    if name.endswith("+A1"):
-        base = canonical_class_by_name(name[:-3])
-        cls = sum_with_a1(base)
-        _SUM_CACHE[cls.name] = cls
-        return cls
-    if name == "A2+2A1":
-        cls = sum_with_a1(catalog["A2+A1"])
-        _SUM_CACHE[cls.name] = cls
-        return cls
-    raise KeyError(name)
+    base = sum_base(name)
+    if base is None:
+        raise KeyError(name)
+    return sum_with_a1(catalog[base])
 
 
 def _sub_algebra(L: LieAlgebra, rows: List[List[Fraction]]
@@ -1090,37 +1002,22 @@ def _eigvec2(M: Matrix, lam: Fraction) -> List[Fraction]:
 
 def _common_eigs(M1: Matrix, M2: Matrix):
     """Common rational eigenvectors of two commuting 2x2 matrices with their
-    eigenvalue pairs, requiring two independent common lines."""
-    tr = M1[0][0] + M1[1][1]
-    det = M1[0][0] * M1[1][1] - M1[0][1] * M1[1][0]
-    roots = _rational_roots_quadratic(tr, det)
-    pairs = []
-    if roots and roots[0] != roots[1]:
+    eigenvalue pairs [eigenvalue of M1, eigenvalue of M2], requiring two
+    independent common lines.  The eigenvectors come from M1 when its
+    rational roots are distinct, else from M2."""
+    for slot, (A, B) in enumerate(((M1, M2), (M2, M1))):
+        tr = A[0][0] + A[1][1]
+        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
+        roots = _rational_roots_quadratic(tr, det)
+        if not roots or roots[0] == roots[1]:
+            continue
+        pairs = []
         for lam in roots:
-            v = _eigvec2(M1, lam)
-            mu = _apply2(M2, v)
-            coef = _in_span_coords([v], mu)
+            v = _eigvec2(A, lam)
+            coef = _in_span_coords([v], matvec(B, v))
             if coef is None:
                 return None
-            pairs.append((v, [lam, coef[0]]))
-    else:
-        # M1 proportional to identity; diagonalize M2 instead
-        tr2 = M2[0][0] + M2[1][1]
-        det2 = M2[0][0] * M2[1][1] - M2[0][1] * M2[1][0]
-        roots2 = _rational_roots_quadratic(tr2, det2)
-        if not roots2 or roots2[0] == roots2[1]:
-            return None
-        for lam in roots2:
-            v = _eigvec2(M2, lam)
-            mu = _apply2(M1, v)
-            coef = _in_span_coords([v], mu)
-            if coef is None:
-                return None
-            pairs.append((v, [coef[0], lam]))
-    if len(pairs) != 2:
-        return None
-    return pairs[0], pairs[1]
-
-
-def _apply2(M: Matrix, v: List[Fraction]) -> List[Fraction]:
-    return [M[0][0] * v[0] + M[0][1] * v[1], M[1][0] * v[0] + M[1][1] * v[1]]
+            lams = [lam, coef[0]] if slot == 0 else [coef[0], lam]
+            pairs.append((v, lams))
+        return pairs[0], pairs[1]
+    return None

@@ -15,11 +15,15 @@ from typing import Dict, List, Optional, Sequence
 
 import yaml
 
-from .expr import ExprError, SymbolTable
+from .dsl import parse, parse_vector_field, render
+from .expr import ExprError, Rat, SymbolTable, substitute
 from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import Verdict, find_symmetries, is_symmetry
-from .algebra import check_closure, identify, structure_constants
+from .algebra import (
+    check_closure, field_coordinates, identify, structure_constants,
+)
+from .linalg import rref
 from .optimal import (DEFAULT_SEED, construct_optimal_system,
                       verify_candidate_system)
 from .reduction import ClosedFormSolution, verify_solution
@@ -64,8 +68,6 @@ class CatalogCase:
         return dcr_symbols()
 
     def instance(self) -> DCRInstance:
-        from .dsl import parse
-
         table = self.table()
         vals = {k: parse(str(v), table) for k, v in self.params.items()}
         return DCRInstance(**vals)
@@ -74,29 +76,20 @@ class CatalogCase:
             overrides: Optional[Dict[str, str]] = None) -> EvolutionPDE:
         inst = self.instance()
         if overrides:
-            from .dsl import parse
-
             inst = inst.replace(**{k: parse(str(v), self.table())
                                    for k, v in overrides.items()})
         if bindings:
-            from .dsl import parse
-
             inst = inst.instantiate({k: parse(str(v), self.table())
                                      for k, v in bindings.items()})
         return build_dcr(inst)
 
     def fields(self, bindings: Optional[Dict[str, str]] = None
                ) -> List[VectorField]:
-        from .dsl import parse_vector_field
-        from .expr import substitute
-
         table = self.table()
         out = []
         for text in self.basis_text:
             f = parse_vector_field(text, table)
             if bindings:
-                from .dsl import parse
-
                 b = {k: parse(str(v), table) for k, v in bindings.items()}
                 f = VectorField(substitute(f.xi_t, b), substitute(f.xi_x, b),
                                 substitute(f.eta, b))
@@ -193,8 +186,6 @@ class RegressionReport:
 
 def _check_case(case: CatalogCase, seed: int,
                 audit_samples: int) -> List[CheckResult]:
-    from .dsl import parse, parse_vector_field, render
-
     out: List[CheckResult] = []
 
     def add_result(check, passed, detail=""):
@@ -331,18 +322,13 @@ def _check_case(case: CatalogCase, seed: int,
 
 
 def _in_span(fields: Sequence[VectorField], target: VectorField) -> bool:
-    from .algebra import field_coordinates
-    from .linalg import rref
-
     rows, cols = field_coordinates(list(fields) + [target])
-    from .expr import Rat as _Rat
-
     mat = []
     for r in range(len(rows)):
         row = []
         for c in cols:
             e = c[r]
-            if not isinstance(e, _Rat):
+            if not isinstance(e, Rat):
                 return False
             row.append(e.value)
         mat.append(row)

@@ -27,7 +27,7 @@ from .reduction import ClosedFormSolution, reduce_pde, transform_solution, \
     verify_solution
 from .equivalence import are_equivalent, normalize_coefficient, remove_drift
 from .catalog import load_catalog, run_regression
-from .report import Report
+from .report import Report, _plain
 
 USAGE_ERROR = 3
 
@@ -65,46 +65,45 @@ def _table_with(params: Dict[str, str]) -> SymbolTable:
     return table
 
 
-def _resolve_pde(args, params: Dict[str, str]):
-    """PDE from 'case:<id>' or a DSL string; returns (pde, table)."""
-    text = args.pde
+def _resolve_spec(args, spec: str, params: Dict[str, str]):
+    """(catalog case or None, table, parsed bindings) for a --pde or
+    --algebra value that is either 'case:<id>' or DSL text."""
     table = _table_with(params)
     bindings = {k: dsl.parse(v, table) for k, v in params.items()}
-    if text.startswith("case:"):
-        catalog = load_catalog(getattr(args, "catalog", None))
-        cid = text[5:]
-        if cid not in catalog:
-            raise UsageError(f"unknown case id {cid!r}")
-        case = catalog[cid]
+    if not spec.startswith("case:"):
+        return None, table, bindings
+    catalog = load_catalog(getattr(args, "catalog", None))
+    cid = spec[5:]
+    if cid not in catalog:
+        raise UsageError(f"unknown case id {cid!r}")
+    return catalog[cid], table, bindings
+
+
+def _resolve_pde(args, params: Dict[str, str]):
+    """PDE from 'case:<id>' or a DSL string; returns (pde, table)."""
+    case, table, bindings = _resolve_spec(args, args.pde, params)
+    if case is not None:
         inst = case.instance()
         if bindings:
             inst = inst.instantiate(bindings)
         return build_dcr(inst, table), table
-    rhs = dsl.parse_pde(text, table)
+    rhs = dsl.parse_pde(args.pde, table)
     if bindings:
         rhs = substitute(rhs, bindings)
     return EvolutionPDE(rhs=rhs, table=table), table
 
 
 def _resolve_algebra(args, params: Dict[str, str]) -> LieAlgebra:
-    spec = args.algebra
-    table = _table_with(params)
-    bindings = {k: dsl.parse(v, table) for k, v in params.items()}
-    if spec.startswith("case:"):
-        catalog = load_catalog(getattr(args, "catalog", None))
-        cid = spec[5:]
-        if cid not in catalog:
-            raise UsageError(f"unknown case id {cid!r}")
-        fields = catalog[cid].fields(bindings={k: str(v)
-                                               for k, v in params.items()})
+    case, table, bindings = _resolve_spec(args, args.algebra, params)
+    if case is not None:
+        fields = case.fields(bindings={k: str(v) for k, v in params.items()})
         return structure_constants(fields)
     fields = [dsl.parse_vector_field(part.strip(), table)
-              for part in spec.split(";") if part.strip()]
+              for part in args.algebra.split(";") if part.strip()]
     if bindings:
-        from .expr import substitute as sub
-
-        fields = [VectorField(sub(f.xi_t, bindings), sub(f.xi_x, bindings),
-                              sub(f.eta, bindings)) for f in fields]
+        fields = [VectorField(substitute(f.xi_t, bindings),
+                              substitute(f.xi_x, bindings),
+                              substitute(f.eta, bindings)) for f in fields]
     return structure_constants(fields)
 
 
@@ -124,7 +123,8 @@ def _parse_instance(spec: str, table: SymbolTable) -> DCRInstance:
 def _load_candidates(path: str, dim: int) -> List[SubalgebraRep]:
     """Candidate file: one representative per line, comma-separated DSL
     coefficients over the algebra basis; an optional '| name kind' suffix
-    declares a free parameter (kind: any, nonzero, positive)."""
+    declares a free parameter (kind: any, nonzero, positive).  A line whose
+    coefficients are all zero spans no subalgebra and is a usage error."""
     out = []
     with open(path) as fh:
         for raw in fh:
@@ -148,6 +148,10 @@ def _load_candidates(path: str, dim: int) -> List[SubalgebraRep]:
             if len(coeffs) != dim:
                 raise UsageError(
                     f"candidate needs {dim} coefficients, got {len(coeffs)}")
+            if all(c.is_zero_literal for c in coeffs):
+                raise UsageError(
+                    f"candidate {line.strip()!r} is the zero vector, which "
+                    "spans no subalgebra")
             out.append(SubalgebraRep(tuple(coeffs),
                                      (param_spec,) if param_spec else ()))
     return out
@@ -283,8 +287,6 @@ def cmd_identify(args) -> Report:
                  })
     rep.add(f"label: {ident.display}")
     if ident.witness:
-        from .report import _plain
-
         rep.add(f"basis-change witness rows: {_plain(ident.witness)}")
     rep.exit_code = 0 if ident.status == "identified" else 2
     return rep

@@ -22,8 +22,8 @@ from typing import List, Tuple
 
 from .expr import (
     Add, EULER, Expr, ExprError, Func, MINUS_ONE, Mul, ONE, Pow, Rat, Sym,
-    SymbolKind, SymbolTable, UndeclaredSymbolError, ZERO, add, func, mul,
-    powx, rat, sym,
+    SymbolKind, SymbolTable, UndeclaredSymbolError, ZERO, add, free_symbols,
+    func, mul, powx, rat, sym,
 )
 from . import jets
 from .jets import VectorField
@@ -258,8 +258,6 @@ def parse_vector_field(text: str, table: SymbolTable) -> VectorField:
         coefs[markers[0].name] = add(coefs[markers[0].name],
                                      mul(coeff, *rest))
     field = VectorField(coefs["Dt"], coefs["Dx"], coefs["Du"])
-    from .expr import free_symbols
-
     for coef in (field.xi_t, field.xi_x, field.eta):
         if free_symbols(coef) & set(_FIELD_MARKERS):
             raise ParseError("vector-field coefficients must be linear in "

@@ -28,6 +28,7 @@ from .expr import (
     substitute, sym,
 )
 from .expr import _factorize  # exact prime factorization of small ints
+from .dsl import render
 from .jets import VectorField, jet_name
 from .linalg import solve
 from .pde import DCRInstance, EvolutionPDE, build_dcr
@@ -86,8 +87,6 @@ class EquivalenceTransformation:
                 and self.d1.is_zero_literal and self.d2.is_zero_literal)
 
     def to_record(self) -> Dict[str, str]:
-        from .dsl import render
-
         return {k: render(v) for k, v in self.params().items()}
 
 
@@ -218,19 +217,18 @@ def solve_scaling(constraints: Sequence[ScalingConstraint]
     explicit enumeration, rejecting assignments that put a negative base
     under a non-integer exponent.  Returns None when inconsistent."""
     rows = [[c.a0, c.a1, c.a2] for c in constraints]
-    # magnitude part, one exact solve per prime
-    primes = sorted({q for c in constraints
-                     for q, _ in itertools.chain(
-                         _factorize(abs(c.value.numerator)),
-                         _factorize(c.value.denominator))})
+    # magnitude part: ord_q(value) of every constraint, one exact solve per
+    # prime q
+    orders: List[Dict[int, int]] = []
+    for c in constraints:
+        order = dict(_factorize(abs(c.value.numerator)))
+        for q, k in _factorize(c.value.denominator):
+            order[q] = order.get(q, 0) - k
+        orders.append(order)
+    primes = sorted({q for order in orders for q in order})
     exps: Dict[int, List[Fraction]] = {}
     for q in primes:
-        rhs = []
-        for c in constraints:
-            n = sum(k for qq, k in _factorize(abs(c.value.numerator)) if qq == q)
-            d = sum(k for qq, k in _factorize(c.value.denominator) if qq == q)
-            rhs.append(Fraction(n - d))
-        sol = solve(rows, rhs)
+        sol = solve(rows, [Fraction(order.get(q, 0)) for order in orders])
         if sol is None:
             return None
         exps[q] = sol
@@ -286,6 +284,28 @@ def _in_form_branches(inst: DCRInstance) -> List[Tuple[str, Optional[Fraction]]]
     return branches
 
 
+def _scaling_system(m: Fraction, p: Fraction,
+                    matches: Sequence[Tuple[str, Fraction, str]],
+                    s: Optional[Fraction]) -> List[ScalingConstraint]:
+    """The diffusion normalization, one constraint per (coefficient, value,
+    label) in matches, and the reaction shape k2^(-p) = s unless s is None.
+
+    A pure scaling multiplies b1, c0 and c1 by k0^a0 * k1^a1 * k2^a2 with
+    the exponents below; the diffusion coefficient scales by
+    k0^-1 * k1^2 * k2^(1-m) and must stay 1."""
+    weights = {"b1": (Fraction(-1), Fraction(1), -p),
+               "c0": (Fraction(-1), Fraction(0), m - 1),
+               "c1": (Fraction(-1), Fraction(0), m - 1 - 2 * p)}
+    cons = [ScalingConstraint(Fraction(-1), Fraction(2), 1 - m, Fraction(1),
+                              "diffusion normalization")]
+    cons += [ScalingConstraint(*weights[name], value, label)
+             for name, value, label in matches]
+    if s is not None:
+        cons.append(ScalingConstraint(Fraction(0), Fraction(0), -p, s,
+                                      "reaction shape"))
+    return cons
+
+
 def _scaling_constraints(inst: DCRInstance, target: DCRInstance,
                          branch_s: Optional[Fraction]
                          ) -> Optional[List[ScalingConstraint]]:
@@ -293,27 +313,17 @@ def _scaling_constraints(inst: DCRInstance, target: DCRInstance,
 
     Requires rational exponents and coefficients on both sides.  Returns None
     when a vanishing-pattern invariant already separates them."""
-    m = _rational(inst.m)
-    p = _rational(inst.p)
-    cons = [ScalingConstraint(Fraction(-1), Fraction(2), Fraction(1 - m),
-                              Fraction(1), "diffusion normalization")]
-    pairs = [("b1", Fraction(-1), Fraction(1), Fraction(-p)),
-             ("c0", Fraction(-1), Fraction(0), Fraction(m - 1)),
-             ("c1", Fraction(-1), Fraction(0), Fraction(m - 1 - 2 * p))]
-    for name, a0, a1, a2 in pairs:
+    matches = []
+    for name in ("b1", "c0", "c1"):
         src = _rational(getattr(inst, name))
         dst = _rational(getattr(target, name))
         if (src == 0) != (dst == 0):
             return None
-        if src == 0:
-            continue
-        value = Fraction(dst, src)
-        cons.append(ScalingConstraint(a0, a1, a2, value, f"{name} match"))
-    if branch_s is not None and (_rational(inst.c0) != 0
-                                 or _rational(inst.c1) != 0):
-        cons.append(ScalingConstraint(Fraction(0), Fraction(0), Fraction(-p),
-                                      branch_s, "reaction shape"))
-    return cons
+        if src != 0:
+            matches.append((name, Fraction(dst, src), f"{name} match"))
+    # branch_s is None exactly when inst has no reaction term
+    return _scaling_system(_rational(inst.m), _rational(inst.p), matches,
+                           branch_s)
 
 
 def normalize_coefficient(inst: DCRInstance, target: str
@@ -341,24 +351,12 @@ def normalize_coefficient(inst: DCRInstance, target: str
     p = _rational(inst.p)
     if m is None or p is None:
         raise ExprError("exponents must be rational for normalization")
-    target_rows = {
-        "b1": (Fraction(-1), Fraction(1), Fraction(-p)),
-        "c0": (Fraction(-1), Fraction(0), Fraction(m - 1)),
-        "c1": (Fraction(-1), Fraction(0), Fraction(m - 1 - 2 * p)),
-    }
     tried: List[str] = []
     for sign in (1, -1):
         for label, s in _in_form_branches(inst):
-            a0, a1, a2 = target_rows[target]
-            cons = [ScalingConstraint(Fraction(-1), Fraction(2),
-                                      Fraction(1 - m), Fraction(1),
-                                      "diffusion normalization"),
-                    ScalingConstraint(a0, a1, a2, Fraction(sign, cur),
-                                      f"{target} -> {sign}")]
-            if s is not None:
-                cons.append(ScalingConstraint(Fraction(0), Fraction(0),
-                                              Fraction(-p), s,
-                                              "reaction shape"))
+            cons = _scaling_system(
+                m, p, [(target, Fraction(sign, cur), f"{target} -> {sign}")],
+                s)
             sol = solve_scaling(cons)
             tried.extend(c.describe() for c in cons)
             if sol is None:

@@ -58,16 +58,6 @@ def dcr_symbols() -> SymbolTable:
     return table
 
 
-def jet_order(e: Expr, table: SymbolTable) -> int:
-    """Highest jet order appearing in the expression (0 if only u)."""
-    order = 0
-    for name in free_symbols(e):
-        entry = table.jet_index.get(name)
-        if entry is not None:
-            order = max(order, sum(entry[1]))
-    return order
-
-
 def total_derivative(e: Expr, direction: str, table: SymbolTable,
                      max_order: int = 2) -> Expr:
     """Total derivative D_t or D_x on a jet expression.

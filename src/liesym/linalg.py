@@ -4,9 +4,10 @@ systems whose entries are symbolic expressions."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
-from .expr import Expr, ZERO, ZeroVerdict, add, is_zero, mul, powx, rat
+from .expr import Expr, Rat, ZERO, ZeroVerdict, add, is_zero, mul, powx, rat
 
 Matrix = List[List[Fraction]]
 
@@ -61,8 +62,6 @@ def _unit(n: int, j: int) -> List[Fraction]:
 
 def _primitive(v: Sequence[Fraction]) -> List[Fraction]:
     """Scale so entries are coprime integers with positive leading entry."""
-    from math import gcd, lcm
-
     den = 1
     for x in v:
         den = lcm(den, x.denominator)
@@ -144,8 +143,6 @@ def solve_symbolic(rows: List[List[Expr]], rhs: List[Expr],
                 continue
             v = is_zero(entry, parameters=parameters)
             if v is ZeroVerdict.NONZERO:
-                from .expr import Rat
-
                 if isinstance(entry, Rat):
                     cand = i
                     break

@@ -23,15 +23,18 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
+from .dsl import render
 from .expr import (
     EULER, Expr, ExprError, Rat, ZERO, ONE, _rat_root, add, mul, powx, rat,
     substitute, sym,
 )
 from .algebra import (
-    CanonicalClass, Identification, LieAlgebra, canonical_class_by_name,
-    identify,
+    CanonicalClass, Identification, LieAlgebra, _in_span_coords, _series,
+    ad_matrix, canonical_class_by_name, identify, sum_base,
 )
 from .linalg import Matrix, identity, inverse, matmul, matvec, nullspace
 
@@ -83,8 +86,6 @@ def _divisors(n: int) -> List[int]:
 
 def _rational_roots(poly: List[Fraction]) -> Optional[Dict[Fraction, int]]:
     """All roots with multiplicity if the polynomial splits over Q."""
-    from math import lcm
-
     cur = [Fraction(c) for c in poly]
     while cur and cur[-1] == 0:
         cur.pop()
@@ -97,7 +98,7 @@ def _rational_roots(poly: List[Fraction]) -> Optional[Dict[Fraction, int]]:
             continue
         den = 1
         for c in cur:
-            den = lcm(den, c.denominator)
+            den = math.lcm(den, c.denominator)
         ic = [int(c * den) for c in cur]
         found = None
         cands = set()
@@ -196,9 +197,8 @@ def _expm_float(M: Matrix, eps: float) -> List[List[float]]:
 
 
 def ad_matrix_rational(L: LieAlgebra, i: int) -> Matrix:
-    c = L.rational_constants()
-    n = L.dim
-    return [[c[i][j][k] for j in range(n)] for k in range(n)]
+    """Matrix of ad e_i."""
+    return ad_matrix(L, identity(L.dim)[i])
 
 
 def adjoint_matrix(L: LieAlgebra, i: int,
@@ -275,8 +275,6 @@ class SubalgebraRep:
         return tuple(c.value for c in self.coeffs)
 
     def render(self) -> str:
-        from .dsl import render
-
         parts = []
         for i, c in enumerate(self.coeffs):
             if c.is_zero_literal:
@@ -1109,16 +1107,12 @@ _STRATEGIES = {
 
 def strategy_for(name: str, a: Optional[Fraction] = None) -> Strategy:
     if name in _STRATEGIES:
-        cls = canonical_class_by_name(name)
-        return _STRATEGIES[name](cls, a)
-    if name == "A2+2A1":
-        base = strategy_for("A2+A1")
-        return SumA1Strategy(canonical_class_by_name("A2+2A1"), base)
-    if name.endswith("+A1"):
-        base = strategy_for(name[:-3], a)
-        return SumA1Strategy(canonical_class_by_name(name), base)
-    raise UnsupportedClassError(
-        f"no optimal-system strategy for class {name}")
+        return _STRATEGIES[name](canonical_class_by_name(name), a)
+    base = sum_base(name)
+    if base is None:
+        raise UnsupportedClassError(
+            f"no optimal-system strategy for class {name}")
+    return SumA1Strategy(canonical_class_by_name(name), strategy_for(base, a))
 
 # ---------------------------------------------------------------------------
 # algebra-level operations through the identification witness
@@ -1296,16 +1290,15 @@ def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
 # ---------------------------------------------------------------------------
 
 def _membership_pattern(L: LieAlgebra, v: Sequence[Fraction]) -> Tuple[bool, ...]:
-    from .algebra import _subspace_brackets, _in_span_coords
-
+    """Membership of v in the first three derived-series terms, stopping
+    after a zero term (a stabilized series repeats its last term)."""
+    terms = _series(L, derived=True)
     pats = []
-    full = identity(L.dim)
-    cur = _subspace_brackets(L, full, full)
-    for _ in range(3):
+    for k in range(3):
+        cur = terms[min(k, len(terms) - 1)]
         pats.append(_in_span_coords(cur, list(v)) is not None if cur else not any(v))
         if not cur:
             break
-        cur = _subspace_brackets(L, cur, cur)
     return tuple(pats)
 
 
@@ -1406,45 +1399,48 @@ def _sample_directions(n: int, count: int, seed: int):
     return out
 
 
+# a candidate with several parameters is probed at every combination of
+# these values
+_MULTI_PROBES = (Fraction(2), Fraction(3), Fraction(-3))
+
+
+def _assignments(cand: SubalgebraRep, values: Iterable[Fraction]
+                 ) -> List[Dict[str, Fraction]]:
+    """Every assignment of the candidate's parameters from values; a frozen
+    candidate has the one empty assignment."""
+    names = [p.name for p in cand.params]
+    return [dict(zip(names, combo))
+            for combo in itertools.product(values, repeat=len(names))]
+
+
+def _instances(ca: ClassifiedAlgebra, cand: SubalgebraRep,
+               assignments: Iterable[Dict[str, Fraction]]
+               ) -> Iterator[Tuple[Dict[str, Fraction], Signature]]:
+    """(assignment, signature) for each assignment, in order of first
+    occurrence, that every parameter admits and that instantiates the
+    candidate to a nonzero rational vector."""
+    seen = set()
+    for values in assignments:
+        key = tuple(values.items())
+        if key in seen or not all(p.admits(values[p.name])
+                                  for p in cand.params):
+            continue
+        seen.add(key)
+        try:
+            vec = cand.instantiate(values)
+        except ExprError:
+            continue
+        if any(vec):
+            yield values, ca.classify(vec)
+
+
 def _candidate_signatures(ca: ClassifiedAlgebra, cand: SubalgebraRep,
                           probes: Sequence[Fraction]) -> List[Signature]:
-    """Classify frozen instances of a candidate (probing its parameters)."""
-    sigs = []
-    if cand.frozen():
-        vec = cand.rational_coeffs()
-        if vec is None:
-            return []
-        return [ca.classify(vec)]
-    if len(cand.params) == 1:
-        p = cand.params[0]
-        for val in probes:
-            if not p.admits(val):
-                continue
-            try:
-                vec = cand.instantiate({p.name: val})
-            except ExprError:
-                continue
-            if any(vec):
-                sigs.append(ca.classify(vec))
-    else:
-        vals = [Fraction(2), Fraction(3), Fraction(-3)]
-        for combo in itertools.product(vals, repeat=len(cand.params)):
-            values = {}
-            ok = True
-            for p, val in zip(cand.params, combo):
-                if not p.admits(val):
-                    ok = False
-                    break
-                values[p.name] = val
-            if not ok:
-                continue
-            try:
-                vec = cand.instantiate(values)
-            except ExprError:
-                continue
-            if any(vec):
-                sigs.append(ca.classify(vec))
-    return sigs
+    """Classify instances of a candidate at each probe value of its
+    parameter (several parameters take _MULTI_PROBES instead)."""
+    if len(cand.params) > 1:
+        probes = _MULTI_PROBES
+    return [sig for _, sig in _instances(ca, cand, _assignments(cand, probes))]
 
 
 def _special_param_values(ca: ClassifiedAlgebra,
@@ -1481,45 +1477,26 @@ def _covers(ca: ClassifiedAlgebra, cand: SubalgebraRep,
     instantiating parameter values when it does (empty dict for frozen)."""
     if cand.rep_id:
         # the candidate came from construct_optimal_system: direct check
-        rep = next((r for r in ca.strategy.reps() if r.rep_id == cand.rep_id),
-                   None)
-        if rep is None or rep.rep_id != target.rep_id:
+        if cand.rep_id != target.rep_id:
             return None
-        for p in rep.params:
+        for p in cand.params:
             if p.name not in target.params or not p.admits(target.params[p.name]):
                 return None
         return {}
-    if cand.frozen():
-        vec = cand.rational_coeffs()
-        if vec is None or not any(vec):
-            return None
-        return {} if ca.classify(vec).matches(target) else None
     if len(cand.params) != 1:
-        for sig in _candidate_signatures(ca, cand,
-                                         [Fraction(2), Fraction(3)]):
+        # frozen, or several parameters: the match carries no values
+        for _, sig in _instances(ca, cand, _assignments(cand, _MULTI_PROBES)):
             if sig.matches(target):
                 return {}
         return None
-    p = cand.params[0]
-    trial_values: List[Fraction] = []
-    trial_values += _special_param_values(ca, cand)
+    trial_values = _special_param_values(ca, cand)
     trial_values += [Fraction(2), Fraction(3), Fraction(-2), Fraction(5),
                      Fraction(1), Fraction(-1)]
     # solve ratio equations against the target's family parameters
-    trial_values += _ratio_solutions(ca, cand, target, p.name)
-    seen = set()
-    for val in trial_values:
-        if val in seen or not p.admits(val):
-            continue
-        seen.add(val)
-        try:
-            vec = cand.instantiate({p.name: val})
-        except ExprError:
-            continue
-        if not any(vec):
-            continue
-        if ca.classify(vec).matches(target):
-            return {p.name: val}
+    trial_values += _ratio_solutions(ca, cand, target, cand.params[0].name)
+    for values, sig in _instances(ca, cand, _assignments(cand, trial_values)):
+        if sig.matches(target):
+            return values
     return None
 
 
@@ -1563,33 +1540,17 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
               Fraction(1), Fraction(-1), Fraction(1, 2)]
     pairs = []
     for i in range(len(candidates)):
-        sigs_i = _candidate_signatures(ca, candidates[i], probes)
-        extra = _special_param_values(ca, candidates[i])
-        if extra:
-            p = candidates[i].params[0]
-            for val in extra:
-                if p.admits(val):
-                    try:
-                        vec = candidates[i].instantiate({p.name: val})
-                        if any(vec):
-                            sigs_i.append(ca.classify(vec))
-                    except ExprError:
-                        pass
-        for j in range(len(candidates)):
-            if j == i:
-                continue
-            flagged = None
-            for sig in sigs_i:
-                got = _covers(ca, candidates[j], sig)
-                if got is not None:
-                    flagged = sig
-                    break
-            if flagged is not None and i < j:
+        sigs_i = _candidate_signatures(
+            ca, candidates[i],
+            probes + _special_param_values(ca, candidates[i]))
+        for j in range(i + 1, len(candidates)):
+            flagged = next((sig for sig in sigs_i
+                            if _covers(ca, candidates[j], sig) is not None),
+                           None)
+            if flagged is not None:
                 # build a witness at the overlapping instance
-                vec_i = _instance_for_signature(ca, candidates[i], flagged,
-                                                probes)
-                vec_j = _instance_for_signature(ca, candidates[j], flagged,
-                                                probes)
+                vec_i = _instance_for_signature(ca, candidates[i], flagged)
+                vec_j = _instance_for_signature(ca, candidates[j], flagged)
                 if vec_i is not None and vec_j is not None:
                     res = are_conjugate(L, vec_i, vec_j, ident=ca.ident)
                     if res.conjugate:
@@ -1617,26 +1578,21 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
 
 
 def _instance_for_signature(ca: ClassifiedAlgebra, cand: SubalgebraRep,
-                            sig: Signature, probes) -> Optional[List[Fraction]]:
+                            sig: Signature) -> Optional[List[Fraction]]:
+    """A rational instance of the candidate in the class of sig."""
     if cand.frozen():
         vec = cand.rational_coeffs()
         return list(vec) if vec is not None else None
-    got = _covers(ca, cand, sig)
-    if got is None:
+    values = _covers(ca, cand, sig)
+    if values is None:
         return None
-    if not got and cand.params:
-        # constructed rep covering via rep_id: instantiate at the target
-        values = {}
-        for p in cand.params:
-            tv = sig.params.get(p.name)
-            if tv is None or not isinstance(tv, Fraction):
-                return None
-            values[p.name] = tv
-        try:
-            return list(cand.instantiate(values))
-        except ExprError:
+    if not values:
+        # covered without values (constructed rep, or several parameters):
+        # instantiate at the signature's own parameter values
+        values = {p.name: sig.params.get(p.name) for p in cand.params}
+        if not all(isinstance(v, Fraction) for v in values.values()):
             return None
     try:
-        return list(cand.instantiate(got))
+        return list(cand.instantiate(values))
     except ExprError:
         return None

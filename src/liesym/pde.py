@@ -18,6 +18,7 @@ from .expr import (
     free_symbols, is_zero, mul, powx, rat, substitute, sym,
 )
 from . import jets
+from .dsl import parse, render
 from .jets import dcr_symbols, jet, jet_name
 
 
@@ -51,9 +52,6 @@ class EvolutionPDE:
                 raise ExprError(f"evolution rhs must not contain {name}")
             if dx > 2:
                 raise ExprError(f"evolution rhs is second order; got {name}")
-
-    def rhs_jet_partial(self, dt: int, dx: int) -> Expr:
-        return differentiate(self.rhs, jet_name(dt, dx))
 
 
 @dataclass(frozen=True)
@@ -107,16 +105,12 @@ class DCRInstance:
                 out[k] = (str(q.numerator) if q.denominator == 1
                           else f"{q.numerator}/{q.denominator}")
             else:
-                from .dsl import render
-
                 out[k] = render(v)
         return out
 
     @classmethod
     def from_record(cls, record: Dict[str, str],
                     table: Optional[SymbolTable] = None) -> "DCRInstance":
-        from .dsl import parse
-
         table = table or dcr_symbols()
         vals = {k: parse(str(v), table) for k, v in record.items()}
         return cls(**vals)

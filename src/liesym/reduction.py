@@ -23,10 +23,11 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
-    Add, EULER, Expr, ExprError, Func, Mul, Rat, ZERO, ONE, ZeroVerdict,
-    add, differentiate, free_symbols, is_zero, log, mul, powx, rat,
-    substitute, sym,
+    Add, EULER, Expr, ExprError, Func, Mul, Pow, Rat, ZERO, ONE, ZeroVerdict,
+    add, contains_func, differentiate, free_symbols, is_zero, log, mul, powx,
+    rat, substitute, sym,
 )
+from .equivalence import _inverse_point_map
 from .jets import VectorField, jet_name
 from .optimal import exact_expm
 from .pde import EvolutionPDE
@@ -237,8 +238,6 @@ def _phi_split(term: Expr) -> Tuple[Expr, Expr]:
 
 
 def _has_phi(e: Expr) -> bool:
-    from .expr import contains_func
-
     return contains_func(e, PHI)
 
 
@@ -302,8 +301,6 @@ def reduce_pde(pde: EvolutionPDE, X: VectorField) -> ReductionAnsatz:
 
 def _to_omega_symbol(mono: Expr) -> Expr:
     """Replace phi(omega(t,x)) atoms by phi(w)."""
-    from .expr import Pow
-
     if isinstance(mono, Func) and mono.name == PHI:
         return Func(PHI, mono.order, OMEGA)
     if isinstance(mono, Mul):
@@ -376,8 +373,6 @@ def transform_solution(sol: ClosedFormSolution, X: VectorField,
 def transform_solution_et(sol: ClosedFormSolution, et) -> ClosedFormSolution:
     """Push a solution through an equivalence transformation: a solution of P
     becomes a solution of apply_et(et, P)."""
-    from .equivalence import _inverse_point_map
-
     subs = _inverse_point_map(et)
     inner = substitute(sol.expr, {"t": subs["t"], "x": subs["x"]})
     return ClosedFormSolution(add(mul(et.k2, inner), et.d2))

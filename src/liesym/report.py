@@ -15,13 +15,12 @@ from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
 from . import __version__
+from .dsl import render
 from .expr import Expr
 
 
 def _plain(value) -> Any:
     if isinstance(value, Expr):
-        from .dsl import render
-
         return render(value)
     if isinstance(value, Fraction):
         return (str(value.numerator) if value.denominator == 1

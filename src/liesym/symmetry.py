@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 from .expr import (
     Add, Expr, ExprError, Mul, Pow, Rat, Sym, ZERO, ONE, ZeroVerdict,
     _coeff_monomial, add, differentiate, free_symbols, is_zero, mul, powx, rat,
-    sym,
+    substitute, sym,
 )
 from . import jets
 from .jets import VectorField, jet_name, prolong2, total_derivative
@@ -65,8 +65,6 @@ def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
     subs = {jet_name(1, 0): F}
     if jet_name(1, 1) in free_symbols(residual):
         subs[jet_name(1, 1)] = total_derivative(F, "x", table, max_order=3)
-    from .expr import substitute
-
     return substitute(residual, subs)
 
 

@@ -177,13 +177,16 @@ def _transported(L: LieAlgebra, T):
 @pytest.mark.parametrize("name,a", [
     ("A3,5", Fraction(2, 5)), ("A3,4", None), ("A3,2", None),
     ("A3,3", None), ("A3,1", None), ("A2+A1", None), ("2A2", None),
+    ("A2", None), ("A3,6", None), ("A3,7", Fraction(1, 2)),
+    ("A3,1+A1", None), ("A3,5+A1", Fraction(2, 5)), ("A2+2A1", None),
+    ("A3,7+A1", Fraction(1, 2)),
 ])
 def test_identify_is_basis_invariant(name, a):
     """A random invertible rational basis change keeps the label and the
     continuous parameter (up to the documented normalization)."""
     cls = canonical_class_by_name(name)
     L = cls.instantiated(a)
-    rng = random.Random(hash(name) & 0xFFFF)
+    rng = random.Random(name)
     for _ in range(3):
         T = _random_basis_change(L.dim, rng)
         moved = _transported(L, T)
@@ -192,6 +195,24 @@ def test_identify_is_basis_invariant(name, a):
         assert ident.label == name
         if a is not None:
             assert ident.parameter == a
+
+
+def test_sl2_basis_change_is_identified_or_honestly_unidentified():
+    """The split-form search for A3,8 only tries coefficients in {-2..2}, so
+    some bases of sl(2, R) come back unidentified; that answer must name the
+    search bound, and no basis may get another label."""
+    L = canonical_class_by_name("A3,8").algebra
+    rng = random.Random("A3,8")
+    labels = []
+    for _ in range(3):
+        ident = identify(_transported(L, _random_basis_change(3, rng)))
+        if ident.status == "identified":
+            assert ident.label == "A3,8"
+        else:
+            assert ident.reason.startswith(
+                "split form not found within search bounds"), ident.reason
+        labels.append(ident.label or ident.status)
+    assert "A3,8" in labels
 
 
 def test_witness_reproduces_canonical_constants():

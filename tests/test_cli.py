@@ -67,6 +67,18 @@ class TestExitCodes:
                     "--samples", "200"])
         assert code == 0
 
+    def test_audit_rejects_zero_candidate(self, tmp_path, capsys):
+        # the zero line spans no subalgebra: a usage error wherever it sits
+        lines = ["0, 0, 1", "1, 0, 0", "0, 1, 0", "1, 1, 0"]
+        for order in (["0, 0, 0"] + lines, lines + ["0, 0, 0"]):
+            cand = tmp_path / "c.txt"
+            cand.write_text("\n".join(order) + "\n")
+            code = run(["audit-system", "--algebra", "case:eq5",
+                        "--params", "m=2,p=3", "--candidates", str(cand),
+                        "--samples", "50"])
+            assert code == 3
+            assert "zero vector" in capsys.readouterr().err
+
     def test_identify(self, capsys):
         assert run(["identify", "--algebra", "case:eq5",
                     "--params", "m=2,p=3"]) == 0

@@ -152,7 +152,7 @@ class TestWitnessVerification:
         """Random vectors: applying the classifier's witness word lands on
         the claimed representative (projective residual <= 1e-9)."""
         strategy = strategy_for(name, a)
-        rng = random.Random(hash(name) & 0xFFFF)
+        rng = random.Random(name)
         dim = strategy.cls.dim
         reps = {r.rep_id: r for r in strategy.reps()}
         for _ in range(60):
