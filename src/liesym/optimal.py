@@ -1128,6 +1128,10 @@ class ClassifiedAlgebra:
     strategy: Strategy
     to_canonical: Matrix      # solves canonical coords from algebra coords
     from_canonical: Matrix    # T^t: canonical rep -> algebra coords
+    # instance signatures of candidates that _covers checks without
+    # solving for parameter values; they do not depend on the target
+    fixed_signatures: Dict[SubalgebraRep, List[Signature]] = field(
+        default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, L: LieAlgebra,
@@ -1485,10 +1489,11 @@ def _covers(ca: ClassifiedAlgebra, cand: SubalgebraRep,
         return {}
     if len(cand.params) != 1:
         # frozen, or several parameters: the match carries no values
-        for _, sig in _instances(ca, cand, _assignments(cand, _MULTI_PROBES)):
-            if sig.matches(target):
-                return {}
-        return None
+        sigs = ca.fixed_signatures.get(cand)
+        if sigs is None:
+            sigs = _candidate_signatures(ca, cand, _MULTI_PROBES)
+            ca.fixed_signatures[cand] = sigs
+        return {} if any(sig.matches(target) for sig in sigs) else None
     trial_values = _special_param_values(ca, cand)
     trial_values += [Fraction(2), Fraction(3), Fraction(-2), Fraction(5),
                      Fraction(1), Fraction(-1)]
