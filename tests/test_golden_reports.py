@@ -36,8 +36,14 @@ ALGEBRAS = {
     "2A2": "Dx; x*Dx; Du; u*Du",
     "A2+2A1": "Dx; x*Dx; Du; Dt",
     "A3,1+A1": "Du; Dx; x*Du; Dt",
+    "A3,2+A1": "Dx; Du; x*Dx + (u+x)*Du; Dt",
+    "A3,3+A1": "Dx; Du; x*Dx + u*Du; Dt",
+    "A3,4+A1": "Dx; Du; x*Dx - u*Du; Dt",
     "A3,5+A1": "Dx; Du; x*Dx + 2/5*u*Du; Dt",
+    "A3,6+A1": "Dt; Dx; x*Dt - t*Dx; Du",
+    "A3,7+A1": "Dt; Dx; (t/2 + x)*Dt + (x/2 - t)*Dx; Du",
     "A3,8+A1": "Dx; x*Dx; x^2*Dx; Dt",
+    "A3,9+A1": "t*Dx - x*Dt; u*Dt - t*Du; x*Du - u*Dx; t*Dt + x*Dx + u*Du",
 }
 
 CASES = [
