@@ -19,7 +19,7 @@ from .dsl import parse, parse_vector_field, render
 from .expr import ExprError, Rat, SymbolTable, substitute
 from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
-from .symmetry import Verdict, find_symmetries, is_symmetry
+from .symmetry import find_symmetries, is_symmetry
 from .algebra import (
     check_closure, field_coordinates, identify, structure_constants,
 )
@@ -223,9 +223,7 @@ def _check_case(case: CatalogCase, seed: int,
         f = parse_vector_field(variant["field"], table)
         v = is_symmetry(pde, f)
         expect = variant.get("expect", "not-symmetry")
-        got = {Verdict.SYMMETRY: "symmetry",
-               Verdict.NOT_SYMMETRY: "not-symmetry",
-               Verdict.UNDECIDED: "undecided"}[v.verdict]
+        got = v.verdict.value
         add_result(f"variant {variant.get('name', '?')} is {expect}",
                    got == expect,
                    f"verdict {got}, residual {render(v.residual)}")

@@ -18,7 +18,7 @@ from .expr import ExprError, SymbolTable, rat, substitute, sym
 from . import dsl
 from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
-from .symmetry import Verdict, find_symmetries, is_symmetry
+from .symmetry import find_symmetries, is_symmetry
 from .algebra import LieAlgebra, check_closure, identify, structure_constants
 from .optimal import (DEFAULT_SAMPLES, DEFAULT_SEED, ParamSpec,
                       SubalgebraRep, construct_optimal_system,
@@ -51,7 +51,7 @@ def _parse_params(spec: Optional[str]) -> Dict[str, str]:
         if not part.strip():
             continue
         if "=" not in part:
-            raise UsageError(f"--params entries need name=value, got {part!r}")
+            raise UsageError(f"parameters need name=value, got {part!r}")
         name, value = part.split("=", 1)
         out[name.strip()] = value.strip()
     return out
@@ -108,16 +108,14 @@ def _resolve_algebra(args, params: Dict[str, str]) -> LieAlgebra:
 
 
 def _parse_instance(spec: str, table: SymbolTable) -> DCRInstance:
-    vals = {}
-    for part in spec.split(","):
-        if not part.strip():
-            continue
-        name, value = part.split("=", 1)
-        vals[name.strip()] = dsl.parse(value.strip(), table)
-    defaults = {"m": sym("m"), "p": sym("p"), "b0": rat(0), "b1": rat(0),
-                "c0": rat(0), "c1": rat(0)}
-    defaults.update(vals)
-    return DCRInstance(**defaults)
+    values = {"m": sym("m"), "p": sym("p"), "b0": rat(0), "b1": rat(0),
+              "c0": rat(0), "c1": rat(0)}
+    for name, value in _parse_params(spec).items():
+        if name not in values:
+            raise UsageError(f"unknown instance parameter {name!r} "
+                             f"(expected {', '.join(values)})")
+        values[name] = dsl.parse(value, table)
+    return DCRInstance(**values)
 
 
 def _load_candidates(path: str, dim: int) -> List[SubalgebraRep]:
@@ -157,6 +155,17 @@ def _load_candidates(path: str, dim: int) -> List[SubalgebraRep]:
     return out
 
 
+def _count(low: int):
+    """argparse type: an integer >= low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"   # argparse names the type in its messages
+    return parse
+
+
 def _verdict_exit(verdict: str) -> int:
     good = ("symmetry", "solution", "equivalent", "verified", "constructed",
             "conjugate", "pass", "clean")
@@ -178,9 +187,7 @@ def cmd_verify_symmetry(args) -> Report:
     pde, table = _resolve_pde(args, params)
     field = dsl.parse_vector_field(args.field, table)
     v = is_symmetry(pde, field)
-    verdict = {Verdict.SYMMETRY: "symmetry",
-               Verdict.NOT_SYMMETRY: "not-symmetry",
-               Verdict.UNDECIDED: "undecided"}[v.verdict]
+    verdict = v.verdict.value
     rep = Report("verify-symmetry",
                  inputs={"pde": dsl.render(pde.rhs), "field": args.field,
                          "params": params},
@@ -455,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("find-symmetries", help="polynomial-ansatz search")
     common(p, pde=True)
-    p.add_argument("--bound", type=int, default=2)
+    p.add_argument("--bound", type=_count(1), default=2)
     p.set_defaults(func=cmd_find_symmetries)
 
     p = sub.add_parser("normalize", help="coefficient normalization")
@@ -484,13 +491,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimal-system",
                        help="construct and audit the optimal system")
     common(p, algebra=True)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_count(0), default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_optimal_system)
 
     p = sub.add_parser("audit-system", help="audit a candidate list")
     common(p, algebra=True)
     p.add_argument("--candidates", required=True)
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    p.add_argument("--samples", type=_count(0), default=DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_audit_system)
 
     p = sub.add_parser("reduce", help="symmetry reduction to an ODE")
@@ -514,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress", help="run the catalog regression")
     common(p)
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--samples", type=int, default=300)
+    p.add_argument("--samples", type=_count(0), default=300)
     p.add_argument("--cases", nargs="*", help="restrict to these case ids")
     p.set_defaults(func=cmd_regress)
 

@@ -312,7 +312,6 @@ class Step:
 @dataclass
 class ConjugacyWitness:
     steps: Tuple[Step, ...]
-    scale: float
     residual: float
 
     def describe(self) -> str:
@@ -330,7 +329,6 @@ class Signature:
     rep_id: str
     params: Dict[str, Union[Fraction, float]]
     steps: List[Step] = field(default_factory=list)
-    scale: float = 1.0
 
     def matches(self, other: "Signature") -> bool:
         if self.rep_id != other.rep_id:
@@ -376,8 +374,17 @@ def _aut_step(name: str) -> Step:
     return Step("aut", name=name)
 
 
-def _sig(rep_id: str, params=None, steps=None, scale=1.0) -> Signature:
-    return Signature(rep_id, params or {}, steps or [], scale)
+def _sig(rep_id: str, params=None, steps=None) -> Signature:
+    return Signature(rep_id, params or {}, steps or [])
+
+
+def _zflip(steps: List[Step], c) -> int:
+    """Append the central flip v -> -v to steps when c < 0; returns the
+    sign (+1 or -1) that makes c positive."""
+    if c < 0:
+        steps.append(_aut_step("Z-flip"))
+        return -1
+    return 1
 
 
 def _first_nonzero(v: Sequence[Fraction]) -> int:
@@ -441,7 +448,7 @@ class AbelianStrategy(Strategy):
     def classify(self, v):
         k = _first_nonzero(v)
         params = {f"a{j + 1}": v[j] / v[k] for j in range(k + 1, len(v))}
-        return _sig(f"e{k + 1}-normal", params, [], float(v[k]))
+        return _sig(f"e{k + 1}-normal", params)
 
 
 class A2Strategy(Strategy):
@@ -452,8 +459,8 @@ class A2Strategy(Strategy):
     def classify(self, v):
         c1, c2 = v
         if c2 != 0:
-            return _sig("e2", {}, [_exp_step(0, -c1 / c2)], float(c2))
-        return _sig("e1", {}, [], float(c1))
+            return _sig("e2", {}, [_exp_step(0, -c1 / c2)])
+        return _sig("e1")
 
 
 class A2A1Strategy(Strategy):
@@ -471,8 +478,7 @@ class A2A1Strategy(Strategy):
     def classify(self, v):
         c1, c2, c3 = v
         if c2 != 0:
-            return _sig("e2+d*e3", {"d": c3 / c2},
-                        [_exp_step(0, -c1 / c2)], float(c2))
+            return _sig("e2+d*e3", {"d": c3 / c2}, [_exp_step(0, -c1 / c2)])
         if c1 != 0 and c3 != 0:
             steps = []
             r = c1 / c3
@@ -480,10 +486,8 @@ class A2A1Strategy(Strategy):
                 steps.append(_aut_step("R1"))
                 r = -r
             steps.append(_exp_step(1, math.log(float(r))))
-            return _sig("e1+e3", {}, steps, float(c3))
-        if c1 != 0:
-            return _sig("e1", {}, [], float(c1))
-        return _sig("e3", {}, [], float(c3))
+            return _sig("e1+e3", {}, steps)
+        return _sig("e1" if c1 != 0 else "e3")
 
     def vector_reps(self):
         return [
@@ -500,12 +504,10 @@ class A2A1Strategy(Strategy):
         c1, c2, c3 = v
         if c2 != 0:
             steps = [_exp_step(0, -c1 / c2)]
-            if c2 < 0:
-                steps.append(_aut_step("Z-flip"))
-                return _sig("v:e2", {"b": -c2, "d": -c3}, steps)
-            return _sig("v:e2", {"b": c2, "d": c3}, steps)
+            s = _zflip(steps, c2)
+            return _sig("v:e2", {"b": s * c2, "d": s * c3}, steps)
+        steps = []
         if c1 != 0:
-            steps = []
             if c1 < 0:
                 steps.append(_aut_step("R1"))
                 c1 = -c1
@@ -515,11 +517,7 @@ class A2A1Strategy(Strategy):
                 c3 = -c3
             steps.append(_exp_step(1, math.log(float(c1))))
             return _sig("v:e1", {"d": c3}, steps)
-        steps = []
-        if c3 < 0:
-            steps.append(_aut_step("Z-flip"))
-            c3 = -c3
-        return _sig("v:e3", {"d": c3}, steps)
+        return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
 
 
 class A31Strategy(Strategy):
@@ -534,11 +532,10 @@ class A31Strategy(Strategy):
     def classify(self, v):
         c1, c2, c3 = v
         if c2 != 0:
-            return _sig("e2+d*e3", {"d": c3 / c2},
-                        [_exp_step(2, c1 / c2)], float(c2))
+            return _sig("e2+d*e3", {"d": c3 / c2}, [_exp_step(2, c1 / c2)])
         if c3 != 0:
-            return _sig("e3", {}, [_exp_step(1, -c1 / c3)], float(c3))
-        return _sig("e1", {}, [], float(c1))
+            return _sig("e3", {}, [_exp_step(1, -c1 / c3)])
+        return _sig("e1")
 
     def vector_reps(self):
         return [
@@ -555,21 +552,13 @@ class A31Strategy(Strategy):
         c1, c2, c3 = v
         if c2 != 0:
             steps = [_exp_step(2, c1 / c2)]
-            if c2 < 0:
-                steps.append(_aut_step("Z-flip"))
-                return _sig("v:e2", {"b": -c2, "d": -c3}, steps)
-            return _sig("v:e2", {"b": c2, "d": c3}, steps)
+            s = _zflip(steps, c2)
+            return _sig("v:e2", {"b": s * c2, "d": s * c3}, steps)
         if c3 != 0:
             steps = [_exp_step(1, -c1 / c3)]
-            if c3 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c3 = -c3
-            return _sig("v:e3", {"d": c3}, steps)
+            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
         steps = []
-        if c1 < 0:
-            steps.append(_aut_step("Z-flip"))
-            c1 = -c1
-        return _sig("v:e1", {"b": c1}, steps)
+        return _sig("v:e1", {"b": _zflip(steps, c1) * c1}, steps)
 
 
 class A32Strategy(Strategy):
@@ -578,17 +567,19 @@ class A32Strategy(Strategy):
                 SubalgebraRep(_unit_coeffs(3, {1: ONE}), rep_id="e2"),
                 SubalgebraRep(_unit_coeffs(3, {0: ONE}), rep_id="e1")]
 
+    @staticmethod
+    def _kill_plane(c1, c2, c3) -> List[Step]:
+        e2s = -c2 / c3
+        c1b = c1 + e2s * c3   # e2 step shifts both c1 and c2 by eps*c3
+        return [_exp_step(1, e2s), _exp_step(0, -c1b / c3)]
+
     def classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            e2s = -c2 / c3
-            c1b = c1 + e2s * c3   # e2 step shifts both c1 and c2 by eps*c3
-            return _sig("e3", {}, [_exp_step(1, e2s),
-                                   _exp_step(0, -c1b / c3)], float(c3))
+            return _sig("e3", {}, self._kill_plane(c1, c2, c3))
         if c2 != 0:
-            return _sig("e2", {}, [_exp_step(2, c1 / c2)],
-                        float(c2) * math.exp(-float(c1 / c2)))
-        return _sig("e1", {}, [], float(c1))
+            return _sig("e2", {}, [_exp_step(2, c1 / c2)])
+        return _sig("e1")
 
     def vector_reps(self):
         return [
@@ -602,23 +593,14 @@ class A32Strategy(Strategy):
     def vector_classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            e2s = -c2 / c3
-            c1b = c1 + e2s * c3
-            steps = [_exp_step(1, e2s), _exp_step(0, -c1b / c3)]
-            if c3 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c3 = -c3
-            return _sig("v:e3", {"d": c3}, steps)
+            steps = self._kill_plane(c1, c2, c3)
+            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
         if c2 != 0:
             steps = [_exp_step(2, c1 / c2)]
             b = float(c2) * math.exp(-float(c1 / c2))
-            if b < 0:
-                steps.append(_aut_step("Z-flip"))
-                b = -b
-            return _sig("v:e2", {"b": b}, steps)
+            return _sig("v:e2", {"b": _zflip(steps, b) * b}, steps)
         steps = [_exp_step(2, math.log(abs(float(c1))))]
-        if c1 < 0:
-            steps.append(_aut_step("Z-flip"))
+        _zflip(steps, c1)
         return _sig("v:e1", {}, steps)
 
 
@@ -635,10 +617,10 @@ class A33Strategy(Strategy):
         c1, c2, c3 = v
         if c3 != 0:
             return _sig("e3", {}, [_exp_step(0, -c1 / c3),
-                                   _exp_step(1, -c2 / c3)], float(c3))
+                                   _exp_step(1, -c2 / c3)])
         if c1 != 0:
-            return _sig("e1+d*e2", {"d": c2 / c1}, [], float(c1))
-        return _sig("e2", {}, [], float(c2))
+            return _sig("e1+d*e2", {"d": c2 / c1})
+        return _sig("e2")
 
     def vector_reps(self):
         return [
@@ -653,29 +635,21 @@ class A33Strategy(Strategy):
         c1, c2, c3 = v
         if c3 != 0:
             steps = [_exp_step(0, -c1 / c3), _exp_step(1, -c2 / c3)]
-            if c3 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c3 = -c3
-            return _sig("v:e3", {"d": c3}, steps)
-        if c1 != 0:
-            steps = []
-            if c1 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c1, c2 = -c1, -c2
-            steps.append(_exp_step(2, math.log(float(c1))))
-            return _sig("v:e1", {"d": c2 / c1}, steps)
+            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
         steps = []
-        if c2 < 0:
-            steps.append(_aut_step("Z-flip"))
-            c2 = -c2
+        if c1 != 0:
+            d = c2 / c1   # the flip negates c1 and c2 together
+            c1 *= _zflip(steps, c1)
+            steps.append(_exp_step(2, math.log(float(c1))))
+            return _sig("v:e1", {"d": d}, steps)
+        c2 *= _zflip(steps, c2)
         steps.append(_exp_step(2, math.log(float(c2))))
         return _sig("v:e2", {}, steps)
 
 
 class _DiagonalStrategy(Strategy):
-    """Shared classifier for A3,4 (a = -1) and A3,5^a (0 < |a| < 1): the
-    adjoint scaling is diag(e^-eps, e^-a*eps) with the reflection R2 in the
-    quotient."""
+    """A3,4 (a = -1) and A3,5^a (0 < |a| < 1): the adjoint scaling is
+    diag(e^-eps, e^-a*eps) with the reflection R2 in the quotient."""
 
     @property
     def _a(self) -> Fraction:
@@ -689,12 +663,13 @@ class _DiagonalStrategy(Strategy):
             SubalgebraRep(_unit_coeffs(3, {0: ONE, 1: ONE}), rep_id="e1+e2"),
         ]
 
+    def _kill_plane(self, c1, c2, c3) -> List[Step]:
+        return [_exp_step(0, -c1 / c3), _exp_step(1, -c2 / (self._a * c3))]
+
     def classify(self, v):
-        a = self._a
         c1, c2, c3 = v
         if c3 != 0:
-            return _sig("e3", {}, [_exp_step(0, -c1 / c3),
-                                   _exp_step(1, -c2 / (a * c3))], float(c3))
+            return _sig("e3", {}, self._kill_plane(c1, c2, c3))
         if c1 != 0 and c2 != 0:
             steps = []
             if c1 < 0:
@@ -702,13 +677,10 @@ class _DiagonalStrategy(Strategy):
             if c2 < 0:
                 steps.append(_aut_step("R2"))
                 c2 = -c2
-            eps = math.log(float(c2 / c1)) / (float(a) - 1.0)
+            eps = math.log(float(c2 / c1)) / (float(self._a) - 1.0)
             steps.append(_exp_step(2, eps))
-            return _sig("e1+e2", {}, steps,
-                        float(c1) * math.exp(-eps))
-        if c1 != 0:
-            return _sig("e1", {}, [], float(c1))
-        return _sig("e2", {}, [], float(c2))
+            return _sig("e1+e2", {}, steps)
+        return _sig("e1" if c1 != 0 else "e2")
 
     def vector_reps(self):
         return [
@@ -724,32 +696,21 @@ class _DiagonalStrategy(Strategy):
         a = self._a
         c1, c2, c3 = v
         if c3 != 0:
-            steps = [_exp_step(0, -c1 / c3), _exp_step(1, -c2 / (a * c3))]
-            if c3 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c3 = -c3
-            return _sig("v:e3", {"d": c3}, steps)
-        if c1 != 0 and c2 != 0:
-            steps = []
-            if c1 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c1, c2 = -c1, -c2
+            steps = self._kill_plane(c1, c2, c3)
+            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
+        steps = []
+        if c1 != 0:
+            s = _zflip(steps, c1)
+            c1, c2 = s * c1, s * c2
             if c2 < 0:
                 steps.append(_aut_step("R2"))
                 c2 = -c2
-            eps = math.log(float(c1))
-            steps.append(_exp_step(2, eps))
-            # after scaling c1 -> 1, the second slot is c2*c1^(-a)
-            q = float(c2) * float(c1) ** (-float(a))
-            return _sig("v:hyp", {"q": q}, steps)
-        if c1 != 0:
-            steps = []
-            if c1 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c1 = -c1
             steps.append(_exp_step(2, math.log(float(c1))))
-            return _sig("v:e1", {}, steps)
-        steps = []
+            if c2 == 0:
+                return _sig("v:e1", {}, steps)
+            # after scaling c1 -> 1 the second slot is c2*c1^(-a): exact
+            # for a = -1 (A3,4), a float otherwise
+            return _sig("v:hyp", {"q": c2 * c1 ** -a}, steps)
         if c2 < 0:
             steps.append(_aut_step("R2"))
             c2 = -c2
@@ -757,30 +718,9 @@ class _DiagonalStrategy(Strategy):
         return _sig("v:e2", {}, steps)
 
 
-class A34Strategy(_DiagonalStrategy):
-    def vector_classify(self, v):
-        # the hyperbolic invariant c1*c2 is exact for a = -1
-        a = self._a
-        c1, c2, c3 = v
-        if c3 == 0 and c1 != 0 and c2 != 0:
-            steps = []
-            if c1 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c1, c2 = -c1, -c2
-            if c2 < 0:
-                steps.append(_aut_step("R2"))
-                c2 = -c2
-            steps.append(_exp_step(2, math.log(float(c1))))
-            return _sig("v:hyp", {"q": c1 * c2}, steps)
-        return super().vector_classify(v)
-
-
-class A35Strategy(_DiagonalStrategy):
-    pass
-
-
 class _RotationStrategy(Strategy):
-    """A3,6 (pure rotation) and A3,7^a (spiral, a > 0)."""
+    """A3,6 (pure rotation) and A3,7^a (spiral, a > 0): exp(eps ad e3)
+    rotates the (e1, e2) plane by eps and scales it by e^(-a*eps)."""
 
     @property
     def _a(self) -> float:
@@ -805,59 +745,39 @@ class _RotationStrategy(Strategy):
     def classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            return _sig("e3", {}, self._kill_plane(c1, c2, c3), float(c3))
+            return _sig("e3", {}, self._kill_plane(c1, c2, c3))
         theta = math.atan2(float(c2), float(c1))
-        r = math.hypot(float(c1), float(c2))
-        scale = r * math.exp(-self._a * theta)
-        return _sig("e1", {}, [_exp_step(2, -theta)], scale)
+        return _sig("e1", {}, [_exp_step(2, -theta)])
 
     def vector_reps(self):
-        if self.cls.name == "A3,6":
-            plane = SubalgebraRep(_unit_coeffs(3, {0: sym("r")}),
-                                  (ParamSpec("r", "positive"),),
-                                  rep_id="v:plane")
-        else:
-            plane = SubalgebraRep(_unit_coeffs(3, {0: sym("r")}),
-                                  (ParamSpec("r", "positive",
-                                             "windowed spiral radius"),),
-                                  rep_id="v:plane")
+        note = "" if self.cls.name == "A3,6" else "windowed spiral radius"
         return [SubalgebraRep(_unit_coeffs(3, {2: sym("d")}),
                               (ParamSpec("d", "positive"),), rep_id="v:e3"),
-                plane]
+                SubalgebraRep(_unit_coeffs(3, {0: sym("r")}),
+                              (ParamSpec("r", "positive", note),),
+                              rep_id="v:plane")]
 
     def vector_classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
             steps = self._kill_plane(c1, c2, c3)
-            if c3 < 0:
-                steps.append(_aut_step("Z-flip"))
-                c3 = -c3
-            return _sig("v:e3", {"d": c3}, steps)
-        theta = math.atan2(float(c2), float(c1))
-        r = math.hypot(float(c1), float(c2)) * math.exp(-self._a * theta)
-        steps = [_exp_step(2, -theta)]
+            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
         a = self._a
+        # exp(-theta ad e3) turns the vector onto e1 and scales it by
+        # e^(a*theta)
+        theta = math.atan2(float(c2), float(c1))
+        r = math.hypot(float(c1), float(c2)) * math.exp(a * theta)
+        steps = [_exp_step(2, -theta)]
         if a > 0:
-            # reduce the radius into [1, e^(pi a)); a flip is a rotation by pi
+            # exp(k*pi ad e3) maps r*e1 to (-1)^k e^(-k*pi*a) r*e1: bring r
+            # into [1, e^(pi a)) and undo an odd sign with the central flip
             period = math.pi * a
             k = math.floor(math.log(r) / period)
             r = r * math.exp(-k * period)
-            steps.append(_exp_step(2, -k * math.pi))
+            steps.append(_exp_step(2, k * math.pi))
+            if k % 2:
+                steps.append(_aut_step("Z-flip"))
         return _sig("v:plane", {"r": r}, steps)
-
-
-class A36Strategy(_RotationStrategy):
-    def vector_classify(self, v):
-        c1, c2, c3 = v
-        if c3 == 0:
-            r = math.hypot(float(c1), float(c2))
-            theta = math.atan2(float(c2), float(c1))
-            return _sig("v:plane", {"r": r}, [_exp_step(2, -theta)])
-        return super().vector_classify(v)
-
-
-class A37Strategy(_RotationStrategy):
-    pass
 
 
 class A38Strategy(Strategy):
@@ -877,6 +797,7 @@ class A38Strategy(Strategy):
     def _q(v) -> Fraction:
         return v[1] * v[1] + 4 * v[0] * v[2]
 
+    # exact for rational eps; a float eps gives the float image
     @staticmethod
     def _ad_e1(vv, eps):
         c1, c2, c3 = vv
@@ -887,28 +808,28 @@ class A38Strategy(Strategy):
         c1, c2, c3 = vv
         return (c1, c2 + 2 * eps * c1, c3 - eps * c2 - eps * eps * c1)
 
-    def classify(self, v):
+    def _normal_form(self, v) -> Tuple[str, List[Step], Union[Fraction, float]]:
+        """(representative id, witness steps, signed magnitude m): the steps
+        map v to m times the representative."""
         q = self._q(v)
         vv = tuple(v)
         steps: List[Step] = []
         if q > 0:
             if vv[2] != 0:
+                # a root of c3 - d c2 - d^2 c1 kills the third slot; c1 = 0
+                # makes q = c2^2 a perfect square
                 root = _rat_root(q, 2)
-                if root is not None:
-                    delta = (-vv[1] + root) / (2 * vv[0]) if vv[0] != 0 \
-                        else vv[2] / vv[1]
-                else:
-                    delta = (-float(vv[1]) + math.sqrt(float(q))) / \
-                        (2 * float(vv[0])) if vv[0] != 0 else float(vv[2] / vv[1])
-                # a root of c3 - d c2 - d^2 c1 kills the third slot
-                dval = delta
+                if root is None:
+                    root = math.sqrt(float(q))
+                dval = (-vv[1] + root) / (2 * vv[0]) if vv[0] != 0 \
+                    else vv[2] / vv[1]
                 steps.append(_exp_step(2, dval))
-                vv = self._ad_e3_any(vv, dval)
+                vv = self._ad_e3(vv, dval)
             if vv[0] != 0:
                 epsv = -vv[0] / vv[1]
                 steps.append(_exp_step(0, epsv))
-                vv = self._ad_e1_any(vv, epsv)
-            return _sig("e2", {}, steps, float(vv[1]))
+                vv = self._ad_e1(vv, epsv)
+            return "e2", steps, vv[1]
         if q == 0:
             if vv[2] != 0:
                 if vv[0] != 0:
@@ -922,7 +843,7 @@ class A38Strategy(Strategy):
                     dval = Fraction(-1)
                     steps.append(_exp_step(2, dval))
                     vv = self._ad_e3(vv, dval)
-            return _sig("e1", {}, steps, float(vv[0]))
+            return "e1", steps, vv[0]
         # q < 0: c1 != 0 is guaranteed
         dval = -vv[1] / (2 * vv[0])
         steps.append(_exp_step(2, dval))
@@ -930,21 +851,11 @@ class A38Strategy(Strategy):
         s2 = -float(vv[2]) / float(vv[0])
         beta = -0.5 * math.log(s2)
         steps.append(_exp_step(1, beta))
-        scale = float(vv[0]) * math.exp(-beta)
-        return _sig("e1-e3", {}, steps, scale)
+        return "e1-e3", steps, float(vv[0]) * math.exp(-beta)
 
-    def _ad_e3_any(self, vv, d):
-        if isinstance(d, Fraction):
-            return self._ad_e3(vv, d)
-        c1, c2, c3 = (float(x) for x in vv)
-        return (c1, c2 + 2 * d * c1, c3 - d * c2 - d * d * c1)
-
-    def _ad_e1_any(self, vv, e):
-        if isinstance(e, Fraction) and all(isinstance(x, Fraction) for x in vv):
-            return self._ad_e1(vv, e)
-        c1, c2, c3 = (float(x) for x in vv)
-        e = float(e)
-        return (c1 + e * c2 - e * e * c3, c2 - 2 * e * c3, c3)
+    def classify(self, v):
+        rep_id, steps, _ = self._normal_form(v)
+        return _sig(rep_id, {}, steps)
 
     def vector_reps(self):
         return [
@@ -957,22 +868,14 @@ class A38Strategy(Strategy):
 
     def vector_classify(self, v):
         q = self._q(v)
-        line = self.classify(v)
-        steps = list(line.steps)
+        rep_id, steps, m = self._normal_form(v)
+        _zflip(steps, m)
         if q > 0:
-            b = math.sqrt(float(q))
-            if line.scale < 0:
-                steps.append(_aut_step("Z-flip"))
-            return _sig("v:hyp", {"b": b}, steps)
+            return _sig("v:hyp", {"b": math.sqrt(float(q))}, steps)
         if q == 0:
-            if line.scale < 0:
-                steps.append(_aut_step("Z-flip"))
-            steps.append(_exp_step(1, math.log(abs(line.scale))))
+            steps.append(_exp_step(1, math.log(abs(float(m)))))
             return _sig("v:nil", {}, steps)
-        b = math.sqrt(-float(q)) / 2
-        if line.scale < 0:
-            steps.append(_aut_step("Z-flip"))
-        return _sig("v:ell", {"b": b}, steps)
+        return _sig("v:ell", {"b": math.sqrt(-float(q)) / 2}, steps)
 
 
 class A39Strategy(Strategy):
@@ -983,18 +886,17 @@ class A39Strategy(Strategy):
         c = [float(x) for x in v]
         # rotate around e3 to kill c2, then around e2 to kill c3
         t1 = math.atan2(c[1], c[0])
-        c1 = math.hypot(c[0], c[1])
-        t2 = math.atan2(c[2], c1)
-        r = math.hypot(c1, c[2])
-        return _sig("e1", {}, [_exp_step(2, -t1), _exp_step(1, t2)], r)
+        t2 = math.atan2(c[2], math.hypot(c[0], c[1]))
+        return _sig("e1", {}, [_exp_step(2, -t1), _exp_step(1, t2)])
 
     def vector_reps(self):
         return [SubalgebraRep(_unit_coeffs(3, {0: sym("r")}),
                               (ParamSpec("r", "positive"),), rep_id="v:e1")]
 
     def vector_classify(self, v):
-        line = self.classify(v)
-        return _sig("v:e1", {"r": abs(line.scale)}, list(line.steps))
+        c = [float(x) for x in v]
+        r = math.hypot(math.hypot(c[0], c[1]), c[2])
+        return _sig("v:e1", {"r": r}, self.classify(v).steps)
 
 
 class TwoA2Strategy(Strategy):
@@ -1028,22 +930,22 @@ class TwoA2Strategy(Strategy):
         if c2 != 0 and c4 != 0:
             steps.append(_exp_step(0, -c1 / c2))
             steps.append(_exp_step(2, -c3 / c4))
-            return _sig("e2+a*e4", {"a": c4 / c2}, steps, float(c2))
+            return _sig("e2+a*e4", {"a": c4 / c2}, steps)
         if c2 != 0:
             steps.append(_exp_step(0, -c1 / c2))
             if c3 == 0:
-                return _sig("e2", {}, steps, float(c2))
+                return _sig("e2", {}, steps)
             s = 1 if (c3 > 0) == (c2 > 0) else -1
             eps = math.log(abs(float(c3 / c2)))
             steps.append(_exp_step(3, eps))
-            return _sig("e2+e3" if s > 0 else "e2-e3", {}, steps, float(c2))
+            return _sig("e2+e3" if s > 0 else "e2-e3", {}, steps)
         # c2 = c4 = 0
         if c1 != 0 and c3 != 0:
             s = 1 if (c1 > 0) == (c3 > 0) else -1
             eps = math.log(abs(float(c1 / c3)))
             steps.append(_exp_step(1, eps))
-            return _sig("e1+e3" if s > 0 else "e1-e3", {}, steps, float(c3))
-        return _sig("e1", {}, steps, float(c1 if c1 != 0 else c3))
+            return _sig("e1+e3" if s > 0 else "e1-e3", {}, steps)
+        return _sig("e1", {}, steps)
 
 
 class SumA1Strategy(Strategy):
@@ -1073,13 +975,12 @@ class SumA1Strategy(Strategy):
         c4 = v[-1]
         if c4 == 0:
             inner = self.base.classify(v[:-1])
-            return _sig("L:" + inner.rep_id, inner.params, inner.steps,
-                        inner.scale)
+            return _sig("L:" + inner.rep_id, inner.params, inner.steps)
         vx = tuple(x / c4 for x in v[:-1])
         if not any(vx):
-            return _sig("S:zero", {}, [], float(c4))
+            return _sig("S:zero")
         inner = self.base.vector_classify(vx)
-        return _sig("S:" + inner.rep_id, inner.params, inner.steps, float(c4))
+        return _sig("S:" + inner.rep_id, inner.params, inner.steps)
 
 
 MINUS_ONE_EXPR = mul(-1, ONE)
@@ -1095,10 +996,10 @@ _STRATEGIES = {
     "A3,1": A31Strategy,
     "A3,2": A32Strategy,
     "A3,3": A33Strategy,
-    "A3,4": A34Strategy,
-    "A3,5": A35Strategy,
-    "A3,6": A36Strategy,
-    "A3,7": A37Strategy,
+    "A3,4": _DiagonalStrategy,
+    "A3,5": _DiagonalStrategy,
+    "A3,6": _RotationStrategy,
+    "A3,7": _RotationStrategy,
     "A3,8": A38Strategy,
     "A3,9": A39Strategy,
     "2A2": TwoA2Strategy,
@@ -1128,10 +1029,6 @@ class ClassifiedAlgebra:
     strategy: Strategy
     to_canonical: Matrix      # solves canonical coords from algebra coords
     from_canonical: Matrix    # T^t: canonical rep -> algebra coords
-    # instance signatures of candidates that _covers checks without
-    # solving for parameter values; they do not depend on the target
-    fixed_signatures: Dict[SubalgebraRep, List[Signature]] = field(
-        default_factory=dict, repr=False)
 
     @classmethod
     def build(cls, L: LieAlgebra,
@@ -1154,28 +1051,20 @@ class ClassifiedAlgebra:
     def canonical_coords(self, v: Sequence[Fraction]) -> List[Fraction]:
         return matvec(self.to_canonical, list(v))
 
-    def algebra_coords(self, c: Sequence) -> List[Expr]:
-        out: List[Expr] = [ZERO] * self.L.dim
-        for i, ci in enumerate(c):
-            ce = ci if isinstance(ci, Expr) else rat(ci)
-            for j in range(self.L.dim):
-                if self.from_canonical[j][i]:
-                    out[j] = add(out[j], mul(rat(self.from_canonical[j][i]), ce))
-        return out
-
-    def algebra_coords_symbolic(self, cand: SubalgebraRep) -> List[Expr]:
-        out: List[Expr] = [ZERO] * self.L.dim
-        for i in range(self.L.dim):
-            acc = ZERO
-            for j in range(self.L.dim):
-                if self.to_canonical[i][j]:
-                    acc = add(acc, mul(rat(self.to_canonical[i][j]),
-                                       cand.coeffs[j]))
-            out[i] = acc
-        return out
-
     def classify(self, v: Sequence[Fraction]) -> Signature:
         return self.strategy.classify(self.canonical_coords(v))
+
+
+def _expr_matvec(M: Matrix, c: Sequence[Expr]) -> List[Expr]:
+    """M c for a rational matrix and symbolic coefficients."""
+    out = []
+    for row in M:
+        acc = ZERO
+        for m, cj in zip(row, c):
+            if m:
+                acc = add(acc, mul(rat(m), cj))
+        out.append(acc)
+    return out
 
 
 def _normalize_leading(coeffs: List[Expr]) -> Tuple[Expr, ...]:
@@ -1208,7 +1097,8 @@ def construct_optimal_system(L: LieAlgebra,
     ca = ClassifiedAlgebra.build(L, ident)
     out = []
     for rep in ca.strategy.reps():
-        coeffs = _normalize_leading(ca.algebra_coords(rep.coeffs))
+        coeffs = _normalize_leading(_expr_matvec(ca.from_canonical,
+                                                 rep.coeffs))
         out.append(SubalgebraRep(coeffs, rep.params, rep.rep_id, rep.note))
     return out
 
@@ -1247,15 +1137,10 @@ def witness_from_steps(ca: ClassifiedAlgebra, steps: Sequence[Step],
                        ) -> ConjugacyWitness:
     """Package a word mapping v onto the line of w, with its numeric
     residual."""
-    cv = ca.canonical_coords(v)
-    cw = ca.canonical_coords(w)
-    x = apply_steps_numeric(ca.strategy.cls, ca.strategy.a, steps, cv)
-    y = [float(t) for t in cw]
-    res = projective_residual(x, y)
-    nx = math.hypot(*x)
-    nw = math.hypot(*y)
-    scale = nx / nw if nw else 0.0
-    return ConjugacyWitness(tuple(steps), scale, res)
+    x = apply_steps_numeric(ca.strategy.cls, ca.strategy.a, steps,
+                            ca.canonical_coords(v))
+    y = [float(t) for t in ca.canonical_coords(w)]
+    return ConjugacyWitness(tuple(steps), projective_residual(x, y))
 
 
 def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
@@ -1354,7 +1239,7 @@ def _are_conjugate_generic(L: LieAlgebra, v, w,
                                   for i, e in zip(indices, eps))
                     return ConjugacyResult(
                         "conjugate",
-                        witness=ConjugacyWitness(steps, 1.0, r))
+                        witness=ConjugacyWitness(steps, r))
     return ConjugacyResult("undecided")
 
 
@@ -1438,29 +1323,41 @@ def _instances(ca: ClassifiedAlgebra, cand: SubalgebraRep,
             yield values, ca.classify(vec)
 
 
-def _candidate_signatures(ca: ClassifiedAlgebra, cand: SubalgebraRep,
-                          probes: Sequence[Fraction]) -> List[Signature]:
-    """Classify instances of a candidate at each probe value of its
-    parameter (several parameters take _MULTI_PROBES instead)."""
-    if len(cand.params) > 1:
-        probes = _MULTI_PROBES
-    return [sig for _, sig in _instances(ca, cand, _assignments(cand, probes))]
+# probe values at which a candidate's own instances are classified when it
+# is checked against the later candidates of a list
+_PAIR_PROBES = (Fraction(2), Fraction(3), Fraction(-3), Fraction(5),
+                Fraction(1), Fraction(-1), Fraction(1, 2))
+# trial values, after the special values, for covering a target
+_COVER_TRIALS = (Fraction(2), Fraction(3), Fraction(-2), Fraction(5),
+                 Fraction(1), Fraction(-1))
 
 
-def _special_param_values(ca: ClassifiedAlgebra,
-                          cand: SubalgebraRep) -> List[Fraction]:
-    """Parameter values where the candidate's canonical coordinates change
-    their zero pattern (affine coordinates' roots)."""
-    if len(cand.params) != 1:
-        return []
-    pname = cand.params[0].name
-    coords = ca.algebra_coords_symbolic(cand)
-    out = []
-    for c in coords:
-        root = _affine_root(c, pname)
-        if root is not None:
-            out.append(root)
-    return out
+@dataclass
+class _Candidate:
+    """A candidate with the audit data that does not depend on the target.
+    A one-parameter family keeps its canonical coordinates (symbolic in
+    the parameter) and its special values, where their zero pattern
+    changes; signatures classify its instances at the probe values (every
+    combination of _MULTI_PROBES for several parameters)."""
+
+    rep: SubalgebraRep
+    coords: List[Expr]
+    special: List[Fraction]
+    signatures: List[Signature]
+
+    @classmethod
+    def build(cls, ca: ClassifiedAlgebra, rep: SubalgebraRep) -> "_Candidate":
+        coords: List[Expr] = []
+        special: List[Fraction] = []
+        probes: Sequence[Fraction] = _MULTI_PROBES
+        if len(rep.params) == 1:
+            coords = _expr_matvec(ca.to_canonical, rep.coeffs)
+            pname = rep.params[0].name
+            special = [r for r in (_affine_root(c, pname) for c in coords)
+                       if r is not None]
+            probes = list(_PAIR_PROBES) + special
+        sigs = [sig for _, sig in _instances(ca, rep, _assignments(rep, probes))]
+        return cls(rep, coords, special, sigs)
 
 
 def _affine_root(e: Expr, pname: str) -> Optional[Fraction]:
@@ -1475,46 +1372,40 @@ def _affine_root(e: Expr, pname: str) -> Optional[Fraction]:
     return -d.value / slope
 
 
-def _covers(ca: ClassifiedAlgebra, cand: SubalgebraRep,
+def _covers(ca: ClassifiedAlgebra, cand: _Candidate,
             target: Signature) -> Optional[Dict[str, Fraction]]:
     """Does the candidate's class overlap the target signature?  Returns the
     instantiating parameter values when it does (empty dict for frozen)."""
-    if cand.rep_id:
+    rep = cand.rep
+    if rep.rep_id:
         # the candidate came from construct_optimal_system: direct check
-        if cand.rep_id != target.rep_id:
+        if rep.rep_id != target.rep_id:
             return None
-        for p in cand.params:
+        for p in rep.params:
             if p.name not in target.params or not p.admits(target.params[p.name]):
                 return None
         return {}
-    if len(cand.params) != 1:
+    if len(rep.params) != 1:
         # frozen, or several parameters: the match carries no values
-        sigs = ca.fixed_signatures.get(cand)
-        if sigs is None:
-            sigs = _candidate_signatures(ca, cand, _MULTI_PROBES)
-            ca.fixed_signatures[cand] = sigs
-        return {} if any(sig.matches(target) for sig in sigs) else None
-    trial_values = _special_param_values(ca, cand)
-    trial_values += [Fraction(2), Fraction(3), Fraction(-2), Fraction(5),
-                     Fraction(1), Fraction(-1)]
+        return {} if any(sig.matches(target) for sig in cand.signatures) \
+            else None
     # solve ratio equations against the target's family parameters
-    trial_values += _ratio_solutions(ca, cand, target, cand.params[0].name)
-    for values, sig in _instances(ca, cand, _assignments(cand, trial_values)):
+    trial_values = cand.special + list(_COVER_TRIALS) + _ratio_solutions(
+        cand.coords, target, rep.params[0].name)
+    for values, sig in _instances(ca, rep, _assignments(rep, trial_values)):
         if sig.matches(target):
             return values
     return None
 
 
-def _ratio_solutions(ca: ClassifiedAlgebra, cand: SubalgebraRep,
-                     target: Signature, pname: str) -> List[Fraction]:
+def _ratio_solutions(coords: Sequence[Expr], target: Signature,
+                     pname: str) -> List[Fraction]:
     """Candidate parameter values solving coordinate-ratio equations against
     each target family parameter (the canonical family parameters are ratios
     of canonical coordinates)."""
-    coords = ca.algebra_coords_symbolic(cand)
     out: List[Fraction] = []
-    values = [x for x in target.params.values()]
     ratios = set()
-    for tv in values:
+    for tv in target.params.values():
         if isinstance(tv, Fraction):
             ratios.add(tv)
             if tv != 0:
@@ -1541,21 +1432,16 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
     """Audit a candidate optimal system: flag conjugate pairs and classify
     seeded sample directions against the list (gaps and duplicates)."""
     ca = ClassifiedAlgebra.build(L, ident)
-    probes = [Fraction(2), Fraction(3), Fraction(-3), Fraction(5),
-              Fraction(1), Fraction(-1), Fraction(1, 2)]
+    cands = [_Candidate.build(ca, rep) for rep in candidates]
     pairs = []
-    for i in range(len(candidates)):
-        sigs_i = _candidate_signatures(
-            ca, candidates[i],
-            probes + _special_param_values(ca, candidates[i]))
-        for j in range(i + 1, len(candidates)):
-            flagged = next((sig for sig in sigs_i
-                            if _covers(ca, candidates[j], sig) is not None),
-                           None)
+    for i, cand_i in enumerate(cands):
+        for j in range(i + 1, len(cands)):
+            flagged = next((sig for sig in cand_i.signatures
+                            if _covers(ca, cands[j], sig) is not None), None)
             if flagged is not None:
                 # build a witness at the overlapping instance
-                vec_i = _instance_for_signature(ca, candidates[i], flagged)
-                vec_j = _instance_for_signature(ca, candidates[j], flagged)
+                vec_i = _instance_for_signature(ca, cand_i, flagged)
+                vec_j = _instance_for_signature(ca, cands[j], flagged)
                 if vec_i is not None and vec_j is not None:
                     res = are_conjugate(L, vec_i, vec_j, ident=ca.ident)
                     if res.conjugate:
@@ -1569,10 +1455,8 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
         except Exception:
             undecided += 1
             continue
-        covering = []
-        for ci, cand in enumerate(candidates):
-            if _covers(ca, cand, sig) is not None:
-                covering.append(ci)
+        covering = [ci for ci, cand in enumerate(cands)
+                    if _covers(ca, cand, sig) is not None]
         if not covering:
             gaps.append((si, vec, sig.brief()))
         elif len(covering) > 1:
@@ -1582,22 +1466,19 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
                        seed=seed, undecided=undecided)
 
 
-def _instance_for_signature(ca: ClassifiedAlgebra, cand: SubalgebraRep,
+def _instance_for_signature(ca: ClassifiedAlgebra, cand: _Candidate,
                             sig: Signature) -> Optional[List[Fraction]]:
     """A rational instance of the candidate in the class of sig."""
-    if cand.frozen():
-        vec = cand.rational_coeffs()
-        return list(vec) if vec is not None else None
     values = _covers(ca, cand, sig)
     if values is None:
         return None
     if not values:
-        # covered without values (constructed rep, or several parameters):
-        # instantiate at the signature's own parameter values
-        values = {p.name: sig.params.get(p.name) for p in cand.params}
+        # covered without values (frozen, constructed rep, or several
+        # parameters): instantiate at the signature's own parameter values
+        values = {p.name: sig.params.get(p.name) for p in cand.rep.params}
         if not all(isinstance(v, Fraction) for v in values.values()):
             return None
     try:
-        return list(cand.instantiate(values))
+        return list(cand.rep.instantiate(values))
     except ExprError:
         return None

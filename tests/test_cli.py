@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from liesym.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -91,6 +93,22 @@ class TestExitCodes:
 
     def test_regress_subset(self, capsys):
         assert run(["regress", "--samples", "60", "--cases", "heat"]) == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["normalize", "--instance", "m2"], "name=value"),
+        (["normalize", "--instance", "m=2,q=1"], "unknown instance "
+                                                 "parameter 'q'"),
+        (["find-symmetries", "--pde", "u_t = D(u,x,2)", "--bound", "0"],
+         "--bound: must be >= 1"),
+        (["optimal-system", "--algebra", "Dx; x*Dx", "--samples", "-1"],
+         "--samples: must be >= 0"),
+    ])
+    def test_bad_input_is_usage_error(self, argv, message, capsys):
+        # exit 1 would read as "refuted"; bad input is a usage error
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestReports:

@@ -1,5 +1,6 @@
 """Adjoint representation, conjugacy, optimal systems, audits."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from liesym.expr import ZERO, ONE, add, mul, powx, rat, substitute, sym
 from liesym.jets import VectorField
 from liesym.algebra import (canonical_class_by_name, identify,
                             structure_constants)
-from liesym.optimal import (ClassifiedAlgebra, SubalgebraRep,
+from liesym.optimal import (ClassifiedAlgebra, Step, SubalgebraRep,
                             ad_matrix_rational, adjoint_matrix,
                             apply_steps_numeric, are_conjugate,
                             construct_optimal_system, exact_expm,
@@ -147,6 +148,9 @@ class TestWitnessVerification:
         ("A3,3", None), ("A3,4", None), ("A3,5", F(2, 5)), ("A3,6", None),
         ("A3,7", F(1, 2)), ("A3,8", None), ("A3,9", None), ("2A2", None),
         ("A2+2A1", None), ("A3,5+A1", F(2, 5)), ("A3,8+A1", None),
+        ("A3,1+A1", None), ("A3,2+A1", None), ("A3,3+A1", None),
+        ("A3,4+A1", None), ("A3,6+A1", None), ("A3,7+A1", F(1, 2)),
+        ("A3,9+A1", None),
     ])
     def test_classifier_words_map_to_representatives(self, name, a):
         """Random vectors: applying the classifier's witness word lands on
@@ -176,6 +180,33 @@ class TestWitnessVerification:
                 target.append(float(bound.value))
             assert projective_residual(out, np.array(target)) <= 1e-9, \
                 (name, vec, sig.rep_id)
+
+    @pytest.mark.parametrize("a", [F(1, 2), F(2), F(1, 3)])
+    def test_spiral_radius_is_invariant(self, a):
+        """The A3,7 plane radius r is unchanged under exp(eps ad e3) and
+        under v -> -v (the central flip of A3,7+A1)."""
+        strategy = strategy_for("A3,7", a)
+        rng = random.Random(f"spiral-{a}")
+        for _ in range(40):
+            vec = (F(rng.randint(-9, 9), rng.randint(1, 3)),
+                   F(rng.randint(-9, 9), rng.randint(1, 3)), F(0))
+            if not any(vec):
+                continue
+            sig = strategy.vector_classify(vec)
+            r = sig.params["r"]
+            images = [tuple(-c for c in vec)]
+            for _ in range(3):
+                eps = rng.uniform(-3, 3)
+                step = Step("exp", 2, epsilon=eps)
+                images.append(tuple(F(c).limit_denominator(10 ** 12) for c
+                                    in apply_steps_numeric(strategy.cls, a,
+                                                           [step], vec)))
+            for img in images:
+                other = strategy.vector_classify(img)
+                assert other.rep_id == sig.rep_id == "v:plane"
+                assert other.params["r"] == pytest.approx(r, rel=1e-9), \
+                    (vec, img)
+            assert 1 - 1e-12 <= r < math.exp(math.pi * a) * (1 + 1e-12)
 
 
 class TestOptimalSystems:
