@@ -256,9 +256,6 @@ class SubalgebraRep:
     rep_id: str = ""
     note: str = ""
 
-    def frozen(self) -> bool:
-        return not self.params
-
     def instantiate(self, values: Dict[str, Fraction]) -> Tuple[Fraction, ...]:
         b = {k: rat(v) for k, v in values.items()}
         out = []
