@@ -39,7 +39,6 @@ from .algebra import (
 from .linalg import Matrix, identity, inverse, matmul, matvec, nullspace
 
 
-RESIDUAL_TOL = 1e-9
 PARAM_TOL = 1e-9
 DEFAULT_SEED = 20240901
 DEFAULT_SAMPLES = 1000
@@ -225,25 +224,26 @@ def adjoint_matrix(L: LieAlgebra, i: int,
 # subalgebra representatives, witnesses, signatures
 # ---------------------------------------------------------------------------
 
+# admissible domain of a free parameter, by kind
+PARAM_KINDS = {
+    "any": lambda v: True,
+    "nonzero": lambda v: abs(v) > PARAM_TOL,
+    "positive": lambda v: v > PARAM_TOL,
+    "nonneg": lambda v: v >= -PARAM_TOL,
+    "unit-interval": lambda v: PARAM_TOL < abs(v) <= 1 + PARAM_TOL,
+}
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     """One named free parameter with its admissible domain."""
 
     name: str
-    kind: str = "any"        # any | nonzero | positive | unit-interval
+    kind: str = "any"        # a key of PARAM_KINDS
     note: str = ""
 
     def admits(self, value) -> bool:
-        v = float(value)
-        if self.kind == "nonzero":
-            return abs(v) > PARAM_TOL
-        if self.kind == "positive":
-            return v > PARAM_TOL
-        if self.kind == "nonneg":
-            return v >= -PARAM_TOL
-        if self.kind == "unit-interval":
-            return PARAM_TOL < abs(v) <= 1 + PARAM_TOL
-        return True
+        return PARAM_KINDS[self.kind](float(value))
 
 
 @dataclass(frozen=True)
@@ -354,6 +354,7 @@ class ConjugacyResult:
     witness: Optional[ConjugacyWitness] = None
     invariant: str = ""
     values: Tuple[str, str] = ("", "")
+    reason: str = ""          # why an undecided answer is undecided
 
     @property
     def conjugate(self) -> bool:
@@ -1100,10 +1101,6 @@ def construct_optimal_system(L: LieAlgebra,
     return out
 
 
-def _steps_inverse(steps: Sequence[Step]) -> List[Step]:
-    return [s.inverse() for s in reversed(steps)]
-
-
 def apply_steps_numeric(cls: CanonicalClass, a: Optional[Fraction],
                         steps: Sequence[Step], v: Sequence) -> List[float]:
     """Apply an adjoint word numerically in canonical coordinates."""
@@ -1148,19 +1145,20 @@ def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
 
     For identified algebras the canonical classifier is a complete invariant:
     equal signatures give a composed witness word, different signatures give
-    a NotConjugate verdict carrying the separating invariant.  Unidentified
-    algebras fall back to invariant rejection plus a bounded numeric witness
-    search."""
+    a NotConjugate verdict carrying the separating invariant.  An algebra
+    without a classifier is decided by exact rules (same line, central
+    line, derived series) or answered undecided with the reason."""
     if not any(v) or not any(w):
         raise ValueError("zero vector spans no subalgebra")
     try:
         ca = ClassifiedAlgebra.build(L, ident)
-    except (UnsupportedClassError, ExprError):
-        return _are_conjugate_generic(L, v, w)
+    except (UnsupportedClassError, ExprError) as exc:
+        return _are_conjugate_generic(L, v, w, str(exc))
     sv = ca.classify(v)
     sw = ca.classify(w)
     if sv.matches(sw):
-        steps = [s for s in list(sv.steps) + _steps_inverse(sw.steps)
+        back = [s.inverse() for s in reversed(sw.steps)]
+        steps = [s for s in list(sv.steps) + back
                  if not (s.kind == "exp" and not s.epsilon)]
         return ConjugacyResult("conjugate",
                                witness=witness_from_steps(ca, steps, v, w))
@@ -1172,7 +1170,7 @@ def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
 
 
 # ---------------------------------------------------------------------------
-# generic fallback: invariants + bounded numeric word search
+# algebras without a classifier: exact rules or undecided
 # ---------------------------------------------------------------------------
 
 def _membership_pattern(L: LieAlgebra, v: Sequence[Fraction]) -> Tuple[bool, ...]:
@@ -1189,55 +1187,27 @@ def _membership_pattern(L: LieAlgebra, v: Sequence[Fraction]) -> Tuple[bool, ...
 
 
 def _are_conjugate_generic(L: LieAlgebra, v, w,
-                           max_len: Optional[int] = None) -> ConjugacyResult:
-    pv = _membership_pattern(L, v)
-    pw = _membership_pattern(L, w)
+                           reason: str) -> ConjugacyResult:
+    """Exact rules for an algebra without a classifier, in order: the same
+    line, a central line (its adjoint orbit is the line itself), and the
+    derived-series membership pattern; anything else is undecided, with the
+    reason no classifier applies."""
+    if _in_span_coords([list(v)], list(w)) is not None:
+        return ConjugacyResult("conjugate", witness=ConjugacyWitness((), 0.0))
+    central = [not any(map(any, ad_matrix(L, list(x)))) for x in (v, w)]
+    if any(central):
+        x = v if central[0] else w
+        name = SubalgebraRep(tuple(rat(c) for c in x)).render()
+        return ConjugacyResult(
+            "not-conjugate",
+            invariant=f"central element {name} (its own adjoint orbit)",
+            values=tuple("central" if c else "not central" for c in central))
+    pv, pw = (_membership_pattern(L, x) for x in (v, w))
     if pv != pw:
         return ConjugacyResult("not-conjugate",
                                invariant="derived-series membership",
                                values=(str(pv), str(pw)))
-    n = L.dim
-    max_len = max_len or n
-    ads = [ad_matrix_rational(L, i) for i in range(n)]
-    x0 = [float(t) for t in v]
-    y = [float(t) for t in w]
-    rng = random.Random(1234)
-
-    def apply_word(indices, eps):
-        x = x0
-        for i, e in zip(indices, eps):
-            x = matvec(_expm_float(ads[i], e), x)
-        return x
-
-    for length in range(1, max_len + 1):
-        for indices in itertools.product(range(n), repeat=length):
-            for trial in range(6):
-                eps = [rng.uniform(-2, 2) for _ in range(length)]
-                # damped Gauss-Newton on the projective residual
-                for it in range(60):
-                    r0 = projective_residual(apply_word(indices, eps), y)
-                    if r0 < RESIDUAL_TOL:
-                        break
-                    grad = []
-                    h = 1e-6
-                    for k in range(length):
-                        pe = list(eps)
-                        pe[k] += h
-                        grad.append((projective_residual(apply_word(indices, pe), y)
-                                     - r0) / h)
-                    gn = math.hypot(*grad)
-                    if gn < 1e-14:
-                        break
-                    eps = [e - r0 * g / (gn * gn + 1e-12)
-                           for e, g in zip(eps, grad)]
-                r = projective_residual(apply_word(indices, eps), y)
-                if r < RESIDUAL_TOL:
-                    steps = tuple(Step("exp", i, epsilon=e)
-                                  for i, e in zip(indices, eps))
-                    return ConjugacyResult(
-                        "conjugate",
-                        witness=ConjugacyWitness(steps, r))
-    return ConjugacyResult("undecided")
+    return ConjugacyResult("undecided", reason=reason)
 
 
 # ---------------------------------------------------------------------------

@@ -301,8 +301,9 @@ class TestOptimalSystems:
 
 
 class TestGenericFallback:
-    """Unidentified algebras fall back to invariant rejection plus the
-    bounded numeric word search."""
+    """Unidentified algebras are decided by exact rules (same line, central
+    line, derived-series membership) or answered undecided with the reason
+    no classifier applies."""
 
     def _scaled_so3(self):
         # non-canonical compact frame: identification honestly gives up,
@@ -341,3 +342,34 @@ class TestGenericFallback:
         assert res.verdict in ("conjugate", "undecided")
         if res.conjugate:
             assert res.witness.residual <= 1e-6
+
+    def test_central_line_is_its_own_orbit(self):
+        # 4A1+A1 is abelian and outside the catalog's dimensions
+        L = canonical_class_by_name("4A1+A1").algebra
+        res = are_conjugate(L, frac_vec(1, 0, 0, 0, 0), frac_vec(0, 1, 0, 0, 0))
+        assert res.verdict == "not-conjugate"
+        assert "central element e1" in res.invariant
+
+    def _ovsiannikov_m_minus_third(self):
+        # the five-dimensional algebra of u_t = (u^(-4/3) u_x)_x
+        from liesym.dsl import parse_vector_field
+        from liesym.jets import dcr_symbols
+
+        table = dcr_symbols()
+        return structure_constants([
+            parse_vector_field(f, table) for f in
+            ("Dt", "Dx", "2*t*Dt + x*Dx", "4*t*Dt + 3*u*Du",
+             "x^2*Dx - 3*u*x*Du")])
+
+    def test_derived_series_and_undecided(self):
+        L = self._ovsiannikov_m_minus_third()
+        e = [frac_vec(*(int(i == k) for i in range(5))) for k in range(5)]
+        res = are_conjugate(L, e[0], e[1])
+        assert res.verdict == "not-conjugate"
+        assert res.invariant == "derived-series membership"
+        # e2 and e5 are conjugate through sl(2); e3 and e4 share every
+        # invariant the exact rules read
+        for i, j in ((1, 4), (2, 3)):
+            res = are_conjugate(L, e[i], e[j])
+            assert res.verdict == "undecided"
+            assert "dimension 5" in res.reason
