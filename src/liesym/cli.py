@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 verified/constructed, 1 refuted, 2 undecided, 3 usage error.
+Exit codes: 0 verified/constructed, 1 refuted, 2 undecided, 3 usage error,
+4 internal fault (an unexpected exception, reported on one stderr line).
 Expressions use the input DSL; PDEs and algebras can also be drawn from the
 case catalog with ``case:<id>``.  The audit seed comes from --seed or the
 LIESYM_SEED environment variable.
@@ -12,6 +13,7 @@ import argparse
 import os
 import sys
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from .expr import ExprError, SymbolTable, rat, substitute, sym
@@ -20,7 +22,7 @@ from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
 from .algebra import LieAlgebra, check_closure, identify, structure_constants
-from .optimal import (DEFAULT_SAMPLES, DEFAULT_SEED, ParamSpec,
+from .optimal import (DEFAULT_SAMPLES, DEFAULT_SEED, PARAM_KINDS, ParamSpec,
                       SubalgebraRep, construct_optimal_system,
                       verify_candidate_system)
 from .reduction import ClosedFormSolution, reduce_pde, transform_solution, \
@@ -30,6 +32,7 @@ from .catalog import load_catalog, run_regression
 from .report import Report, _plain
 
 USAGE_ERROR = 3
+INTERNAL_FAULT = 4
 
 
 class UsageError(Exception):
@@ -55,6 +58,16 @@ def _parse_params(spec: Optional[str]) -> Dict[str, str]:
         name, value = part.split("=", 1)
         out[name.strip()] = value.strip()
     return out
+
+
+@contextmanager
+def _binding():
+    """Report a division by zero while substituting --params as a usage
+    error."""
+    try:
+        yield
+    except ZeroDivisionError:
+        raise UsageError("division by zero substituting --params") from None
 
 
 def _table_with(params: Dict[str, str]) -> SymbolTable:
@@ -85,25 +98,30 @@ def _resolve_pde(args, params: Dict[str, str]):
     if case is not None:
         inst = case.instance()
         if bindings:
-            inst = inst.instantiate(bindings)
+            with _binding():
+                inst = inst.instantiate(bindings)
         return build_dcr(inst, table), table
     rhs = dsl.parse_pde(args.pde, table)
     if bindings:
-        rhs = substitute(rhs, bindings)
+        with _binding():
+            rhs = substitute(rhs, bindings)
     return EvolutionPDE(rhs=rhs, table=table), table
 
 
 def _resolve_algebra(args, params: Dict[str, str]) -> LieAlgebra:
     case, table, bindings = _resolve_spec(args, args.algebra, params)
     if case is not None:
-        fields = case.fields(bindings={k: str(v) for k, v in params.items()})
+        with _binding():
+            fields = case.fields(bindings=params)
         return structure_constants(fields)
     fields = [dsl.parse_vector_field(part.strip(), table)
               for part in args.algebra.split(";") if part.strip()]
     if bindings:
-        fields = [VectorField(substitute(f.xi_t, bindings),
-                              substitute(f.xi_x, bindings),
-                              substitute(f.eta, bindings)) for f in fields]
+        with _binding():
+            fields = [VectorField(substitute(f.xi_t, bindings),
+                                  substitute(f.xi_x, bindings),
+                                  substitute(f.eta, bindings))
+                      for f in fields]
     return structure_constants(fields)
 
 
@@ -120,9 +138,10 @@ def _parse_instance(spec: str, table: SymbolTable) -> DCRInstance:
 
 def _load_candidates(path: str, dim: int) -> List[SubalgebraRep]:
     """Candidate file: one representative per line, comma-separated DSL
-    coefficients over the algebra basis; an optional '| name kind' suffix
-    declares a free parameter (kind: any, nonzero, positive).  A line whose
-    coefficients are all zero spans no subalgebra and is a usage error."""
+    coefficients over the algebra basis; an optional '| name [kind]' suffix
+    declares a free parameter (kind: a key of PARAM_KINDS, default any).
+    An unknown kind, extra tokens, or a line whose coefficients are all zero
+    (it spans no subalgebra) is a usage error."""
     out = []
     with open(path) as fh:
         for raw in fh:
@@ -133,10 +152,13 @@ def _load_candidates(path: str, dim: int) -> List[SubalgebraRep]:
             if "|" in line:
                 line, pdecl = line.split("|", 1)
                 bits = pdecl.split()
-                if not bits:
-                    raise UsageError("empty parameter declaration")
-                name = bits[0]
-                kind = bits[1] if len(bits) > 1 else "any"
+                if not 1 <= len(bits) <= 2:
+                    raise UsageError(f"parameter declaration {pdecl.strip()!r}"
+                                     " needs the form 'name [kind]'")
+                name, kind = (bits + ["any"])[:2]
+                if kind not in PARAM_KINDS:
+                    raise UsageError(f"unknown parameter kind {kind!r} "
+                                     f"(expected {', '.join(PARAM_KINDS)})")
                 param_spec = ParamSpec(name, kind)
             table = SymbolTable()
             if param_spec:
@@ -194,7 +216,6 @@ def cmd_verify_symmetry(args) -> Report:
                  verdict=verdict,
                  certificates={"residual": v.residual})
     rep.add(f"residual: {dsl.render(v.residual)}")
-    rep.exit_code = _verdict_exit(verdict)
     return rep
 
 
@@ -217,7 +238,6 @@ def cmd_find_symmetries(args) -> Report:
         rep.add(f"  {dsl.render_field(f)}")
     if closure is not None and not closure.closed:
         rep.add(f"bracket closure violations: {closure.violations}")
-    rep.exit_code = 0
     return rep
 
 
@@ -254,7 +274,6 @@ def cmd_equiv(args) -> Report:
                                if res.witness else None,
                                "detail": res.detail})
     rep.add(res.detail)
-    rep.exit_code = _verdict_exit(verdict)
     return rep
 
 
@@ -295,7 +314,6 @@ def cmd_identify(args) -> Report:
     rep.add(f"label: {ident.display}")
     if ident.witness:
         rep.add(f"basis-change witness rows: {_plain(ident.witness)}")
-    rep.exit_code = 0 if ident.status == "identified" else 2
     return rep
 
 
@@ -324,7 +342,6 @@ def cmd_optimal_system(args) -> Report:
     for r in reps:
         rep.add(f"  {r.render()}")
     rep.add(audit.summary())
-    rep.exit_code = 0 if audit.ok else 1
     return rep
 
 
@@ -353,7 +370,6 @@ def cmd_audit_system(args) -> Report:
     rep.add(audit.summary())
     for i, j, w in audit.conjugate_pairs:
         rep.add(f"conjugate pair: candidates {i} and {j} via {w.describe()}")
-    rep.exit_code = 0 if audit.ok else 1
     return rep
 
 
@@ -389,7 +405,6 @@ def cmd_verify_solution(args) -> Report:
                  verdict=v.verdict,
                  certificates={"residual": v.residual})
     rep.add(f"residual: {dsl.render(v.residual)}")
-    rep.exit_code = _verdict_exit(v.verdict)
     return rep
 
 
@@ -409,7 +424,6 @@ def cmd_transform_solution(args) -> Report:
                                "residual": v.residual})
     rep.add(f"transformed solution: u = {dsl.render(out.expr)}")
     rep.add(f"verification: {v.verdict}")
-    rep.exit_code = _verdict_exit(v.verdict)
     return rep
 
 
@@ -429,7 +443,6 @@ def cmd_regress(args) -> Report:
                      "failed": [r.line() for r in report.failures()],
                  })
     rep.add(report.summary())
-    rep.exit_code = 0 if report.ok else 1
     return rep
 
 
@@ -520,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress", help="run the catalog regression")
     common(p)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_count(1), default=1)
     p.add_argument("--samples", type=_count(0), default=300)
     p.add_argument("--cases", nargs="*", help="restrict to these case ids")
     p.set_defaults(func=cmd_regress)
@@ -543,12 +556,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:
+        print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_FAULT
     print(report.human())
     print(f"elapsed: {time.time() - start:.3f}s")
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(report.to_json())
-    return report.exit_code
+    return _verdict_exit(report.verdict)
 
 
 if __name__ == "__main__":

@@ -118,9 +118,11 @@ class _Parser:
     def parse_term(self) -> Expr:
         e = self.parse_unary()
         while self.at_op("*", "/"):
-            _, op, _ = self.next()
+            _, op, pos = self.next()
             rhs = self.parse_unary()
-            e = mul(e, rhs) if op == "*" else mul(e, powx(rhs, MINUS_ONE))
+            if op == "/":
+                rhs = self.power(rhs, MINUS_ONE, pos)
+            e = mul(e, rhs)
         return e
 
     def parse_unary(self) -> Expr:
@@ -135,10 +137,16 @@ class _Parser:
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.at_op("^"):
-            self.next()
-            expo = self.parse_unary_power()
-            return powx(base, expo)
+            _, _, pos = self.next()
+            return self.power(base, self.parse_unary_power(), pos)
         return base
+
+    @staticmethod
+    def power(base: Expr, expo: Expr, pos: int) -> Expr:
+        try:
+            return powx(base, expo)
+        except ZeroDivisionError:
+            raise ParseError("division by zero", pos) from None
 
     def parse_unary_power(self) -> Expr:
         # exponent position: allow a sign, then a power (right-assoc ^)

@@ -42,7 +42,6 @@ class Report:
     certificates: Dict[str, Any] = field(default_factory=dict)
     seed: Optional[int] = None
     human_lines: List[str] = field(default_factory=list)
-    exit_code: int = 0
 
     def add(self, line: str):
         self.human_lines.append(line)

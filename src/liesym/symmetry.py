@@ -189,7 +189,7 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
                 f = f + bf.scale(rat(c))
         verdict = is_symmetry(pde, f)
         if not verdict.is_symmetry:
-            raise ExprError(
+            raise RuntimeError(
                 "determining-system solution failed re-verification; "
                 f"residual {verdict.residual!r}")
         fields.append(f)

@@ -81,6 +81,21 @@ class TestExitCodes:
             assert code == 3
             assert "zero vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("decl,message", [
+        ("a postive", "unknown parameter kind 'postive'"),
+        ("a b c", "needs the form 'name [kind]'"),
+    ])
+    def test_audit_rejects_bad_parameter_declaration(self, tmp_path, capsys,
+                                                     decl, message):
+        # a misspelled kind must not silently mean "any"
+        cand = tmp_path / "c.txt"
+        cand.write_text(f"1, 0, 0\n0, 1, 0\n0, 0, 1\n1, a, 0 | {decl}\n")
+        code = run(["audit-system", "--algebra", "case:eq5",
+                    "--params", "m=2,p=3", "--candidates", str(cand),
+                    "--samples", "50"])
+        assert code == 3
+        assert message in capsys.readouterr().err
+
     def test_identify(self, capsys):
         assert run(["identify", "--algebra", "case:eq5",
                     "--params", "m=2,p=3"]) == 0
@@ -102,6 +117,13 @@ class TestExitCodes:
          "--bound: must be >= 1"),
         (["optimal-system", "--algebra", "Dx; x*Dx", "--samples", "-1"],
          "--samples: must be >= 0"),
+        (["regress", "--jobs", "0"], "--jobs: must be >= 1"),
+        (["regress", "--jobs", "-3"], "--jobs: must be >= 1"),
+        (["find-symmetries", "--pde", "u_t=D(u,x,2)/0"], "division by zero"),
+        (["verify-symmetry", "--pde", "u_t=1/0", "--field", "Dx"],
+         "division by zero"),
+        (["verify-symmetry", "--pde", "u_t = D(u,x,2)/m", "--params", "m=0",
+          "--field", "Dx"], "division by zero substituting --params"),
     ])
     def test_bad_input_is_usage_error(self, argv, message, capsys):
         # exit 1 would read as "refuted"; bad input is a usage error
@@ -109,6 +131,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+
+class TestInternalFault:
+    """An unexpected exception exits 4, never 1 ("refuted"), with one line
+    on stderr."""
+
+    def test_unexpected_exception(self, monkeypatch, capsys):
+        def boom(L):
+            raise KeyError("no such class")
+
+        monkeypatch.setattr("liesym.cli.identify", boom)
+        assert run(["identify", "--algebra", "Dx; x*Dx"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("internal fault: KeyError")
+
+    def test_failed_reverification(self, monkeypatch, capsys):
+        # a determining-system solution that fails its own invariance check
+        # is the program's fault, not the input's
+        from liesym import symmetry
+
+        monkeypatch.setattr(
+            symmetry, "is_symmetry",
+            lambda pde, f: symmetry.SymmetryVerdict(
+                symmetry.Verdict.NOT_SYMMETRY, pde.rhs))
+        assert run(["find-symmetries", "--pde", "u_t = D(u,x,2)"]) == 4
+        assert "failed re-verification" in capsys.readouterr().err
 
 
 class TestReports:
