@@ -25,7 +25,8 @@ from .expr import (
 )
 from .jets import VectorField
 from .linalg import (
-    Matrix, identity, matmul, matvec, nullspace, rref, solve, solve_symbolic,
+    Matrix, identity, matmul, matvec, nullspace, rank, rref, solve,
+    solve_symbolic,
 )
 
 
@@ -125,8 +126,7 @@ def _rank_at_samples(columns: List[List[Expr]], parameters: set) -> int:
                     for col in columns] for r in range(len(columns[0]))]
         except (ZeroDivisionError, ExprError):
             continue
-        _, pivots = rref(mat)
-        best = max(best, len(pivots))
+        best = max(best, rank(mat))
     return best
 
 
@@ -434,7 +434,7 @@ def algebra_invariants(L: LieAlgebra) -> AlgebraInvariants:
         derived_dims=tuple(derived_dims),
         lower_central_dims=tuple(lc_dims),
         center_dim=len(center(L)),
-        killing_rank=len(rref(K)[1]) if any(any(r) for r in K) else 0,
+        killing_rank=rank(K),
         killing_signature=(pos, neg),
         derived_abelian=derived_ab,
     )
@@ -614,9 +614,9 @@ def _complement(rows: List[List[Fraction]], n: int,
             break
         cand = [Fraction(int(i == j)) for i in range(n)]
         trial = out + [cand]
-        if len(rref(trial)[1]) != len(out) + 1:
+        if rank(trial) != len(out) + 1:
             continue
-        if avoid is not None and len(rref(trial + [avoid])[1]) == len(trial):
+        if avoid is not None and rank(trial + [avoid]) == len(trial):
             continue
         out.append(cand)
     return out
@@ -722,7 +722,7 @@ def _identify_a2a1(L: LieAlgebra, catalog) -> Identification:
         return Identification(status="unidentified",
                               reason="missing center for A2+A1 shape")
     zv = z[0]
-    if len(rref([w, f2, zv])[1]) != 3:
+    if rank([w, f2, zv]) != 3:
         return Identification(status="unidentified",
                               reason="center inside the A2 block")
     return Identification(status="identified", label="A2+A1",

@@ -23,7 +23,7 @@ from .symmetry import find_symmetries, is_symmetry
 from .algebra import (
     check_closure, field_coordinates, identify, structure_constants,
 )
-from .linalg import rref
+from .linalg import rank
 from .optimal import (DEFAULT_SEED, construct_optimal_system,
                       verify_candidate_system)
 from .reduction import ClosedFormSolution, verify_solution
@@ -331,7 +331,7 @@ def _in_span(fields: Sequence[VectorField], target: VectorField) -> bool:
             row.append(e.value)
         mat.append(row)
     without = [row[:-1] for row in mat]
-    return len(rref(without)[1]) == len(rref(mat)[1])
+    return rank(without) == rank(mat)
 
 
 def run_regression(catalog: Dict[str, CatalogCase],

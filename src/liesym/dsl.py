@@ -41,15 +41,15 @@ _OPS = set("+-*/^(),=")
 
 
 class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: List[Tuple[str, str, int]] = []
-        self._run()
+    """Tokens of ``text[start:]``, each with its position in ``text``."""
 
-    def _run(self):
+    def __init__(self, text: str, start: int = 0):
+        self.text = text
+        self.tokens: List[Tuple[str, str, int]] = []
+        self._run(start)
+
+    def _run(self, i: int):
         text = self.text
-        i = 0
         while i < len(text):
             c = text[i]
             if c.isspace():
@@ -80,10 +80,11 @@ class _Tokenizer:
 
 
 class _Parser:
-    def __init__(self, text: str, table: SymbolTable, max_order: int = 2):
+    def __init__(self, text: str, table: SymbolTable, max_order: int = 2,
+                 start: int = 0):
         self.table = table
         self.max_order = max_order
-        self.toks = _Tokenizer(text).tokens
+        self.toks = _Tokenizer(text, start).tokens
         self.i = 0
 
     # -- token helpers ----------------------------------------------------
@@ -223,9 +224,11 @@ class _Parser:
         return e
 
 
-def parse(text: str, table: SymbolTable, max_order: int = 2) -> Expr:
-    """Parse an expression in the input DSL against the symbol table."""
-    p = _Parser(text, table, max_order)
+def parse(text: str, table: SymbolTable, max_order: int = 2,
+          start: int = 0) -> Expr:
+    """Parse ``text[start:]`` as an expression in the input DSL against the
+    symbol table; error positions count from the start of ``text``."""
+    p = _Parser(text, table, max_order, start)
     return p.finish(p.parse_expr())
 
 
@@ -233,10 +236,10 @@ def parse_pde(text: str, table: SymbolTable) -> Expr:
     """Parse ``u_t = F(...)`` and return the right-hand side."""
     if "=" not in text:
         raise ParseError("a PDE needs the form 'u_t = <rhs>'", 0)
-    lhs, rhs = text.split("=", 1)
+    lhs = text.split("=", 1)[0]
     if lhs.strip() != "u_t":
         raise ParseError("left-hand side must be exactly u_t", 0)
-    return parse(rhs, table, max_order=2)
+    return parse(text, table, max_order=2, start=len(lhs) + 1)
 
 
 _FIELD_MARKERS = ("Dt", "Dx", "Du")

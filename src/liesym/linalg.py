@@ -1,41 +1,103 @@
 """Exact linear algebra over Fraction, plus a pivoting solver for small
-systems whose entries are symbolic expressions."""
+systems whose entries are symbolic expressions.
+
+Exact elimination is sparse.  The determining systems of the symmetry
+search have hundreds of rows with under two nonzeros each, so ``rref``
+stores each row as a dict column -> Fraction and drops all-zero rows on
+entry.  A column -> rows index finds the rows to eliminate, pivots are
+taken column by column (the shortest candidate row, ties broken by row
+index; see ``_choose_pivot``), and entries that cancel are deleted, so rows
+stay sparse.  The reduced row echelon form is unique, so the pivot rule
+changes the cost but never the result.  ``rank`` counts pivots without
+building the dense reduced matrix.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .expr import Expr, Rat, ZERO, ZeroVerdict, add, is_zero, mul, powx, rat
 
 Matrix = List[List[Fraction]]
+SparseRow = Dict[int, Fraction]
+
+
+def _choose_pivot(candidates: Set[int], rows: Dict[int, SparseRow]) -> int:
+    """Markowitz-style pivot row: the shortest candidate, then the lowest
+    index."""
+    return min(candidates, key=lambda i: (len(rows[i]), i))
+
+
+def _eliminate(rows: Matrix) -> Dict[int, SparseRow]:
+    """Sparse Gauss-Jordan elimination; returns pivot column -> its reduced
+    row, normalised to 1 at the pivot and zero in every other pivot
+    column."""
+    sparse: Dict[int, SparseRow] = {}
+    by_col: Dict[int, Set[int]] = {}
+    for i, r in enumerate(rows):
+        row = {j: Fraction(v) for j, v in enumerate(r) if v}
+        if row:
+            sparse[i] = row
+            for j in row:
+                by_col.setdefault(j, set()).add(i)
+    reduced: Dict[int, SparseRow] = {}
+    pending = set(sparse)
+    for c in sorted(by_col):
+        holders = by_col[c]
+        candidates = holders & pending
+        if not candidates:
+            continue
+        p = _choose_pivot(candidates, sparse)
+        pending.discard(p)
+        prow = sparse[p]
+        pv = prow[c]
+        if pv != 1:
+            prow = sparse[p] = {j: v / pv for j, v in prow.items()}
+        for i in list(holders):
+            if i == p:
+                continue
+            row = sparse[i]
+            f = row[c]
+            for j, v in prow.items():
+                old = row.get(j)
+                if old is None:
+                    row[j] = -f * v
+                    by_col[j].add(i)
+                else:
+                    new = old - f * v
+                    if new:
+                        row[j] = new
+                    else:
+                        del row[j]
+                        by_col[j].discard(i)
+        reduced[c] = prow
+    return reduced
 
 
 def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
-    """Reduced row echelon form; returns (rref, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return m, []
-    nrows, ncols = len(m), len(m[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        pv = m[r][c]
-        m[r] = [v / pv for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    """Reduced row echelon form; returns (rref, pivot column indices).  The
+    result has as many rows as the input, zero rows last."""
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    reduced = _eliminate(rows)
+    pivots = sorted(reduced)
+    zero = Fraction(0)
+    out: Matrix = []
+    for c in pivots:
+        dense = [zero] * ncols
+        for j, v in reduced[c].items():
+            dense[j] = v
+        out.append(dense)
+    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    return out, pivots
+
+
+def rank(rows: Matrix) -> int:
+    """Rank of an exact matrix."""
+    return len(_eliminate(rows))
 
 
 def nullspace(rows: Matrix, ncols: int) -> List[List[Fraction]]:

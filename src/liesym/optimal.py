@@ -1419,7 +1419,7 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
     for si, vec in enumerate(_sample_directions(L.dim, n_samples, seed)):
         try:
             sig = ca.classify(vec)
-        except Exception:
+        except ExprError:
             undecided += 1
             continue
         covering = [ci for ci, cand in enumerate(cands)

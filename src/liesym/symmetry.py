@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -45,26 +46,46 @@ class SymmetryVerdict:
         return self.verdict is Verdict.SYMMETRY
 
 
+class _RhsPartials:
+    """The derivatives of the rhs F that the invariance residual needs:
+    F_t, F_x, F_u, F_{u_x} and F_{u_xx}, and D_x F on first use.  A search
+    computes them once for all its ansatz fields."""
+
+    def __init__(self, pde: EvolutionPDE):
+        self.pde = pde
+        self.partials = tuple(
+            differentiate(pde.rhs, v)
+            for v in ("t", "x", "u", jet_name(0, 1), jet_name(0, 2)))
+
+    @cached_property
+    def total_x(self) -> Expr:
+        return total_derivative(self.pde.rhs, "x", self.pde.table,
+                                max_order=3)
+
+
 def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
     """pr(2)X(u_t - F) restricted to the solution manifold, canonical.
 
     For fields with x- or u-dependent xi_t the substitution u_tx -> D_x F
     introduces third-order jets; they are tracked internally.
     """
-    table = pde.table
-    F = pde.rhs
-    pr = prolong2(X, table)
+    return _residual(X, _RhsPartials(pde))
+
+
+def _residual(X: VectorField, rhs: _RhsPartials) -> Expr:
+    pr = prolong2(X, rhs.pde.table)
+    F_t, F_x, F_u, F_ux, F_uxx = rhs.partials
     applied = add(
-        mul(X.xi_t, differentiate(F, "t")),
-        mul(X.xi_x, differentiate(F, "x")),
-        mul(X.eta, differentiate(F, "u")),
-        mul(pr.eta_x, differentiate(F, jet_name(0, 1))),
-        mul(pr.eta_xx, differentiate(F, jet_name(0, 2))),
+        mul(X.xi_t, F_t),
+        mul(X.xi_x, F_x),
+        mul(X.eta, F_u),
+        mul(pr.eta_x, F_ux),
+        mul(pr.eta_xx, F_uxx),
     )
     residual = add(pr.eta_t, mul(-1, applied))
-    subs = {jet_name(1, 0): F}
+    subs = {jet_name(1, 0): rhs.pde.rhs}
     if jet_name(1, 1) in free_symbols(residual):
-        subs[jet_name(1, 1)] = total_derivative(F, "x", table, max_order=3)
+        subs[jet_name(1, 1)] = rhs.total_x
     return substitute(residual, subs)
 
 
@@ -169,8 +190,9 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     basis = _ansatz_basis(bound)
     rows: Dict[tuple, List[Fraction]] = {}
     n = len(basis)
+    partials = _RhsPartials(pde)
     for k, bf in enumerate(basis):
-        residual = invariance_residual(pde, bf)
+        residual = _residual(bf, partials)
         terms = residual.terms if isinstance(residual, Add) else (residual,)
         for term in terms:
             if term.is_zero_literal:

@@ -132,6 +132,16 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,position", [
+        (["find-symmetries", "--pde", "u_t=D(u,x,2)/0"], 12),
+        (["verify-symmetry", "--pde", "u_t=1/0", "--field", "Dx"], 5),
+    ])
+    def test_parse_error_position_counts_from_typed_text(self, argv,
+                                                         position, capsys):
+        # the offset of the '/' in the --pde argument, not in its rhs
+        assert run(argv) == 3
+        assert f"(at position {position})" in capsys.readouterr().err
+
 
 class TestInternalFault:
     """An unexpected exception exits 4, never 1 ("refuted"), with one line
@@ -158,6 +168,27 @@ class TestInternalFault:
                 symmetry.Verdict.NOT_SYMMETRY, pde.rhs))
         assert run(["find-symmetries", "--pde", "u_t = D(u,x,2)"]) == 4
         assert "failed re-verification" in capsys.readouterr().err
+
+    def test_audit_classifier_fault(self, tmp_path, monkeypatch, capsys):
+        # a classifier bug on a sample is a fault, not an undecided sample
+        from liesym import optimal
+
+        lines = [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+        real = optimal.ClassifiedAlgebra.classify
+
+        def classify(self, v):
+            if tuple(v) not in lines:
+                raise RuntimeError("classifier bug")
+            return real(self, v)
+
+        monkeypatch.setattr(optimal.ClassifiedAlgebra, "classify", classify)
+        cand = tmp_path / "c.txt"
+        cand.write_text("".join(f"{a}, {b}, {c}\n" for a, b, c in lines))
+        assert run(["audit-system", "--algebra", "case:eq5",
+                    "--params", "m=2,p=3", "--candidates", str(cand),
+                    "--samples", "50"]) == 4
+        assert capsys.readouterr().err.startswith(
+            "internal fault: RuntimeError")
 
 
 class TestReports:
