@@ -21,7 +21,8 @@ from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
 from .algebra import (
-    check_closure, field_coordinates, identify, structure_constants,
+    YAML_LOADER, check_closure, field_coordinates, identify,
+    structure_constants,
 )
 from .linalg import rank
 from .optimal import (DEFAULT_SEED, construct_optimal_system,
@@ -104,7 +105,7 @@ def load_catalog(path: Optional[str] = None) -> Dict[str, CatalogCase]:
     else:
         text = Path(path).read_text()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise CatalogError(f"catalog is not valid YAML: {exc}")
     if not isinstance(raw, dict) or "cases" not in raw:

@@ -541,6 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_out(path: str, report: Report):
+    try:
+        with open(path, "w") as fh:
+            fh.write(report.to_json())
+    except OSError as exc:
+        raise UsageError(f"cannot write --out: {exc}") from None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -550,6 +558,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.time()
     try:
         report = args.func(args)
+        if getattr(args, "out", None):
+            _write_out(args.out, report)
     except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -559,11 +569,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except Exception as exc:
         print(f"internal fault: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_FAULT
-    print(report.human())
-    print(f"elapsed: {time.time() - start:.3f}s")
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
+    try:
+        print(report.human())
+        print(f"elapsed: {time.time() - start:.3f}s")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``| head``): the verdict and
+        # --out stand.  Point stdout at devnull so that the flush at exit
+        # raises no second error, as the signal module's docs advise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return _verdict_exit(report.verdict)
 
 

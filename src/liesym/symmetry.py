@@ -13,12 +13,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from fractions import Fraction
+from math import perm
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
-    Add, Expr, ExprError, Mul, Pow, Rat, Sym, ZERO, ONE, ZeroVerdict,
-    _coeff_monomial, add, differentiate, free_symbols, is_zero, mul, powx, rat,
-    substitute, sym,
+    Add, Expr, ExprError, Mul, Rat, Sym, ZERO, ONE, ZeroVerdict,
+    _base_exp, _build_mul, _coeff_monomial, add, differentiate, free_symbols,
+    is_zero, mul, powx, rat, substitute, sym,
 )
 from . import jets
 from .jets import VectorField, jet_name, prolong2, total_derivative
@@ -109,28 +110,125 @@ def is_symmetry(pde: EvolutionPDE, X: VectorField,
 # determining equations under the polynomial ansatz
 # ---------------------------------------------------------------------------
 
+_T, _X, _U = sym("t"), sym("x"), sym("u")
+
+#: The four component shapes of an ansatz field with monomial m(t, x):
+#: xi_t = m, xi_x = m, eta = m*u and eta = m.
+_SHAPES = (
+    lambda m: VectorField(m, ZERO, ZERO),
+    lambda m: VectorField(ZERO, m, ZERO),
+    lambda m: VectorField(ZERO, ZERO, mul(m, _U)),
+    lambda m: VectorField(ZERO, ZERO, m),
+)
+
+
 def _poly_monomials(bound: int) -> List[Tuple[int, int]]:
     return [(i, j) for n in range(bound + 1)
             for i in range(n + 1) for j in range(n - i + 1)
             if i + j <= bound]
 
 
-def _ansatz_basis(bound: int) -> List[VectorField]:
-    """Basis fields: xi_t, xi_x polynomial of degree <= bound in (t, x);
-    eta = alpha(t,x)*u + beta(t,x) with alpha, beta of degree <= bound."""
-    t, x, u = sym("t"), sym("x"), sym("u")
-    monos = [mul(powx(t, rat(i)), powx(x, rat(j)))
-             for i, j in sorted(set(_poly_monomials(bound)))]
-    basis = []
-    for mono in monos:
-        basis.append(VectorField(mono, ZERO, ZERO))
-    for mono in monos:
-        basis.append(VectorField(ZERO, mono, ZERO))
-    for mono in monos:
-        basis.append(VectorField(ZERO, ZERO, mul(mono, u)))
-    for mono in monos:
-        basis.append(VectorField(ZERO, ZERO, mono))
-    return basis
+def _monomial(i: int, j: int) -> Expr:
+    return mul(powx(_T, rat(i)), powx(_X, rat(j)))
+
+
+def _ansatz_basis(bound: int) -> List[Tuple[int, int, int]]:
+    """Basis fields as (shape, i, j): the monomial t^i x^j of degree <= bound
+    in component ``_SHAPES[shape]``, so xi_t, xi_x polynomial in (t, x) and
+    eta = alpha(t,x)*u + beta(t,x)."""
+    monos = sorted(set(_poly_monomials(bound)))
+    return [(c, i, j) for c in range(len(_SHAPES)) for i, j in monos]
+
+
+def _basis_field(entry: Tuple[int, int, int]) -> VectorField:
+    c, i, j = entry
+    return _SHAPES[c](_monomial(i, j))
+
+
+def _monomial_factors(mono: Expr) -> Tuple[Expr, ...]:
+    if isinstance(mono, Mul):
+        return mono.factors
+    return () if mono == ONE else (mono,)
+
+
+def _operator_terms(shape, partials: _RhsPartials, bound: int,
+                    rests: Dict[tuple, int]) -> Dict[Tuple[int, int], list]:
+    """The residual of ``shape(m)`` as C00*m + C10*m_t + C01*m_x + C02*m_xx.
+
+    Q = eta - xi_t*u_t - xi_x*u_x enters only through D_t Q, D_x Q and
+    D_x^2 Q, so no other derivative of m occurs.  The C's follow exactly
+    from the residuals on the probes 1, t, x and x^2; x^2 only when the
+    bound admits m_xx != 0.  Each C is split into terms (coefficient,
+    t-exponent, x-exponent, id of the remaining factors in ``rests``)."""
+    def probe(i, j):
+        return _residual(shape(_monomial(i, j)), partials)
+
+    c00 = probe(0, 0)
+    c01 = add(probe(0, 1), mul(-1, _X, c00))
+    ops = {(0, 0): c00, (1, 0): add(probe(1, 0), mul(-1, _T, c00)),
+           (0, 1): c01}
+    if bound >= 2:
+        ops[(0, 2)] = mul(Fraction(1, 2), add(
+            probe(0, 2), mul(-1, _X, _X, c00), mul(-2, _X, c01)))
+    out = {}
+    for ab, c in ops.items():
+        terms = []
+        for term in (c.terms if isinstance(c, Add) else (c,)):
+            if term.is_zero_literal:
+                continue
+            coeff, mono = _coeff_monomial(term)
+            et = ex = 0
+            rest = []
+            for f in _monomial_factors(mono):
+                base, e = _base_exp(f)
+                # integer exponents: the rhs is polynomial in t and x
+                if base == _T:
+                    et = int(e.value)
+                elif base == _X:
+                    ex = int(e.value)
+                else:
+                    rest.append(f)
+            terms.append((coeff, et, ex,
+                          rests.setdefault(tuple(rest), len(rests))))
+        out[ab] = terms
+    return out
+
+
+def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]],
+                        bound: int) -> List[List[Fraction]]:
+    """One row per monomial of the residuals of the basis fields, sorted by
+    the monomial's key.
+
+    The residual of t^i x^j in shape c is assembled in exponent space:
+    each term (coefficient, e_t, e_x, rest) of C_c,ab adds
+    ff(i,a)*ff(j,b)*coefficient at t^(e_t+i-a) x^(e_x+j-b) rest, ff the
+    falling factorial.  No Expr arithmetic runs per basis field."""
+    partials = _RhsPartials(pde)
+    rests: Dict[tuple, int] = {}
+    ops = [_operator_terms(shape, partials, bound, rests) for shape in _SHAPES]
+    n = len(basis)
+    rows: Dict[tuple, List[Fraction]] = {}
+    for col, (c, i, j) in enumerate(basis):
+        entries: Dict[tuple, Fraction] = {}
+        for (a, b), terms in ops[c].items():
+            f = perm(i, a) * perm(j, b)
+            if not f:
+                continue
+            for coeff, et, ex, rest in terms:
+                k = (et + i - a, ex + j - b, rest)
+                entries[k] = entries.get(k, 0) + f * coeff
+        for k, v in entries.items():
+            if v:
+                rows.setdefault(k, [Fraction(0)] * n)[col] = v
+    atoms = {v: list(k) for k, v in rests.items()}
+
+    def mono_key(k):
+        et, ex, rest = k
+        return _build_mul(Fraction(1), atoms[rest] + [
+            powx(s, rat(e)) for s, e in ((_T, et), (_X, ex)) if e]).key()
+
+    return [row for _, row in sorted(
+        (mono_key(k), row) for k, row in rows.items())]
 
 
 def _check_rhs_supported(pde: EvolutionPDE):
@@ -140,10 +238,8 @@ def _check_rhs_supported(pde: EvolutionPDE):
     terms = pde.rhs.terms if isinstance(pde.rhs, Add) else (pde.rhs,)
     for term in terms:
         _, mono = _coeff_monomial(term)
-        factors = mono.factors if isinstance(mono, Mul) else (
-            () if mono == ONE else (mono,))
-        for f in factors:
-            base, expo = (f.base, f.exponent) if isinstance(f, Pow) else (f, ONE)
+        for f in _monomial_factors(mono):
+            base, expo = _base_exp(f)
             if not isinstance(base, Sym):
                 raise UnsupportedCoefficientsError(
                     f"unsupported factor {f!r} in rhs")
@@ -182,33 +278,24 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     The residual is linear in the ansatz coefficients, so the residuals of
     the basis fields already span the system: collecting every monomial
     (in t, x, u and the jets) yields one exact linear equation per monomial.
-    Returns a basis of the solution space; every returned field is
-    re-verified by the invariance residual."""
+    The residual of a basis field t^i x^j in one component is a linear
+    operator C00*m + C10*m_t + C01*m_x + C02*m_xx in its monomial m, so
+    the four C's of each component come from 16 residuals (12 at bound 1)
+    and every row is assembled in exponent space
+    (:func:`_determining_matrix`).  Returns a basis of the solution space;
+    every returned field is re-verified by the invariance residual."""
     if bound < 1:
         raise ValueError("ansatz degree bound must be >= 1")
     _check_rhs_supported(pde)
     basis = _ansatz_basis(bound)
-    rows: Dict[tuple, List[Fraction]] = {}
-    n = len(basis)
-    partials = _RhsPartials(pde)
-    for k, bf in enumerate(basis):
-        residual = _residual(bf, partials)
-        terms = residual.terms if isinstance(residual, Add) else (residual,)
-        for term in terms:
-            if term.is_zero_literal:
-                continue
-            coeff, mono = _coeff_monomial(term)
-            row = rows.setdefault(mono.key(), [Fraction(0)] * n)
-            row[k] += coeff
-    matrix = [rows[k] for k in sorted(rows.keys())]
-    solutions = nullspace(matrix, n)
+    solutions = nullspace(_determining_matrix(pde, basis, bound), len(basis))
     fields = []
     verified = []
     for vec in solutions:
         f = jets.ZERO_FIELD
-        for c, bf in zip(vec, basis):
+        for c, entry in zip(vec, basis):
             if c:
-                f = f + bf.scale(rat(c))
+                f = f + _basis_field(entry).scale(rat(c))
         verdict = is_symmetry(pde, f)
         if not verdict.is_symmetry:
             raise RuntimeError(

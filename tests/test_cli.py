@@ -225,3 +225,49 @@ def test_import_leaves_numpy_out():
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_closed_stdout_pipe(tmp_path):
+    # the reader is gone before the first line is printed: --out is still
+    # written, and the exit code is the verdict's, not a traceback's 1
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "liesym.cli", "find-symmetries",
+            "--pde", "u_t = D(u,x,2)"]
+    whole = subprocess.run(argv + ["--out", str(tmp_path / "whole.json")],
+                           env=env, capture_output=True, timeout=60)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(argv + ["--out", str(tmp_path / "cut.json")],
+                              env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == whole.returncode == 0
+    assert proc.stderr == ""
+    assert ((tmp_path / "cut.json").read_bytes()
+            == (tmp_path / "whole.json").read_bytes())
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    assert run(["verify-symmetry", "--pde", "u_t = D(u,x,2)", "--field", "Dt",
+                "--out", str(tmp_path / "missing" / "rep.json")]) == 3
+    assert capsys.readouterr().err.startswith("usage error: cannot write")
+
+
+def test_import_loads_every_traced_module():
+    # bench/run.py --trace 1 patches the functions in its TARGETS through
+    # sys.modules after importing liesym.cli, so a lazy import there breaks
+    # the trace
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, liesym.cli\n"
+         "loaded = set(sys.modules)\n"
+         f"sys.path.insert(0, {str(bench)!r})\n"
+         "from run import TARGETS\n"
+         "print(sorted({t[0] for t in TARGETS} - loaded))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

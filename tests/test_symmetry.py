@@ -5,9 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesym.expr import ZERO, ONE, rat, sym
-from liesym.jets import VectorField, jet
-from liesym.pde import DCRInstance, build_dcr, heat_equation, power_diffusion
+from liesym import symmetry
+from liesym.dsl import parse_pde
+from liesym.expr import (ZERO, ONE, Add, _coeff_monomial, add, mul, powx, rat,
+                         sym)
+from liesym.jets import VectorField, dcr_symbols, jet
+from liesym.pde import (DCRInstance, EvolutionPDE, build_dcr, heat_equation,
+                        power_diffusion)
 from liesym.symmetry import (UnsupportedCoefficientsError, Verdict,
                              find_symmetries, invariance_residual,
                              is_symmetry)
@@ -140,3 +144,78 @@ class TestFindSymmetries:
 
         result = find_symmetries(power_diffusion(2), 2)
         assert check_closure(result.fields).closed
+
+
+# ---------------------------------------------------------------------------
+# operator-form assembly of the determining system
+# ---------------------------------------------------------------------------
+
+REACTION = "u_t = D(u^2,x,2)+D(u^2,x)+u^3"
+HEAT = "u_t = D(u,x,2)"
+
+
+def _pde(text):
+    table = dcr_symbols()
+    return EvolutionPDE(rhs=parse_pde(text, table), table=table)
+
+
+def _per_field_matrix(pde, basis):
+    """The determining matrix from one residual per basis field, rows
+    sorted by monomial key: the reference for the operator-form assembly."""
+    partials = symmetry._RhsPartials(pde)
+    rows = {}
+    for col, entry in enumerate(basis):
+        r = symmetry._residual(symmetry._basis_field(entry), partials)
+        for term in (r.terms if isinstance(r, Add) else (r,)):
+            if term.is_zero_literal:
+                continue
+            coeff, mono = _coeff_monomial(term)
+            rows.setdefault(mono.key(), [Fraction(0)] * len(basis))[col] += coeff
+    return [rows[k] for k in sorted(rows)]
+
+
+def _assert_same_matrix(pde, bound):
+    basis = symmetry._ansatz_basis(bound)
+    # equal lists: the same rows, hence the same row multiset, in the same
+    # order, so the nullspace and its basis are unchanged too
+    assert (symmetry._determining_matrix(pde, basis, bound)
+            == _per_field_matrix(pde, basis))
+
+
+# one rhs term: coefficient, powers of t and x, a rational power of u, and
+# powers of u_x and u_xx
+_rhs_term = st.tuples(
+    st.integers(-3, 3).filter(bool), st.integers(0, 2), st.integers(0, 2),
+    st.fractions(-3, 3, max_denominator=3), st.integers(0, 2),
+    st.integers(0, 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_rhs_term, min_size=1, max_size=3), st.integers(1, 4))
+def test_operator_assembly_matches_per_field_residuals(terms, bound):
+    rhs = add(*(mul(c, powx(t, rat(a)), powx(x, rat(b)), powx(u, rat(r)),
+                    powx(u_x, rat(p)), powx(jet(0, 2), rat(q)))
+                for c, a, b, r, p, q in terms))
+    _assert_same_matrix(EvolutionPDE(rhs=rhs, table=dcr_symbols()), bound)
+
+
+@pytest.mark.parametrize("text,bound", [(REACTION, b) for b in (2, 4, 6, 8)]
+                         + [(HEAT, b) for b in range(2, 7)])
+def test_operator_assembly_on_benchmark_sweep(text, bound):
+    _assert_same_matrix(_pde(text), bound)
+
+
+@pytest.mark.parametrize("text,bound", [(HEAT, 1), (HEAT, 3), (REACTION, 8)])
+def test_residuals_per_search(monkeypatch, text, bound):
+    # four probes per component shape (three at bound 1), then one residual
+    # per re-verified field, whatever the number of ansatz fields
+    calls = []
+    real = symmetry._residual
+
+    def counted(X, rhs):
+        calls.append(X)
+        return real(X, rhs)
+
+    monkeypatch.setattr(symmetry, "_residual", counted)
+    found = find_symmetries(_pde(text), bound)
+    assert len(calls) <= (16 if bound >= 2 else 12) + len(found)
