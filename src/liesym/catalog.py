@@ -241,11 +241,13 @@ def _check_case(case: CatalogCase, seed: int,
         lhs = apply_et(witness, build_dcr(inst)).rhs
         rhs = build_dcr(free_inst).rhs
         add_result("drift removal witness", lhs == rhs)
-    # per-sample checks
+    # per-sample checks; one search per sample
+    founds = []
     for sample in case.samples:
         tag = ",".join(f"{k}={v}" for k, v in sample.bindings.items()) or "-"
         spde = case.pde(sample.bindings, sample.overrides)
         found = find_symmetries(spde, bound=2)
+        founds.append(found)
         if sample.find_count is not None:
             add_result(f"[{tag}] generator count = {sample.find_count}",
                        len(found) == sample.find_count,
@@ -287,10 +289,8 @@ def _check_case(case: CatalogCase, seed: int,
                        f"got {len(sysreps)}")
     # special handling: the four-generator algebra of u_t=(u^m)_xx samples
     if case.case_id == "ovsiannikov":
-        for sample in case.samples:
+        for sample, found in zip(case.samples, founds):
             if sample.label == "2A2":
-                spde = case.pde(sample.bindings, sample.overrides)
-                found = find_symmetries(spde, bound=2)
                 L = structure_constants(found.fields)
                 ident = identify(L)
                 ok = ident.status == "identified" and ident.label == "2A2"
@@ -340,27 +340,21 @@ def run_regression(catalog: Dict[str, CatalogCase],
                    seed: int = DEFAULT_SEED, audit_samples: int = 300,
                    jobs: int = 1) -> RegressionReport:
     """Re-derive every stored claim; aggregate pass/fail per check."""
-    seen = []
-    ids = []
-    for name, case in catalog.items():
-        if case.case_id in seen:
-            continue
-        seen.append(case.case_id)
-        if case_ids is None or case.case_id in case_ids or \
-                any(a in (case_ids or []) for a in case.aliases):
-            ids.append(case.case_id)
-    unique = {c.case_id: c for c in catalog.values()}
+    # every name of a case maps to the same case: keep catalog order
+    cases = {c.case_id: c for c in catalog.values()
+             if case_ids is None or c.case_id in case_ids
+             or any(a in case_ids for a in c.aliases)}
     results: List[CheckResult] = []
     if jobs > 1:
         import concurrent.futures as cf
 
         with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
-            futs = {cid: pool.submit(_check_case, unique[cid], seed,
-                                     audit_samples) for cid in ids}
-            for cid in ids:  # deterministic merge order
-                results.extend(futs[cid].result())
+            futs = [pool.submit(_check_case, c, seed, audit_samples)
+                    for c in cases.values()]
+            for fut in futs:  # deterministic merge order
+                results.extend(fut.result())
     else:
-        for cid in ids:
-            results.extend(_check_case(unique[cid], seed, audit_samples))
+        for c in cases.values():
+            results.extend(_check_case(c, seed, audit_samples))
     return RegressionReport(results=results, seed=seed,
                             audit_samples=audit_samples)

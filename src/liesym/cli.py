@@ -351,7 +351,8 @@ def cmd_audit_system(args) -> Report:
     candidates = _load_candidates(args.candidates, L.dim)
     audit = verify_candidate_system(L, candidates, n_samples=args.samples,
                                     seed=_seed(args))
-    verdict = "clean" if audit.ok else "flagged"
+    verdict = ("flagged" if not audit.ok
+               else "undecided" if audit.undecided else "clean")
     rep = Report("audit-system",
                  inputs={"algebra": args.algebra,
                          "candidates": args.candidates,

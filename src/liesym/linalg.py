@@ -7,9 +7,10 @@ stores each row as a dict column -> Fraction and drops all-zero rows on
 entry.  A column -> rows index finds the rows to eliminate, pivots are
 taken column by column (the shortest candidate row, ties broken by row
 index; see ``_choose_pivot``), and entries that cancel are deleted, so rows
-stay sparse.  The reduced row echelon form is unique, so the pivot rule
-changes the cost but never the result.  ``rank`` counts pivots without
-building the dense reduced matrix.
+stay sparse.  The reduced row echelon form is unique, so neither the pivot
+rule nor the row order changes the result.  ``rank``, ``nullspace``,
+``solve`` and ``inverse`` read the pivot map of ``_eliminate`` directly;
+only ``rref`` builds the dense reduced matrix.
 """
 
 from __future__ import annotations
@@ -101,19 +102,15 @@ def rank(rows: Matrix) -> int:
 
 
 def nullspace(rows: Matrix, ncols: int) -> List[List[Fraction]]:
-    """Basis of the right nullspace, scaled to primitive integer vectors."""
-    if not rows:
-        return [_unit(ncols, j) for j in range(ncols)]
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(_primitive(v))
-    return basis
+    """Basis of the right nullspace, scaled to primitive integer vectors:
+    one vector per free column, read off the reduced pivot rows."""
+    reduced = _eliminate(rows)
+    free = {c: _unit(ncols, c) for c in range(ncols) if c not in reduced}
+    for pc, prow in reduced.items():
+        for j, v in prow.items():
+            if j != pc:  # a reduced row is zero in every other pivot column
+                free[j][pc] = -v
+    return [_primitive(v) for v in free.values()]
 
 
 def _unit(n: int, j: int) -> List[Fraction]:
@@ -145,13 +142,13 @@ def solve(rows: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     if not rows:
         return [] if all(b == 0 for b in rhs) else None
     ncols = len(rows[0])
-    aug = [list(map(Fraction, r)) + [Fraction(b)] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
-    if ncols in pivots:
+    reduced = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in reduced:
         return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+    zero = Fraction(0)
+    x = [zero] * ncols
+    for pc, prow in reduced.items():
+        x[pc] = prow.get(ncols, zero)
     return x
 
 
@@ -171,11 +168,11 @@ def identity(n: int) -> Matrix:
 
 def inverse(a: Matrix) -> Optional[Matrix]:
     n = len(a)
-    aug = [list(map(Fraction, a[i])) + identity(n)[i] for i in range(n)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    reduced = _eliminate([list(a[i]) + identity(n)[i] for i in range(n)])
+    if any(c not in reduced for c in range(n)):
         return None
-    return [row[n:] for row in red]
+    zero = Fraction(0)
+    return [[reduced[c].get(n + j, zero) for j in range(n)] for c in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -1216,7 +1216,11 @@ def _are_conjugate_generic(L: LieAlgebra, v, w,
 
 @dataclass
 class AuditReport:
-    """Pairwise conjugacy audit plus a seeded coverage audit."""
+    """Pairwise conjugacy audit plus a seeded coverage audit.  A sample is
+    undecided when the classifier cannot place it, or when it is uncovered
+    but a candidate family reaches its class at some parameter value
+    (``unsolved``: the family parameter was not solved for); only the other
+    uncovered samples are gaps."""
 
     conjugate_pairs: List[Tuple[int, int, ConjugacyWitness]]
     gaps: List[Tuple[int, Tuple[Fraction, ...], str]]
@@ -1224,6 +1228,7 @@ class AuditReport:
     n_samples: int
     seed: int
     undecided: int = 0
+    unsolved: int = 0
 
     @property
     def ok(self) -> bool:
@@ -1241,17 +1246,23 @@ class AuditReport:
             f"undecided rate: {self.undecided_rate:.4f}",
             f"seed: {self.seed}",
         ]
+        if self.unsolved:
+            lines.insert(-1, "undecided for an unsolved family parameter: "
+                             f"{self.unsolved} samples")
         return "\n".join(lines)
 
 
 def _sample_directions(n: int, count: int, seed: int):
+    """count nonzero vectors of n coordinates num/den, num in [-20, 20] and
+    den in [1, 4] drawn in that order, every coordinate at most 5 in
+    absolute value; rejected draws build no Fraction."""
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        vec = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 4))
-                    for _ in range(n))
-        if any(x != 0 for x in vec) and all(abs(x) <= 5 for x in vec):
-            out.append(vec)
+        pairs = [(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(n)]
+        if (any(num for num, _ in pairs)
+                and all(abs(num) <= 5 * den for num, den in pairs)):
+            out.append(tuple(Fraction(num, den) for num, den in pairs))
     return out
 
 
@@ -1413,9 +1424,14 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
                     res = are_conjugate(L, vec_i, vec_j, ident=ca.ident)
                     if res.conjugate:
                         pairs.append((i, j, res.witness))
+    # rep_id is a complete invariant of the discrete part, so an uncovered
+    # sample is a proved gap only when no family with a free parameter
+    # reaches its rep_id at the probe or special values
+    reached = {sig.rep_id for cand in cands if cand.rep.params
+               for sig in cand.signatures}
     gaps = []
     duplicates = []
-    undecided = 0
+    undecided = unsolved = 0
     for si, vec in enumerate(_sample_directions(L.dim, n_samples, seed)):
         try:
             sig = ca.classify(vec)
@@ -1425,12 +1441,16 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
         covering = [ci for ci, cand in enumerate(cands)
                     if _covers(ca, cand, sig) is not None]
         if not covering:
-            gaps.append((si, vec, sig.brief()))
+            if sig.rep_id in reached:
+                unsolved += 1
+            else:
+                gaps.append((si, vec, sig.brief()))
         elif len(covering) > 1:
             duplicates.append((si, tuple(covering)))
     return AuditReport(conjugate_pairs=pairs, gaps=gaps,
                        duplicates=duplicates, n_samples=n_samples,
-                       seed=seed, undecided=undecided)
+                       seed=seed, undecided=undecided + unsolved,
+                       unsolved=unsolved)
 
 
 def _instance_for_signature(ca: ClassifiedAlgebra, cand: _Candidate,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Union
+from functools import cached_property
+from typing import Dict, Optional, Tuple, Union
 
 from .expr import (
     Expr, ExprError, Rat, SymbolTable, ZERO, ZeroVerdict, add, differentiate,
@@ -52,6 +53,18 @@ class EvolutionPDE:
                 raise ExprError(f"evolution rhs must not contain {name}")
             if dx > 2:
                 raise ExprError(f"evolution rhs is second order; got {name}")
+
+    @cached_property
+    def partials(self) -> Tuple[Expr, ...]:
+        """F_t, F_x, F_u, F_{u_x} and F_{u_xx}, the derivatives of the rhs
+        that the invariance residual needs; computed once per PDE."""
+        return tuple(differentiate(self.rhs, v)
+                     for v in ("t", "x", "u", jet_name(0, 1), jet_name(0, 2)))
+
+    @cached_property
+    def total_x(self) -> Expr:
+        """D_x F, which may contain the third-order jet u_xxx."""
+        return jets.total_derivative(self.rhs, "x", self.table, max_order=3)
 
 
 @dataclass(frozen=True)
@@ -98,15 +111,7 @@ class DCRInstance:
 
     def to_record(self) -> Dict[str, str]:
         """Flat key-value serialization; exact rationals as num/den."""
-        out = {}
-        for k, v in self.params().items():
-            if isinstance(v, Rat):
-                q = v.value
-                out[k] = (str(q.numerator) if q.denominator == 1
-                          else f"{q.numerator}/{q.denominator}")
-            else:
-                out[k] = render(v)
-        return out
+        return {k: render(v) for k, v in self.params().items()}
 
     @classmethod
     def from_record(cls, record: Dict[str, str],

@@ -16,15 +16,14 @@ from typing import Any, Dict, List, Optional
 
 from . import __version__
 from .dsl import render
-from .expr import Expr
+from .expr import Expr, rat
 
 
 def _plain(value) -> Any:
+    if isinstance(value, Fraction):
+        value = rat(value)
     if isinstance(value, Expr):
         return render(value)
-    if isinstance(value, Fraction):
-        return (str(value.numerator) if value.denominator == 1
-                else f"{value.numerator}/{value.denominator}")
     if isinstance(value, float):
         return value
     if isinstance(value, dict):

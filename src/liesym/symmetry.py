@@ -11,18 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from fractions import Fraction
 from math import perm
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
     Add, Expr, ExprError, Mul, Rat, Sym, ZERO, ONE, ZeroVerdict,
-    _base_exp, _build_mul, _coeff_monomial, add, differentiate, free_symbols,
-    is_zero, mul, powx, rat, substitute, sym,
+    _base_exp, _coeff_monomial, add, free_symbols, is_zero, mul, powx, rat,
+    substitute, sym,
 )
 from . import jets
-from .jets import VectorField, jet_name, prolong2, total_derivative
+from .jets import VectorField, jet_name, prolong2
 from .linalg import nullspace
 from .pde import EvolutionPDE
 
@@ -47,35 +46,15 @@ class SymmetryVerdict:
         return self.verdict is Verdict.SYMMETRY
 
 
-class _RhsPartials:
-    """The derivatives of the rhs F that the invariance residual needs:
-    F_t, F_x, F_u, F_{u_x} and F_{u_xx}, and D_x F on first use.  A search
-    computes them once for all its ansatz fields."""
-
-    def __init__(self, pde: EvolutionPDE):
-        self.pde = pde
-        self.partials = tuple(
-            differentiate(pde.rhs, v)
-            for v in ("t", "x", "u", jet_name(0, 1), jet_name(0, 2)))
-
-    @cached_property
-    def total_x(self) -> Expr:
-        return total_derivative(self.pde.rhs, "x", self.pde.table,
-                                max_order=3)
-
-
 def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
     """pr(2)X(u_t - F) restricted to the solution manifold, canonical.
 
     For fields with x- or u-dependent xi_t the substitution u_tx -> D_x F
-    introduces third-order jets; they are tracked internally.
+    introduces third-order jets; they are tracked internally.  The rhs
+    derivatives come from the PDE, which computes them once.
     """
-    return _residual(X, _RhsPartials(pde))
-
-
-def _residual(X: VectorField, rhs: _RhsPartials) -> Expr:
-    pr = prolong2(X, rhs.pde.table)
-    F_t, F_x, F_u, F_ux, F_uxx = rhs.partials
+    pr = prolong2(X, pde.table)
+    F_t, F_x, F_u, F_ux, F_uxx = pde.partials
     applied = add(
         mul(X.xi_t, F_t),
         mul(X.xi_x, F_x),
@@ -84,9 +63,9 @@ def _residual(X: VectorField, rhs: _RhsPartials) -> Expr:
         mul(pr.eta_xx, F_uxx),
     )
     residual = add(pr.eta_t, mul(-1, applied))
-    subs = {jet_name(1, 0): rhs.pde.rhs}
+    subs = {jet_name(1, 0): pde.rhs}
     if jet_name(1, 1) in free_symbols(residual):
-        subs[jet_name(1, 1)] = rhs.total_x
+        subs[jet_name(1, 1)] = pde.total_x
     return substitute(residual, subs)
 
 
@@ -151,7 +130,7 @@ def _monomial_factors(mono: Expr) -> Tuple[Expr, ...]:
     return () if mono == ONE else (mono,)
 
 
-def _operator_terms(shape, partials: _RhsPartials, bound: int,
+def _operator_terms(shape, pde: EvolutionPDE, bound: int,
                     rests: Dict[tuple, int]) -> Dict[Tuple[int, int], list]:
     """The residual of ``shape(m)`` as C00*m + C10*m_t + C01*m_x + C02*m_xx.
 
@@ -161,7 +140,7 @@ def _operator_terms(shape, partials: _RhsPartials, bound: int,
     bound admits m_xx != 0.  Each C is split into terms (coefficient,
     t-exponent, x-exponent, id of the remaining factors in ``rests``)."""
     def probe(i, j):
-        return _residual(shape(_monomial(i, j)), partials)
+        return invariance_residual(pde, shape(_monomial(i, j)))
 
     c00 = probe(0, 0)
     c01 = add(probe(0, 1), mul(-1, _X, c00))
@@ -196,16 +175,15 @@ def _operator_terms(shape, partials: _RhsPartials, bound: int,
 
 def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]],
                         bound: int) -> List[List[Fraction]]:
-    """One row per monomial of the residuals of the basis fields, sorted by
-    the monomial's key.
+    """One row per monomial of the residuals of the basis fields.
 
     The residual of t^i x^j in shape c is assembled in exponent space:
     each term (coefficient, e_t, e_x, rest) of C_c,ab adds
     ff(i,a)*ff(j,b)*coefficient at t^(e_t+i-a) x^(e_x+j-b) rest, ff the
-    falling factorial.  No Expr arithmetic runs per basis field."""
-    partials = _RhsPartials(pde)
+    falling factorial.  No Expr arithmetic runs per basis field.  Rows come
+    in order of first occurrence; the nullspace does not depend on it."""
     rests: Dict[tuple, int] = {}
-    ops = [_operator_terms(shape, partials, bound, rests) for shape in _SHAPES]
+    ops = [_operator_terms(shape, pde, bound, rests) for shape in _SHAPES]
     n = len(basis)
     rows: Dict[tuple, List[Fraction]] = {}
     for col, (c, i, j) in enumerate(basis):
@@ -220,15 +198,7 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]],
         for k, v in entries.items():
             if v:
                 rows.setdefault(k, [Fraction(0)] * n)[col] = v
-    atoms = {v: list(k) for k, v in rests.items()}
-
-    def mono_key(k):
-        et, ex, rest = k
-        return _build_mul(Fraction(1), atoms[rest] + [
-            powx(s, rat(e)) for s, e in ((_T, et), (_X, ex)) if e]).key()
-
-    return [row for _, row in sorted(
-        (mono_key(k), row) for k, row in rows.items())]
+    return list(rows.values())
 
 
 def _check_rhs_supported(pde: EvolutionPDE):

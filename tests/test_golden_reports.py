@@ -18,6 +18,7 @@ from liesym.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED = "11"
 A35 = ["--algebra", "case:eq5", "--params", "m=2,p=3"]
+A39A1 = "t*Dx - x*Dt; u*Dt - t*Du; x*Du - u*Dx; t*Dt + x*Dx + u*Du"
 
 # one algebra per identification path, as DSL fields in (t, x, u)
 ALGEBRAS = {
@@ -43,7 +44,7 @@ ALGEBRAS = {
     "A3,6+A1": "Dt; Dx; x*Dt - t*Dx; Du",
     "A3,7+A1": "Dt; Dx; (t/2 + x)*Dt + (x/2 - t)*Dx; Du",
     "A3,8+A1": "Dx; x*Dx; x^2*Dx; Dt",
-    "A3,9+A1": "t*Dx - x*Dt; u*Dt - t*Du; x*Du - u*Dx; t*Dt + x*Dx + u*Du",
+    "A3,9+A1": A39A1,
 }
 
 CASES = [
@@ -65,6 +66,11 @@ CASES = [
                              "padded.txt", "--seed", SEED], 1),
     ("audit-system-family", ["audit-system", *A35, "--candidates",
                              "family.txt", "--seed", SEED], 1),
+    # the family r*e1 + e4 reaches most samples only at irrational r: they
+    # are undecided, not gaps
+    ("audit-system-unsolved", ["audit-system", "--algebra", A39A1,
+                               "--candidates", "a39pa1-family.txt",
+                               "--samples", "200", "--seed", SEED], 2),
     ("reduce", ["reduce", "--pde", "case:eq4", "--params", "m=2,p=1",
                 "--field", "Dt + 3*Dx"], 0),
     ("verify-solution", ["verify-solution", "--pde", "case:eq1",

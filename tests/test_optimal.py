@@ -287,6 +287,23 @@ class TestOptimalSystems:
         assert audit.gaps
         assert not audit.conjugate_pairs
 
+    @pytest.mark.parametrize("name", ["3A1", "A2+2A1", "A3,1+A1", "A3,2+A1",
+                                      "A3,5+A1", "A3,6+A1", "A3,7+A1",
+                                      "A3,8+A1", "A3,9+A1"])
+    def test_anonymous_family_is_never_a_gap(self, name):
+        # the constructed system without its rep_ids: a family reaches most
+        # classes only at parameter values the audit does not solve for, so
+        # such samples are undecided, never gaps
+        cls = canonical_class_by_name(name)
+        L = cls.instantiated(F(2, 5) if cls.parameter else None)
+        ident = identify(L)
+        anon = [SubalgebraRep(r.coeffs, r.params)
+                for r in construct_optimal_system(L, ident)]
+        audit = verify_candidate_system(L, anon, n_samples=40, seed=11,
+                                        ident=ident)
+        assert not audit.gaps and not audit.conjugate_pairs
+        assert audit.undecided == audit.unsolved
+
     def test_unsupported_class(self):
         from liesym.optimal import UnsupportedClassError
 
@@ -373,3 +390,24 @@ class TestGenericFallback:
             res = are_conjugate(L, e[i], e[j])
             assert res.verdict == "undecided"
             assert "dimension 5" in res.reason
+
+
+def _old_sample_directions(n, count, seed):
+    # verbatim copy of the sampler that built a Fraction for every draw
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        vec = tuple(Fraction(rng.randint(-20, 20), rng.randint(1, 4))
+                    for _ in range(n))
+        if any(x != 0 for x in vec) and all(abs(x) <= 5 for x in vec):
+            out.append(vec)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("seed", [0, 11, 20240901])
+def test_sample_directions_unchanged(n, seed):
+    from liesym.optimal import _sample_directions
+
+    assert _sample_directions(n, 150, seed) == _old_sample_directions(
+        n, 150, seed)

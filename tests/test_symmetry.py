@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesym import symmetry
+from liesym import jets, symmetry
+from liesym import pde as pde_module
 from liesym.dsl import parse_pde
 from liesym.expr import (ZERO, ONE, Add, _coeff_monomial, add, mul, powx, rat,
                          sym)
 from liesym.jets import VectorField, dcr_symbols, jet
+from liesym.linalg import nullspace
 from liesym.pde import (DCRInstance, EvolutionPDE, build_dcr, heat_equation,
                         power_diffusion)
 from liesym.symmetry import (UnsupportedCoefficientsError, Verdict,
@@ -160,26 +162,27 @@ def _pde(text):
 
 
 def _per_field_matrix(pde, basis):
-    """The determining matrix from one residual per basis field, rows
-    sorted by monomial key: the reference for the operator-form assembly."""
-    partials = symmetry._RhsPartials(pde)
+    """The determining matrix from one residual per basis field: the
+    reference for the operator-form assembly."""
     rows = {}
     for col, entry in enumerate(basis):
-        r = symmetry._residual(symmetry._basis_field(entry), partials)
+        r = invariance_residual(pde, symmetry._basis_field(entry))
         for term in (r.terms if isinstance(r, Add) else (r,)):
             if term.is_zero_literal:
                 continue
             coeff, mono = _coeff_monomial(term)
             rows.setdefault(mono.key(), [Fraction(0)] * len(basis))[col] += coeff
-    return [rows[k] for k in sorted(rows)]
+    return list(rows.values())
 
 
 def _assert_same_matrix(pde, bound):
     basis = symmetry._ansatz_basis(bound)
-    # equal lists: the same rows, hence the same row multiset, in the same
-    # order, so the nullspace and its basis are unchanged too
-    assert (symmetry._determining_matrix(pde, basis, bound)
-            == _per_field_matrix(pde, basis))
+    got = symmetry._determining_matrix(pde, basis, bound)
+    want = _per_field_matrix(pde, basis)
+    # the same row multiset; the row order is free, and the nullspace, from
+    # which the generator basis is read, does not depend on it
+    assert sorted(got) == sorted(want)
+    assert nullspace(got, len(basis)) == nullspace(want, len(basis))
 
 
 # one rhs term: coefficient, powers of t and x, a rational power of u, and
@@ -210,12 +213,39 @@ def test_residuals_per_search(monkeypatch, text, bound):
     # four probes per component shape (three at bound 1), then one residual
     # per re-verified field, whatever the number of ansatz fields
     calls = []
-    real = symmetry._residual
+    real = symmetry.invariance_residual
 
-    def counted(X, rhs):
+    def counted(pde, X):
         calls.append(X)
-        return real(X, rhs)
+        return real(pde, X)
 
-    monkeypatch.setattr(symmetry, "_residual", counted)
+    monkeypatch.setattr(symmetry, "invariance_residual", counted)
     found = find_symmetries(_pde(text), bound)
     assert len(calls) <= (16 if bound >= 2 else 12) + len(found)
+
+
+@pytest.mark.parametrize("text", [HEAT, REACTION])
+def test_rhs_derivatives_computed_once(monkeypatch, text):
+    # the probes, the re-verifications and later verdicts on the same PDE
+    # share one set of rhs derivatives
+    pde = _pde(text)
+    partials, totals = [], []
+    real_diff, real_total = pde_module.differentiate, jets.total_derivative
+
+    def diff(e, v):
+        if e is pde.rhs:
+            partials.append(v)
+        return real_diff(e, v)
+
+    def total(e, *args, **kw):
+        if e is pde.rhs:
+            totals.append(args)
+        return real_total(e, *args, **kw)
+
+    monkeypatch.setattr(pde_module, "differentiate", diff)
+    monkeypatch.setattr(jets, "total_derivative", total)
+    found = find_symmetries(pde, 3)
+    for f in found.fields:
+        assert is_symmetry(pde, f).is_symmetry
+    assert sorted(partials) == sorted(["t", "x", "u", "u_x", "u_xx"])
+    assert len(totals) == 1
