@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import yaml
 
 from .dsl import parse, parse_vector_field, render
-from .expr import ExprError, Rat, SymbolTable, substitute
+from .expr import ExprError, Rat, SymbolTable
 from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
@@ -87,15 +87,11 @@ class CatalogCase:
     def fields(self, bindings: Optional[Dict[str, str]] = None
                ) -> List[VectorField]:
         table = self.table()
-        out = []
-        for text in self.basis_text:
-            f = parse_vector_field(text, table)
-            if bindings:
-                b = {k: parse(str(v), table) for k, v in bindings.items()}
-                f = VectorField(substitute(f.xi_t, b), substitute(f.xi_x, b),
-                                substitute(f.eta, b))
-            out.append(f)
-        return out
+        fields = [parse_vector_field(text, table) for text in self.basis_text]
+        if not bindings:
+            return fields
+        b = {k: parse(str(v), table) for k, v in bindings.items()}
+        return [f.substitute(b) for f in fields]
 
 
 def load_catalog(path: Optional[str] = None) -> Dict[str, CatalogCase]:

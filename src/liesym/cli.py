@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from .expr import ExprError, SymbolTable, rat, substitute, sym
 from . import dsl
-from .jets import VectorField, dcr_symbols
+from .jets import dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
 from .algebra import LieAlgebra, check_closure, identify, structure_constants
@@ -87,9 +87,15 @@ def _resolve_spec(args, spec: str, params: Dict[str, str]):
         return None, table, bindings
     catalog = load_catalog(getattr(args, "catalog", None))
     cid = spec[5:]
-    if cid not in catalog:
-        raise UsageError(f"unknown case id {cid!r}")
+    _check_case_ids(catalog, [cid])
     return catalog[cid], table, bindings
+
+
+def _check_case_ids(catalog, ids: List[str]) -> None:
+    """Every id must name a case or one of its aliases."""
+    for cid in ids:
+        if cid not in catalog:
+            raise UsageError(f"unknown case id {cid!r}")
 
 
 def _resolve_pde(args, params: Dict[str, str]):
@@ -111,17 +117,13 @@ def _resolve_pde(args, params: Dict[str, str]):
 def _resolve_algebra(args, params: Dict[str, str]) -> LieAlgebra:
     case, table, bindings = _resolve_spec(args, args.algebra, params)
     if case is not None:
-        with _binding():
-            fields = case.fields(bindings=params)
-        return structure_constants(fields)
-    fields = [dsl.parse_vector_field(part.strip(), table)
-              for part in args.algebra.split(";") if part.strip()]
+        fields = case.fields()
+    else:
+        fields = [dsl.parse_vector_field(part.strip(), table)
+                  for part in args.algebra.split(";") if part.strip()]
     if bindings:
         with _binding():
-            fields = [VectorField(substitute(f.xi_t, bindings),
-                                  substitute(f.xi_x, bindings),
-                                  substitute(f.eta, bindings))
-                      for f in fields]
+            fields = [f.substitute(bindings) for f in fields]
     return structure_constants(fields)
 
 
@@ -430,6 +432,7 @@ def cmd_transform_solution(args) -> Report:
 
 def cmd_regress(args) -> Report:
     catalog = load_catalog(args.catalog)
+    _check_case_ids(catalog, args.cases or [])
     report = run_regression(catalog, case_ids=args.cases or None,
                             seed=_seed(args), audit_samples=args.samples,
                             jobs=args.jobs)

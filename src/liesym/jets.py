@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from .expr import (
     Expr, ExprError, SymbolTable, ZERO, add, differentiate, free_symbols,
-    mul, sym,
+    mul, substitute, sym,
 )
 
 
@@ -118,6 +118,13 @@ class VectorField:
     def scale(self, c) -> "VectorField":
         return VectorField(mul(c, self.xi_t), mul(c, self.xi_x),
                            mul(c, self.eta))
+
+    def substitute(self, bindings) -> "VectorField":
+        """The field with bindings (name -> Expr) substituted into each
+        coefficient."""
+        return VectorField(substitute(self.xi_t, bindings),
+                           substitute(self.xi_x, bindings),
+                           substitute(self.eta, bindings))
 
     def apply_to(self, e: Expr) -> Expr:
         """Apply the first-order operator to a function of (t, x, u)."""

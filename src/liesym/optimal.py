@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
-    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+    Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from .dsl import render
@@ -260,7 +260,10 @@ class SubalgebraRep:
         b = {k: rat(v) for k, v in values.items()}
         out = []
         for c in self.coeffs:
-            v = substitute(c, b)
+            try:
+                v = substitute(c, b)
+            except ZeroDivisionError:
+                raise ExprError(f"coefficient {c!r} has a pole") from None
             if not isinstance(v, Rat):
                 raise ExprError(f"cannot instantiate coefficient {c!r}")
             out.append(v.value)
@@ -1266,27 +1269,22 @@ def _sample_directions(n: int, count: int, seed: int):
     return out
 
 
-# a candidate with several parameters is probed at every combination of
-# these values
-_MULTI_PROBES = (Fraction(2), Fraction(3), Fraction(-3))
+# probe values of a family's parameters: a family with one parameter is
+# probed at each of them, a family with several at every combination of the
+# first three
+_PROBES = (Fraction(2), Fraction(3), Fraction(-3), Fraction(5), Fraction(1),
+           Fraction(-1), Fraction(1, 2), Fraction(-2))
 
-
-def _assignments(cand: SubalgebraRep, values: Iterable[Fraction]
-                 ) -> List[Dict[str, Fraction]]:
-    """Every assignment of the candidate's parameters from values; a frozen
-    candidate has the one empty assignment."""
-    names = [p.name for p in cand.params]
-    return [dict(zip(names, combo))
-            for combo in itertools.product(values, repeat=len(names))]
+_Instance = Tuple[Dict[str, Fraction], Signature]
 
 
 def _instances(ca: ClassifiedAlgebra, cand: SubalgebraRep,
-               assignments: Iterable[Dict[str, Fraction]]
-               ) -> Iterator[Tuple[Dict[str, Fraction], Signature]]:
+               assignments: Iterable[Dict[str, Fraction]]) -> List[_Instance]:
     """(assignment, signature) for each assignment, in order of first
     occurrence, that every parameter admits and that instantiates the
     candidate to a nonzero rational vector."""
     seen = set()
+    out = []
     for values in assignments:
         key = tuple(values.items())
         if key in seen or not all(p.admits(values[p.name])
@@ -1298,90 +1296,49 @@ def _instances(ca: ClassifiedAlgebra, cand: SubalgebraRep,
         except ExprError:
             continue
         if any(vec):
-            yield values, ca.classify(vec)
-
-
-# probe values at which a candidate's own instances are classified when it
-# is checked against the later candidates of a list
-_PAIR_PROBES = (Fraction(2), Fraction(3), Fraction(-3), Fraction(5),
-                Fraction(1), Fraction(-1), Fraction(1, 2))
-# trial values, after the special values, for covering a target
-_COVER_TRIALS = (Fraction(2), Fraction(3), Fraction(-2), Fraction(5),
-                 Fraction(1), Fraction(-1))
+            out.append((values, ca.classify(vec)))
+    return out
 
 
 @dataclass
 class _Candidate:
-    """A candidate with the audit data that does not depend on the target.
-    A one-parameter family keeps its canonical coordinates (symbolic in
-    the parameter) and its special values, where their zero pattern
-    changes; signatures classify its instances at the probe values (every
-    combination of _MULTI_PROBES for several parameters)."""
+    """A candidate with its instances classified once, in probe order: a
+    frozen line itself, a family with several parameters at every
+    combination of _PROBES[:3], a one-parameter family at its special values
+    (where a canonical coordinate vanishes) and then at _PROBES.  The
+    canonical coordinates of a one-parameter family are read as u + p*w from
+    p = 0 and p = 1 (``line``); a pole at either leaves ``line`` None."""
 
     rep: SubalgebraRep
-    coords: List[Expr]
-    special: List[Fraction]
-    signatures: List[Signature]
+    instances: List[_Instance]
+    line: Optional[Tuple[List[Fraction], List[Fraction]]] = None
 
     @classmethod
     def build(cls, ca: ClassifiedAlgebra, rep: SubalgebraRep) -> "_Candidate":
-        coords: List[Expr] = []
-        special: List[Fraction] = []
-        probes: Sequence[Fraction] = _MULTI_PROBES
-        if len(rep.params) == 1:
-            coords = _expr_matvec(ca.to_canonical, rep.coeffs)
-            pname = rep.params[0].name
-            special = [r for r in (_affine_root(c, pname) for c in coords)
-                       if r is not None]
-            probes = list(_PAIR_PROBES) + special
-        sigs = [sig for _, sig in _instances(ca, rep, _assignments(rep, probes))]
-        return cls(rep, coords, special, sigs)
+        names = [p.name for p in rep.params]
+        if len(names) != 1:
+            return cls(rep, _instances(ca, rep, (
+                dict(zip(names, combo))
+                for combo in itertools.product(_PROBES[:3],
+                                               repeat=len(names)))))
+        line = None
+        try:
+            u, s = (ca.canonical_coords(rep.instantiate({names[0]: p}))
+                    for p in (Fraction(0), Fraction(1)))
+            line = u, [b - a for a, b in zip(u, s)]
+        except ExprError:
+            pass
+        special = [-a / b for a, b in zip(*line) if b] if line else []
+        return cls(rep, _instances(ca, rep, ({names[0]: p} for p in
+                                             special + list(_PROBES))), line)
 
 
-def _affine_root(e: Expr, pname: str) -> Optional[Fraction]:
-    """Root of an expression affine in pname, if any."""
-    d = substitute(e, {pname: rat(0)})
-    s = substitute(e, {pname: rat(1)})
-    if not isinstance(d, Rat) or not isinstance(s, Rat):
-        return None
-    slope = s.value - d.value
-    if slope == 0:
-        return None
-    return -d.value / slope
-
-
-def _covers(ca: ClassifiedAlgebra, cand: _Candidate,
-            target: Signature) -> Optional[Dict[str, Fraction]]:
-    """Does the candidate's class overlap the target signature?  Returns the
-    instantiating parameter values when it does (empty dict for frozen)."""
-    rep = cand.rep
-    if rep.rep_id:
-        # the candidate came from construct_optimal_system: direct check
-        if rep.rep_id != target.rep_id:
-            return None
-        for p in rep.params:
-            if p.name not in target.params or not p.admits(target.params[p.name]):
-                return None
-        return {}
-    if len(rep.params) != 1:
-        # frozen, or several parameters: the match carries no values
-        return {} if any(sig.matches(target) for sig in cand.signatures) \
-            else None
-    # solve ratio equations against the target's family parameters
-    trial_values = cand.special + list(_COVER_TRIALS) + _ratio_solutions(
-        cand.coords, target, rep.params[0].name)
-    for values, sig in _instances(ca, rep, _assignments(rep, trial_values)):
-        if sig.matches(target):
-            return values
-    return None
-
-
-def _ratio_solutions(coords: Sequence[Expr], target: Signature,
-                     pname: str) -> List[Fraction]:
-    """Candidate parameter values solving coordinate-ratio equations against
-    each target family parameter (the canonical family parameters are ratios
+def _ratio_solutions(line: Tuple[List[Fraction], List[Fraction]],
+                     target: Signature) -> List[Fraction]:
+    """Parameter values p at which a ratio of two canonical coordinates
+    u_i + p*w_i : u_j + p*w_j equals r, -r or 1/r for a rational family
+    parameter r of the target (the canonical family parameters are ratios
     of canonical coordinates)."""
-    out: List[Fraction] = []
     ratios = set()
     for tv in target.params.values():
         if isinstance(tv, Fraction):
@@ -1389,17 +1346,59 @@ def _ratio_solutions(coords: Sequence[Expr], target: Signature,
             if tv != 0:
                 ratios.add(1 / tv)
             ratios.add(-tv)
-    for i in range(len(coords)):
-        for j in range(len(coords)):
-            if i == j:
-                continue
-            for a0 in ratios:
-                # coords[i] - a0*coords[j] = 0, affine in the parameter
-                expr = add(coords[i], mul(rat(-a0), coords[j]))
-                root = _affine_root(expr, pname)
-                if root is not None:
-                    out.append(root)
-    return out
+    u, w = line
+    return [(r * u[j] - u[i]) / (w[i] - r * w[j])
+            for i, j in itertools.permutations(range(len(u)), 2)
+            for r in ratios if w[i] != r * w[j]]
+
+
+def _covers(ca: ClassifiedAlgebra, cand: _Candidate, target: Signature
+            ) -> Optional[Dict[str, Union[Fraction, float]]]:
+    """The parameter values at which the candidate lies in the target's
+    class (empty for a frozen line), or None."""
+    rep = cand.rep
+    if rep.rep_id:
+        # the candidate came from construct_optimal_system: its parameters
+        # are the target's own
+        if rep.rep_id != target.rep_id or not all(
+                p.name in target.params and p.admits(target.params[p.name])
+                for p in rep.params):
+            return None
+        return {p.name: target.params[p.name] for p in rep.params}
+    for values, sig in cand.instances:
+        if sig.matches(target):
+            return values
+    if cand.line is None:
+        return None
+    name = rep.params[0].name
+    probed = {values[name] for values, _ in cand.instances}
+    roots = ({name: r} for r in _ratio_solutions(cand.line, target)
+             if r not in probed)
+    return next((values for values, sig in _instances(ca, rep, roots)
+                 if sig.matches(target)), None)
+
+
+def _overlap(ca: ClassifiedAlgebra, cand_i: _Candidate, cand_j: _Candidate
+             ) -> Optional[Tuple[Dict[str, Fraction], Dict]]:
+    """(values of i, values of j) at the first instance of i, in probe
+    order, whose class j reaches, or None."""
+    for values, sig in cand_i.instances:
+        found = _covers(ca, cand_j, sig)
+        if found is not None:
+            return values, found
+    return None
+
+
+def _rational_instance(rep: SubalgebraRep, values: Dict
+                       ) -> Optional[Tuple[Fraction, ...]]:
+    """The candidate's vector at values, or None when a value is irrational
+    or the coefficients are not rational there."""
+    if not all(isinstance(v, Fraction) for v in values.values()):
+        return None
+    try:
+        return rep.instantiate(values)
+    except ExprError:
+        return None
 
 
 def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
@@ -1412,23 +1411,21 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
     ca = ClassifiedAlgebra.build(L, ident)
     cands = [_Candidate.build(ca, rep) for rep in candidates]
     pairs = []
-    for i, cand_i in enumerate(cands):
-        for j in range(i + 1, len(cands)):
-            flagged = next((sig for sig in cand_i.signatures
-                            if _covers(ca, cands[j], sig) is not None), None)
-            if flagged is not None:
-                # build a witness at the overlapping instance
-                vec_i = _instance_for_signature(ca, cand_i, flagged)
-                vec_j = _instance_for_signature(ca, cands[j], flagged)
-                if vec_i is not None and vec_j is not None:
-                    res = are_conjugate(L, vec_i, vec_j, ident=ca.ident)
-                    if res.conjugate:
-                        pairs.append((i, j, res.witness))
+    for i, j in itertools.combinations(range(len(cands)), 2):
+        overlap = _overlap(ca, cands[i], cands[j])
+        if overlap is None:
+            continue
+        vec_i = _rational_instance(cands[i].rep, overlap[0])
+        vec_j = _rational_instance(cands[j].rep, overlap[1])
+        if vec_i is not None and vec_j is not None:
+            res = are_conjugate(L, vec_i, vec_j, ident=ca.ident)
+            if res.conjugate:
+                pairs.append((i, j, res.witness))
     # rep_id is a complete invariant of the discrete part, so an uncovered
     # sample is a proved gap only when no family with a free parameter
     # reaches its rep_id at the probe or special values
     reached = {sig.rep_id for cand in cands if cand.rep.params
-               for sig in cand.signatures}
+               for _, sig in cand.instances}
     gaps = []
     duplicates = []
     undecided = unsolved = 0
@@ -1451,21 +1448,3 @@ def verify_candidate_system(L: LieAlgebra, candidates: Sequence[SubalgebraRep],
                        duplicates=duplicates, n_samples=n_samples,
                        seed=seed, undecided=undecided + unsolved,
                        unsolved=unsolved)
-
-
-def _instance_for_signature(ca: ClassifiedAlgebra, cand: _Candidate,
-                            sig: Signature) -> Optional[List[Fraction]]:
-    """A rational instance of the candidate in the class of sig."""
-    values = _covers(ca, cand, sig)
-    if values is None:
-        return None
-    if not values:
-        # covered without values (frozen, constructed rep, or several
-        # parameters): instantiate at the signature's own parameter values
-        values = {p.name: sig.params.get(p.name) for p in cand.rep.params}
-        if not all(isinstance(v, Fraction) for v in values.values()):
-            return None
-    try:
-        return list(cand.rep.instantiate(values))
-    except ExprError:
-        return None

@@ -107,7 +107,18 @@ class TestExitCodes:
         assert "phi" in capsys.readouterr().out
 
     def test_regress_subset(self, capsys):
-        assert run(["regress", "--samples", "60", "--cases", "heat"]) == 0
+        # an alias selects its case; --cases with no ids runs every case
+        for cases in (["heat"], ["eq5"], []):
+            assert run(["regress", "--samples", "20", "--cases", *cases]) == 0
+            assert "total: 0," not in capsys.readouterr().out
+
+    def test_audit_family_with_pole(self, tmp_path, capsys):
+        # 1/a has a pole at a = 0: the family is probed where it is defined
+        cand = tmp_path / "c.txt"
+        cand.write_text("1/a, 1 | a nonzero\n1, 0\n")
+        assert run(["audit-system", "--algebra", "Dx; x*Dx",
+                    "--candidates", str(cand), "--samples", "100"]) == 0
+        assert "clean" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv,message", [
         (["normalize", "--instance", "m2"], "name=value"),
@@ -124,6 +135,7 @@ class TestExitCodes:
          "division by zero"),
         (["verify-symmetry", "--pde", "u_t = D(u,x,2)/m", "--params", "m=0",
           "--field", "Dx"], "division by zero substituting --params"),
+        (["regress", "--cases", "nope"], "unknown case id 'nope'"),
     ])
     def test_bad_input_is_usage_error(self, argv, message, capsys):
         # exit 1 would read as "refuted"; bad input is a usage error

@@ -39,6 +39,11 @@ class TestTotalDerivative:
             assert (a - b).is_zero_literal
 
 
+def test_field_substitute():
+    X = VectorField(m * t, powx(x, m), mul(m, u))
+    assert X.substitute({"m": rat(2)}) == VectorField(2 * t, x * x, 2 * u)
+
+
 class TestProlongation:
     def test_translation(self):
         pr = prolong2(VectorField(ZERO, ONE, ZERO), TABLE)

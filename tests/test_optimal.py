@@ -11,7 +11,8 @@ from liesym.expr import ZERO, ONE, add, mul, powx, rat, substitute, sym
 from liesym.jets import VectorField
 from liesym.algebra import (canonical_class_by_name, identify,
                             structure_constants)
-from liesym.optimal import (ClassifiedAlgebra, Step, SubalgebraRep,
+from liesym.catalog import load_catalog
+from liesym.optimal import (ClassifiedAlgebra, ParamSpec, Step, SubalgebraRep,
                             ad_matrix_rational, adjoint_matrix,
                             apply_steps_numeric, are_conjugate,
                             construct_optimal_system, exact_expm,
@@ -303,6 +304,41 @@ class TestOptimalSystems:
                                         ident=ident)
         assert not audit.gaps and not audit.conjugate_pairs
         assert audit.undecided == audit.unsolved
+
+    @pytest.mark.parametrize("names", [("s", "t"), ("a2", "a3")])
+    def test_duplicate_of_multi_parameter_family_flagged(self, names):
+        # the line (1, 2, 3) is the family (1, s, t) at s = 2, t = 3; the
+        # flag must not depend on what the parameters are called
+        L = canonical_class_by_name("3A1").algebra
+        family = SubalgebraRep((ONE, sym(names[0]), sym(names[1])),
+                               tuple(ParamSpec(n) for n in names))
+        line = SubalgebraRep(tuple(rat(v) for v in (1, 2, 3)))
+        audit = verify_candidate_system(L, [family, line], n_samples=20,
+                                        seed=3)
+        assert [(i, j) for i, j, _ in audit.conjugate_pairs] == [(0, 1)]
+
+    def test_audit_classifies_each_candidate_once(self, monkeypatch):
+        # tests/golden/family.txt on A3,5: one classification per sample
+        # plus each candidate's instance table, not one per trial value and
+        # sample
+        calls = []
+        real = ClassifiedAlgebra.classify
+
+        def classify(self, v):
+            calls.append(v)
+            return real(self, v)
+
+        L = structure_constants(
+            load_catalog()["eq5"].fields({"m": "2", "p": "3"}))
+        a, b = sym("a"), sym("b")
+        family = [SubalgebraRep((ONE, a, ZERO), (ParamSpec("a", "nonzero"),)),
+                  SubalgebraRep((ZERO, ZERO, ONE)),
+                  SubalgebraRep((ONE, ONE, ZERO)),
+                  SubalgebraRep((ZERO, ONE, b), (ParamSpec("b"),))]
+        monkeypatch.setattr(ClassifiedAlgebra, "classify", classify)
+        audit = verify_candidate_system(L, family, n_samples=1000, seed=11)
+        assert len(audit.conjugate_pairs) == 2 and len(audit.gaps) == 3
+        assert len(calls) <= 1100
 
     def test_unsupported_class(self):
         from liesym.optimal import UnsupportedClassError
