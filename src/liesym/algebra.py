@@ -16,8 +16,6 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import yaml
-
 from .dsl import parse
 from .expr import (
     Add, Expr, ExprError, Mul, Rat, SymbolTable, ZERO, ONE, _rat_root, add,
@@ -29,9 +27,20 @@ from .linalg import (
     solve_symbolic,
 )
 
-#: libyaml's safe loader when PyYAML was built with it, about ten times
-#: faster than the pure-Python one, which builds the same data.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+def load_yaml(text: str):
+    """The data of a YAML document; a syntax error raises ValueError with
+    PyYAML's message.  PyYAML is imported here, on first use, so commands
+    that read no catalog skip its import.  libyaml's safe loader, when
+    PyYAML was built with it, is about ten times faster than the
+    pure-Python one and builds the same data."""
+    import yaml
+
+    try:
+        return yaml.load(
+            text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        raise ValueError(str(exc)) from exc
 
 
 class NotClosedError(ExprError):
@@ -478,7 +487,7 @@ def load_class_catalog() -> Dict[str, CanonicalClass]:
     if _catalog_cache is not None:
         return _catalog_cache
     text = (resources.files("liesym") / "data" / "algebra_catalog.yaml").read_text()
-    raw = yaml.load(text, Loader=YAML_LOADER)
+    raw = load_yaml(text)
     table = SymbolTable()
     table.parameter("a")
     out: Dict[str, CanonicalClass] = {}

@@ -13,16 +13,13 @@ from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
-import yaml
-
 from .dsl import parse, parse_vector_field, render
 from .expr import ExprError, Rat, SymbolTable
 from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
 from .algebra import (
-    YAML_LOADER, check_closure, field_coordinates, identify,
-    structure_constants,
+    check_closure, field_coordinates, identify, load_yaml, structure_constants,
 )
 from .linalg import rank
 from .optimal import (DEFAULT_SEED, construct_optimal_system,
@@ -101,8 +98,8 @@ def load_catalog(path: Optional[str] = None) -> Dict[str, CatalogCase]:
     else:
         text = Path(path).read_text()
     try:
-        raw = yaml.load(text, Loader=YAML_LOADER)
-    except yaml.YAMLError as exc:
+        raw = load_yaml(text)
+    except ValueError as exc:
         raise CatalogError(f"catalog is not valid YAML: {exc}")
     if not isinstance(raw, dict) or "cases" not in raw:
         raise CatalogError("catalog must be a mapping with a 'cases' list")

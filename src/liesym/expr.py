@@ -477,11 +477,15 @@ def _build_mul(coeff: Fraction, atoms: Sequence[Expr]) -> Expr:
 
 def _int_nth_root(n: int, k: int) -> Optional[int]:
     """Exact k-th root of a nonnegative integer, or None.  Integer
-    arithmetic only, so no size of n overflows or loses the root."""
+    arithmetic only, so no size of n overflows or loses the root.  For
+    n > 1 and k >= n.bit_length(), 1 < n^(1/k) < 2, so the answer is None
+    before the first Newton step, which would build 2^(k-1)."""
     if n < 0:
         return None
     if n in (0, 1):
         return n
+    if k >= n.bit_length():
+        return None
     if k == 2:
         r = math.isqrt(n)
     else:

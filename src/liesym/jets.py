@@ -1,9 +1,11 @@
 """Second-order jet space: total derivatives and prolongation of point fields.
 
 Jet coordinates are named ``u``, ``u_t``, ``u_x``, ``u_tt``, ``u_tx``,
-``u_xx`` (t-derivatives listed before x-derivatives).  Public results are
-capped at order 2; order-3 coordinates exist so that total derivatives of
-order-2 expressions can be formed where a caller explicitly allows it.
+``u_xx`` (t-derivatives listed before x-derivatives); a table may declare
+the jets of further dependent functions, named the same way after them.
+Public results are capped at order 2; order-3 coordinates exist so that
+total derivatives of order-2 expressions can be formed where a caller
+explicitly allows it.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ U = sym("u")
 DEP = "u"
 
 
-def jet_name(dt: int, dx: int) -> str:
+def jet_name(dt: int, dx: int, dep: str = DEP) -> str:
     if dt == 0 and dx == 0:
-        return DEP
-    return DEP + "_" + "t" * dt + "x" * dx
+        return dep
+    return dep + "_" + "t" * dt + "x" * dx
 
 
-def jet(dt: int, dx: int) -> Expr:
-    return sym(jet_name(dt, dx))
+def jet(dt: int, dx: int, dep: str = DEP) -> Expr:
+    return sym(jet_name(dt, dx, dep))
 
 
 def base_symbols(max_order: int = 3) -> SymbolTable:
@@ -62,6 +64,7 @@ def total_derivative(e: Expr, direction: str, table: SymbolTable,
                      max_order: int = 2) -> Expr:
     """Total derivative D_t or D_x on a jet expression.
 
+    Each jet is differentiated into the jet of its own dependent variable.
     ``max_order`` bounds the jets allowed in the *result*; exceeding it
     raises :class:`OrderOverflowError`.
     """
@@ -75,15 +78,16 @@ def total_derivative(e: Expr, direction: str, table: SymbolTable,
         partial = differentiate(e, name)
         if partial.is_zero_literal:
             continue
-        dt, dx = entry[1]
+        dep, (dt, dx) = entry
         if direction == "t":
             dt += 1
         else:
             dx += 1
         if dt + dx > max_order:
             raise OrderOverflowError(
-                f"total derivative needs jet {jet_name(dt, dx)} beyond order {max_order}")
-        out = add(out, mul(jet(dt, dx), partial))
+                f"total derivative needs jet {jet_name(dt, dx, dep)} "
+                f"beyond order {max_order}")
+        out = add(out, mul(jet(dt, dx, dep), partial))
     return out
 
 

@@ -16,12 +16,12 @@ from math import perm
 from typing import Dict, List, Optional, Tuple
 
 from .expr import (
-    Add, Expr, ExprError, Mul, Rat, Sym, ZERO, ONE, ZeroVerdict,
+    Add, Expr, ExprError, Mul, Rat, Sym, SymbolTable, ZERO, ONE, ZeroVerdict,
     _base_exp, _coeff_monomial, add, free_symbols, is_zero, mul, powx, rat,
     substitute, sym,
 )
 from . import jets
-from .jets import VectorField, jet_name, prolong2
+from .jets import VectorField, jet, jet_name, prolong2
 from .linalg import nullspace
 from .pde import EvolutionPDE
 
@@ -46,14 +46,17 @@ class SymmetryVerdict:
         return self.verdict is Verdict.SYMMETRY
 
 
-def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
+def invariance_residual(pde: EvolutionPDE, X: VectorField, *,
+                        table: Optional[SymbolTable] = None) -> Expr:
     """pr(2)X(u_t - F) restricted to the solution manifold, canonical.
 
     For fields with x- or u-dependent xi_t the substitution u_tx -> D_x F
     introduces third-order jets; they are tracked internally.  The rhs
-    derivatives come from the PDE, which computes them once.
+    derivatives come from the PDE, which computes them once.  ``table``,
+    by default ``pde.table``, is the one the prolongation differentiates
+    with; it may declare jets of further functions of (t, x) in X.
     """
-    pr = prolong2(X, pde.table)
+    pr = prolong2(X, pde.table if table is None else table)
     F_t, F_x, F_u, F_ux, F_uxx = pde.partials
     applied = add(
         mul(X.xi_t, F_t),
@@ -91,6 +94,13 @@ def is_symmetry(pde: EvolutionPDE, X: VectorField,
 
 _T, _X, _U = sym("t"), sym("x"), sym("u")
 
+#: The generic function m(t, x) that stands for an ansatz monomial.  Its
+#: name is no DSL identifier, so no parsed table declares it.
+_AUX = "@m"
+#: the jets of m of order <= 2, by their orders (a, b) in t and x
+_AUX_JETS = {jet(a, n - a, _AUX): (a, n - a)
+             for n in range(3) for a in range(n + 1)}
+
 #: The four component shapes of an ansatz field with monomial m(t, x):
 #: xi_t = m, xi_x = m, eta = m*u and eta = m.
 _SHAPES = (
@@ -101,27 +111,17 @@ _SHAPES = (
 )
 
 
-def _poly_monomials(bound: int) -> List[Tuple[int, int]]:
-    return [(i, j) for n in range(bound + 1)
-            for i in range(n + 1) for j in range(n - i + 1)
-            if i + j <= bound]
-
-
-def _monomial(i: int, j: int) -> Expr:
-    return mul(powx(_T, rat(i)), powx(_X, rat(j)))
-
-
 def _ansatz_basis(bound: int) -> List[Tuple[int, int, int]]:
     """Basis fields as (shape, i, j): the monomial t^i x^j of degree <= bound
     in component ``_SHAPES[shape]``, so xi_t, xi_x polynomial in (t, x) and
     eta = alpha(t,x)*u + beta(t,x)."""
-    monos = sorted(set(_poly_monomials(bound)))
-    return [(c, i, j) for c in range(len(_SHAPES)) for i, j in monos]
+    return [(c, i, j) for c in range(len(_SHAPES))
+            for i in range(bound + 1) for j in range(bound + 1 - i)]
 
 
 def _basis_field(entry: Tuple[int, int, int]) -> VectorField:
     c, i, j = entry
-    return _SHAPES[c](_monomial(i, j))
+    return _SHAPES[c](mul(powx(_T, rat(i)), powx(_X, rat(j))))
 
 
 def _monomial_factors(mono: Expr) -> Tuple[Expr, ...]:
@@ -130,46 +130,37 @@ def _monomial_factors(mono: Expr) -> Tuple[Expr, ...]:
     return () if mono == ONE else (mono,)
 
 
-def _operator_terms(shape, pde: EvolutionPDE, bound: int,
+def _operator_terms(shape, pde: EvolutionPDE, table: SymbolTable,
                     rests: Dict[tuple, int]) -> Dict[Tuple[int, int], list]:
     """The residual of ``shape(m)`` as C00*m + C10*m_t + C01*m_x + C02*m_xx.
 
-    Q = eta - xi_t*u_t - xi_x*u_x enters only through D_t Q, D_x Q and
-    D_x^2 Q, so no other derivative of m occurs.  The C's follow exactly
-    from the residuals on the probes 1, t, x and x^2; x^2 only when the
-    bound admits m_xx != 0.  Each C is split into terms (coefficient,
-    t-exponent, x-exponent, id of the remaining factors in ``rests``)."""
-    def probe(i, j):
-        return invariance_residual(pde, shape(_monomial(i, j)))
-
-    c00 = probe(0, 0)
-    c01 = add(probe(0, 1), mul(-1, _X, c00))
-    ops = {(0, 0): c00, (1, 0): add(probe(1, 0), mul(-1, _T, c00)),
-           (0, 1): c01}
-    if bound >= 2:
-        ops[(0, 2)] = mul(Fraction(1, 2), add(
-            probe(0, 2), mul(-1, _X, _X, c00), mul(-2, _X, c01)))
-    out = {}
-    for ab, c in ops.items():
-        terms = []
-        for term in (c.terms if isinstance(c, Add) else (c,)):
-            if term.is_zero_literal:
-                continue
-            coeff, mono = _coeff_monomial(term)
-            et = ex = 0
-            rest = []
-            for f in _monomial_factors(mono):
-                base, e = _base_exp(f)
-                # integer exponents: the rhs is polynomial in t and x
-                if base == _T:
-                    et = int(e.value)
-                elif base == _X:
-                    ex = int(e.value)
-                else:
-                    rest.append(f)
-            terms.append((coeff, et, ex,
-                          rests.setdefault(tuple(rest), len(rests))))
-        out[ab] = terms
+    m is the generic function ``_AUX``, prolonged with the jets ``table``
+    declares.  Q = eta - xi_t*u_t - xi_x*u_x enters only through D_t Q,
+    D_x Q and D_x^2 Q, so each term of the one residual holds exactly one
+    of these four jets of m, and its orders (a, b) name the C the term
+    belongs to.  Each C is split into terms (coefficient, t-exponent,
+    x-exponent, id of the remaining factors in ``rests``)."""
+    residual = invariance_residual(pde, shape(sym(_AUX)), table=table)
+    out: Dict[Tuple[int, int], list] = {}
+    for term in (residual.terms if isinstance(residual, Add)
+                 else (residual,)):
+        if term.is_zero_literal:
+            continue
+        coeff, mono = _coeff_monomial(term)
+        et, ex, ab, rest = 0, 0, None, []
+        for f in _monomial_factors(mono):
+            base, e = _base_exp(f)
+            # integer exponents: the rhs is polynomial in t and x
+            if base == _T:
+                et = int(e.value)
+            elif base == _X:
+                ex = int(e.value)
+            elif base in _AUX_JETS:
+                ab = _AUX_JETS[base]
+            else:
+                rest.append(f)
+        out.setdefault(ab, []).append(
+            (coeff, et, ex, rests.setdefault(tuple(rest), len(rests))))
     return out
 
 
@@ -180,10 +171,17 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]],
     The residual of t^i x^j in shape c is assembled in exponent space:
     each term (coefficient, e_t, e_x, rest) of C_c,ab adds
     ff(i,a)*ff(j,b)*coefficient at t^(e_t+i-a) x^(e_x+j-b) rest, ff the
-    falling factorial.  No Expr arithmetic runs per basis field.  Rows come
-    in order of first occurrence; the nullspace does not depend on it."""
+    falling factorial, so a C that t^i x^j does not reach (C02 at
+    ``bound`` 1) adds nothing.  No Expr arithmetic runs per basis field.
+    Rows come in order of first occurrence; the nullspace does not depend
+    on it.  Empty positions hold the int 0, which elimination skips
+    fastest.  The jets of m are declared in a copy of ``pde.table``, since
+    the PDE caches its rhs derivatives against its own table."""
+    table = pde.table.copy()
+    for m, ab in _AUX_JETS.items():
+        table.jet(m.name, _AUX, ab)
     rests: Dict[tuple, int] = {}
-    ops = [_operator_terms(shape, pde, bound, rests) for shape in _SHAPES]
+    ops = [_operator_terms(shape, pde, table, rests) for shape in _SHAPES]
     n = len(basis)
     rows: Dict[tuple, List[Fraction]] = {}
     for col, (c, i, j) in enumerate(basis):
@@ -197,7 +195,7 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]],
                 entries[k] = entries.get(k, 0) + f * coeff
         for k, v in entries.items():
             if v:
-                rows.setdefault(k, [Fraction(0)] * n)[col] = v
+                rows.setdefault(k, [0] * n)[col] = v
     return list(rows.values())
 
 
@@ -250,8 +248,9 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     (in t, x, u and the jets) yields one exact linear equation per monomial.
     The residual of a basis field t^i x^j in one component is a linear
     operator C00*m + C10*m_t + C01*m_x + C02*m_xx in its monomial m, so
-    the four C's of each component come from 16 residuals (12 at bound 1)
-    and every row is assembled in exponent space
+    the four C's of each component come from one residual of a generic
+    function m(t, x) (4 residuals in all) and every row is assembled in
+    exponent space
     (:func:`_determining_matrix`).  Returns a basis of the solution space;
     every returned field is re-verified by the invariance residual."""
     if bound < 1:

@@ -61,6 +61,12 @@ class TestCanonicalForm:
         assert powx(rat(Fraction(8, r ** 3)), Fraction(-2, 3)) == \
             rat(Fraction(r ** 2, 4))
 
+    def test_root_index_beyond_bit_length(self):
+        # for n > 1 and k >= n.bit_length(), 1 < n^(1/k) < 2
+        assert _int_nth_root(3, 10 ** 9) is None
+        assert _int_nth_root(2 ** 40, 40) == 2
+        assert _int_nth_root(2 ** 40 + 1, 40) is None
+
     def test_prime_splitting(self):
         assert powx(rat(6), m) == powx(rat(2), m) * powx(rat(3), m)
         # merged exponents stay confluent across construction orders

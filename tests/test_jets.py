@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from liesym.expr import ZERO, ONE, mul, powx, rat, sym
 from liesym.jets import (OrderOverflowError, VectorField, dcr_symbols, jet,
-                         prolong2, total_derivative)
+                         jet_name, prolong2, total_derivative)
 
 t, x, u, m = sym("t"), sym("x"), sym("u"), sym("m")
 u_t, u_x, u_xx, u_tx = jet(1, 0), jet(0, 1), jet(0, 2), jet(1, 1)
@@ -93,3 +93,39 @@ def test_prolongation_linearity(a1, a2, b1, b2, c1, c2, ra, rb):
     assert left.eta_t == a * px.eta_t + b * py.eta_t
     assert left.eta_x == a * px.eta_x + b * py.eta_x
     assert left.eta_xx == a * px.eta_xx + b * py.eta_xx
+
+
+class TestSecondDependent:
+    """Jets of a second function v(t, x) differentiate into v's own jets."""
+
+    @staticmethod
+    def table():
+        table = dcr_symbols()
+        for dt, dx in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
+            table.jet(jet_name(dt, dx, "v"), "v", (dt, dx))
+        return table
+
+    def test_jet_names(self):
+        assert jet_name(0, 0, "v") == "v"
+        assert jet_name(1, 1, "v") == "v_tx"
+        assert jet(0, 2, "v") == sym("v_xx")
+
+    def test_dx_of_first_jet(self):
+        v_x, v_xx = jet(0, 1, "v"), jet(0, 2, "v")
+        assert total_derivative(v_x, "x", self.table()) == v_xx
+
+    def test_dt_of_product(self):
+        v, v_t = sym("v"), jet(1, 0, "v")
+        assert total_derivative(v * u, "t", self.table()) == v_t * u + v * u_t
+
+    def test_order_overflow_names_the_jet(self):
+        with pytest.raises(OrderOverflowError, match="v_xxx"):
+            total_derivative(jet(0, 2, "v"), "x", self.table(), max_order=2)
+
+    def test_u_only_expressions_unchanged(self):
+        # declaring v changes nothing for expressions in u and its jets
+        for e in (u * u_x, t * u_t + x * u_xx, powx(u, m) * u_x):
+            for z in ("t", "x"):
+                assert total_derivative(e, z, self.table(), 3) == \
+                    total_derivative(e, z, TABLE, 3)
+        assert jet_name(0, 1) == "u_x" and jet_name(1, 1) == "u_tx"
