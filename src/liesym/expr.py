@@ -130,7 +130,8 @@ class Rat(Expr):
     __slots__ = ("value",)
 
     def __init__(self, value: Rational):
-        object.__setattr__(self, "value", Fraction(value))
+        object.__setattr__(self, "value", value if type(value) is Fraction
+                           else Fraction(value))
 
     def __setattr__(self, name, value):
         raise AttributeError("Expr nodes are immutable")

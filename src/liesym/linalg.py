@@ -10,7 +10,8 @@ index; see ``_choose_pivot``), and entries that cancel are deleted, so rows
 stay sparse.  The reduced row echelon form is unique, so neither the pivot
 rule nor the row order changes the result.  ``rank``, ``nullspace``,
 ``solve`` and ``inverse`` read the pivot map of ``_eliminate`` directly;
-only ``rref`` builds the dense reduced matrix.
+only ``rref`` builds the dense reduced matrix.  ``matmul`` and ``matvec``
+skip the products with a zero factor.
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ def _eliminate(rows: Matrix) -> Dict[int, SparseRow]:
     sparse: Dict[int, SparseRow] = {}
     by_col: Dict[int, Set[int]] = {}
     for i, r in enumerate(rows):
-        row = {j: Fraction(v) for j, v in enumerate(r) if v}
+        row = {j: v if type(v) is Fraction else Fraction(v)
+               for j, v in enumerate(r) if v}
         if row:
             sparse[i] = row
             for j in row:
@@ -152,14 +154,27 @@ def solve(rows: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     return x
 
 
+def _dot(xs: Sequence, ys: Sequence):
+    """sum(x * y) over the pairs whose factors are both nonzero, equal in
+    value and type to the dense sum started at Fraction(0) for Fraction,
+    int, float and Expr entries (when a row's products share one type)."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = x * y if acc is None else acc + x * y
+    if acc is None:  # every product vanishes; the first has their type
+        acc = xs[0] * ys[0] if xs and ys else 0
+    # Fraction(0) + acc turns an int into a Fraction and -0.0 into 0.0
+    return Fraction(0) + acc if not acc or type(acc) is int else acc
+
+
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-             for j in range(len(b[0]))] for i in range(len(a))]
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
 
 
 def matvec(a: Matrix, v: Sequence[Fraction]) -> List[Fraction]:
-    return [sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0))
-            for i in range(len(a))]
+    return [_dot(row, v) for row in a]
 
 
 def identity(n: int) -> Matrix:

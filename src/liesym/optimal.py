@@ -1258,14 +1258,27 @@ class AuditReport:
 def _sample_directions(n: int, count: int, seed: int):
     """count nonzero vectors of n coordinates num/den, num in [-20, 20] and
     den in [1, 4] drawn in that order, every coordinate at most 5 in
-    absolute value; rejected draws build no Fraction."""
-    rng = random.Random(seed)
+    absolute value.  The draws are random.Random(seed).randint(-20, 20) and
+    randint(1, 4), read straight off getrandbits by randint's own rejection
+    loops (6 bits below 41, 3 bits below 4), and each draw is looked up in a
+    table of the admissible coordinates, so no draw builds a Fraction."""
+    bits = random.Random(seed).getrandbits
+    # table[den - 1][num + 20]; None where |num/den| > 5
+    table = [[Fraction(num, den) if abs(num) <= 5 * den else None
+              for num in range(-20, 21)] for den in range(1, 5)]
     out = []
     while len(out) < count:
-        pairs = [(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(n)]
-        if (any(num for num, _ in pairs)
-                and all(abs(num) <= 5 * den for num, den in pairs)):
-            out.append(tuple(Fraction(num, den) for num, den in pairs))
+        vec = []
+        for _ in range(n):
+            num = bits(6)
+            while num >= 41:
+                num = bits(6)
+            den = bits(3)
+            while den >= 4:
+                den = bits(3)
+            vec.append(table[den][num])
+        if any(vec) and all(x is not None for x in vec):
+            out.append(tuple(vec))
     return out
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from liesym.linalg import inverse, nullspace, rank, rref, solve
+from liesym.expr import ZERO, rat, sym
+from liesym.linalg import (inverse, matmul, matvec, nullspace, rank, rref,
+                           solve)
 
 # mostly zeros, like the determining systems of the symmetry search
 ENTRIES = st.one_of(
@@ -121,3 +123,83 @@ def test_square_solve_and_inverse_match_sympy(rows, data):
     assert inv == from_sympy(A.inv())
     S = A.LUsolve(to_sympy([[v] for v in rhs], 1))
     assert x == [row[0] for row in from_sympy(S)]
+
+
+# the dense products that matmul and matvec replaced, kept as oracles
+def dense_matmul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def dense_matvec(a, v):
+    return [sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0))
+            for i in range(len(a))]
+
+
+def assert_same_entries(got, want):
+    """Equal matrices, entry by entry of one type; repr tells 0.0 from
+    -0.0."""
+    assert got == want
+    for grow, wrow in zip(got, want):
+        for x, y in zip(grow, wrow):
+            assert type(x) is type(y) and repr(x) == repr(y)
+
+
+def with_zero_lines(rows, data):
+    """Zero out one row and one column of a non-empty matrix."""
+    if rows and rows[0]:
+        i = data.draw(st.integers(0, len(rows) - 1))
+        j = data.draw(st.integers(0, len(rows[0]) - 1))
+        rows[i] = [Fraction(0)] * len(rows[0])
+        for r in rows:
+            r[j] = Fraction(0)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
+def test_sparse_products_match_dense_on_fractions(n, m, k, data):
+    a = with_zero_lines(data.draw(matrices(n, n, m, m)), data)
+    b = with_zero_lines(data.draw(matrices(m, m, k, k)), data)
+    v = data.draw(st.lists(ENTRIES, min_size=m, max_size=m))
+    assert_same_entries(matmul(a, b), dense_matmul(a, b))
+    assert_same_entries([matvec(a, v)], [dense_matvec(a, v)])
+
+
+def test_sparse_products_match_dense_on_ints():
+    a = [[1, 0, 2], [0, 0, 0], [0, 3, 0]]
+    v = [2, 0, -1]
+    assert_same_entries(matmul(a, a), dense_matmul(a, a))
+    assert_same_entries([matvec(a, v)], [dense_matvec(a, v)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_sparse_products_match_dense_on_floats(n, m, data):
+    floats = st.one_of(st.just(0.0), st.just(-0.0),
+                       st.floats(-4, 4, allow_nan=False))
+    a = [data.draw(st.lists(floats, min_size=m, max_size=m))
+         for _ in range(n)]
+    a[data.draw(st.integers(0, n - 1))] = [0.0] * m
+    b = [data.draw(st.lists(floats, min_size=n, max_size=n))
+         for _ in range(m)]
+    v = data.draw(st.lists(floats, min_size=m, max_size=m))
+    assert_same_entries(matmul(a, b), dense_matmul(a, b))
+    assert_same_entries([matvec(a, v)], [dense_matvec(a, v)])
+    # a float row of zero products is 0.0, not Fraction(0)
+    assert_same_entries([matvec([[0.0] * m], v)], [[0.0]])
+    # rational matrix, float vector (apply_steps_numeric)
+    q = [[Fraction(int(x)) for x in row] for row in a]
+    assert_same_entries([matvec(q, v)], [dense_matvec(q, v)])
+
+
+def test_sparse_products_match_dense_on_exprs():
+    a, b = sym("a"), sym("b")
+    M = [[a, ZERO, rat(2)], [ZERO, ZERO, ZERO], [b * a, rat(0), a + b]]
+    for v in ([Fraction(1), Fraction(0), Fraction(-2)],
+              [Fraction(0), Fraction(3), Fraction(0)],
+              [Fraction(0)] * 3):
+        assert_same_entries([matvec(M, v)], [dense_matvec(M, v)])
+    Q = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0)] * 3,
+         [Fraction(0), Fraction(1, 2), Fraction(-1)]]
+    assert_same_entries(matmul(M, Q), dense_matmul(M, Q))

@@ -440,8 +440,9 @@ def _old_sample_directions(n, count, seed):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("seed", [0, 11, 20240901])
+# pins the getrandbits stream to randint's on the installed CPython
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", list(range(20)) + [20240901])
 def test_sample_directions_unchanged(n, seed):
     from liesym.optimal import _sample_directions
 
