@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dsl import parse
 from .expr import (
@@ -143,14 +142,16 @@ def _rank_at_samples(columns: List[List[Expr]], parameters: set) -> int:
     return best
 
 
-@dataclass(frozen=True, eq=False)
 class LieAlgebra:
     """Ordered basis with exact structure constants
     [e_i, e_j] = sum_k c[i][j][k] e_k."""
 
-    dim: int
-    c: Tuple[Tuple[Tuple[Expr, ...], ...], ...]
-    basis: Optional[Tuple[VectorField, ...]] = None
+    def __init__(self, dim: int,
+                 c: Tuple[Tuple[Tuple[Expr, ...], ...], ...],
+                 basis: Optional[Tuple[VectorField, ...]] = None):
+        self.dim = dim
+        self.c = c
+        self.basis = basis
 
     @classmethod
     def from_constants(cls, dim: int,
@@ -263,11 +264,14 @@ def structure_constants(basis: Sequence[VectorField],
     return LieAlgebra.from_constants(n, entries, basis)
 
 
-@dataclass
 class ClosureReport:
-    closed: bool
-    violations: List[Tuple[int, int, str]]
-    algebra: Optional[LieAlgebra]
+    __slots__ = ("closed", "violations", "algebra")
+
+    def __init__(self, closed: bool, violations: List[Tuple[int, int, str]],
+                 algebra: Optional[LieAlgebra]):
+        self.closed = closed
+        self.violations = violations
+        self.algebra = algebra
 
 
 def check_closure(fields: Sequence[VectorField]) -> ClosureReport:
@@ -405,8 +409,7 @@ def _signature(K: Matrix) -> Tuple[int, int]:
     return pos, neg
 
 
-@dataclass(frozen=True)
-class AlgebraInvariants:
+class AlgebraInvariants(NamedTuple):
     """Isomorphism-invariant fingerprint used by identification."""
 
     dim: int
@@ -457,8 +460,7 @@ def algebra_invariants(L: LieAlgebra) -> AlgebraInvariants:
 # canonical catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CanonicalClass:
+class CanonicalClass(NamedTuple):
     name: str
     dim: int
     algebra: LieAlgebra
@@ -551,15 +553,23 @@ def sum_with_a1(base: CanonicalClass) -> CanonicalClass:
 # identification
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Identification:
-    status: str                    # "identified" | "unidentified"
-    label: str = ""
-    parameter: Optional[Fraction] = None
-    witness: Optional[Matrix] = None   # rows: new basis in old coordinates
-    canonical: Optional[CanonicalClass] = None
-    reason: str = ""
-    invariants: Optional[AlgebraInvariants] = None
+    __slots__ = ("status", "label", "parameter", "witness", "canonical",
+                 "reason", "invariants")
+
+    def __init__(self, status: str, label: str = "",
+                 parameter: Optional[Fraction] = None,
+                 witness: Optional[Matrix] = None,
+                 canonical: Optional[CanonicalClass] = None,
+                 reason: str = "",
+                 invariants: Optional[AlgebraInvariants] = None):
+        self.status = status          # "identified" | "unidentified"
+        self.label = label
+        self.parameter = parameter
+        self.witness = witness        # rows: new basis in old coordinates
+        self.canonical = canonical
+        self.reason = reason
+        self.invariants = invariants
 
     @property
     def display(self) -> str:

@@ -7,7 +7,6 @@ nothing is trusted.  Failures carry the certificate that refutes the claim
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -34,33 +33,51 @@ class CatalogError(ExprError):
         self.location = location
 
 
-@dataclass
 class SampleSpec:
-    bindings: Dict[str, str]
-    overrides: Dict[str, str]
-    find_count: Optional[int] = None
-    label: Optional[str] = None
-    label_param: Optional[str] = None
-    optimal_count: Optional[int] = None
-    extra_generator: Optional[str] = None
+    """One parameter sample of a case and the counts and label claimed for
+    it; an unset claim is None."""
+
+    __slots__ = ("bindings", "overrides", "find_count", "label",
+                 "label_param", "optimal_count", "extra_generator")
+
+    def __init__(self, bindings: Dict[str, str], overrides: Dict[str, str],
+                 find_count: Optional[int], label: Optional[str],
+                 label_param: Optional[str], optimal_count: Optional[int],
+                 extra_generator: Optional[str]):
+        self.bindings = bindings
+        self.overrides = overrides
+        self.find_count = find_count
+        self.label = label
+        self.label_param = label_param
+        self.optimal_count = optimal_count
+        self.extra_generator = extra_generator
 
 
-@dataclass
 class CatalogCase:
     """One family member with its claimed data."""
 
-    case_id: str
-    description: str
-    params: Dict[str, str]
-    basis_text: List[str]
-    aliases: List[str] = field(default_factory=list)
-    basis_variants: List[dict] = field(default_factory=list)
-    extra_generators: List[dict] = field(default_factory=list)
-    samples: List[SampleSpec] = field(default_factory=list)
-    structure: List[dict] = field(default_factory=list)
-    solutions: List[dict] = field(default_factory=list)
-    checks: List[str] = field(default_factory=list)
-    notes: str = ""
+    __slots__ = ("case_id", "description", "params", "basis_text", "aliases",
+                 "basis_variants", "extra_generators", "samples",
+                 "structure", "solutions", "checks", "notes")
+
+    def __init__(self, case_id: str, description: str,
+                 params: Dict[str, str], basis_text: List[str],
+                 aliases: List[str], basis_variants: List[dict],
+                 extra_generators: List[dict], samples: List[SampleSpec],
+                 structure: List[dict], solutions: List[dict],
+                 checks: List[str], notes: str):
+        self.case_id = case_id
+        self.description = description
+        self.params = params
+        self.basis_text = basis_text
+        self.aliases = aliases
+        self.basis_variants = basis_variants
+        self.extra_generators = extra_generators
+        self.samples = samples
+        self.structure = structure
+        self.solutions = solutions
+        self.checks = checks
+        self.notes = notes
 
     def table(self) -> SymbolTable:
         return dcr_symbols()
@@ -144,12 +161,14 @@ def load_catalog(path: Optional[str] = None) -> Dict[str, CatalogCase]:
     return out
 
 
-@dataclass
 class CheckResult:
-    case_id: str
-    check: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("case_id", "check", "passed", "detail")
+
+    def __init__(self, case_id: str, check: str, passed: bool, detail: str):
+        self.case_id = case_id
+        self.check = check
+        self.passed = passed
+        self.detail = detail
 
     def line(self) -> str:
         mark = "pass" if self.passed else "FAIL"
@@ -157,11 +176,14 @@ class CheckResult:
         return f"[{mark}] {self.case_id}: {self.check}{detail}"
 
 
-@dataclass
 class RegressionReport:
-    results: List[CheckResult]
-    seed: int
-    audit_samples: int
+    __slots__ = ("results", "seed", "audit_samples")
+
+    def __init__(self, results: List[CheckResult], seed: int,
+                 audit_samples: int):
+        self.results = results
+        self.seed = seed
+        self.audit_samples = audit_samples
 
     @property
     def ok(self) -> bool:
@@ -332,16 +354,19 @@ def run_regression(catalog: Dict[str, CatalogCase],
                    case_ids: Optional[Sequence[str]] = None,
                    seed: int = DEFAULT_SEED, audit_samples: int = 300,
                    jobs: int = 1) -> RegressionReport:
-    """Re-derive every stored claim; aggregate pass/fail per check."""
+    """Re-derive every stored claim; aggregate pass/fail per check.  jobs
+    caps the worker processes; there is never more than one per case, and
+    one case runs in this process."""
     # every name of a case maps to the same case: keep catalog order
     cases = {c.case_id: c for c in catalog.values()
              if case_ids is None or c.case_id in case_ids
              or any(a in case_ids for a in c.aliases)}
     results: List[CheckResult] = []
-    if jobs > 1:
+    workers = min(jobs, len(cases))
+    if workers > 1:
         import concurrent.futures as cf
 
-        with cf.ProcessPoolExecutor(max_workers=jobs) as pool:
+        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             futs = [pool.submit(_check_case, c, seed, audit_samples)
                     for c in cases.values()]
             for fut in futs:  # deterministic merge order

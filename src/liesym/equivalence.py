@@ -19,9 +19,8 @@ case split.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expr import (
     Expr, ExprError, Rat, ONE, ZeroVerdict, add, is_zero, mul, powx, rat,
@@ -53,22 +52,18 @@ def _val(v: ParamValue) -> Expr:
     return v if isinstance(v, Expr) else rat(v)
 
 
-@dataclass(frozen=True)
 class EquivalenceTransformation:
     """Group element (k0, k1, k2, g, d0, d1, d2), exact or symbolic."""
 
-    k0: Expr
-    k1: Expr
-    k2: Expr
-    g: Expr
-    d0: Expr
-    d1: Expr
-    d2: Expr
+    __slots__ = ("k0", "k1", "k2", "g", "d0", "d1", "d2")
 
-    def __post_init__(self):
-        for name, v in (("k0", self.k0), ("k1", self.k1), ("k2", self.k2)):
+    def __init__(self, k0: Expr, k1: Expr, k2: Expr, g: Expr, d0: Expr,
+                 d1: Expr, d2: Expr):
+        for name, v in (("k0", k0), ("k1", k1), ("k2", k2)):
             if is_zero(v) is ZeroVerdict.ZERO:
                 raise NonInvertibleError(f"{name} must be nonzero")
+        self.k0, self.k1, self.k2 = k0, k1, k2
+        self.g, self.d0, self.d1, self.d2 = g, d0, d1, d2
 
     @classmethod
     def make(cls, k0: ParamValue = 1, k1: ParamValue = 1, k2: ParamValue = 1,
@@ -189,8 +184,7 @@ def remove_drift(inst: DCRInstance) -> Tuple[DCRInstance,
 # exact multiplicative solving
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScalingConstraint:
+class ScalingConstraint(NamedTuple):
     """k0^a0 * k1^a1 * k2^a2 = value (value a nonzero rational)."""
 
     a0: Fraction
@@ -379,11 +373,14 @@ class EquivVerdict:
     UNDECIDED = "undecided"
 
 
-@dataclass
 class EquivalenceResult:
-    witness: Optional[EquivalenceTransformation]
-    verdict: str  # "equivalent" | "not-equivalent" | "undecided"
-    detail: str = ""
+    __slots__ = ("witness", "verdict", "detail")
+
+    def __init__(self, witness: Optional[EquivalenceTransformation],
+                 verdict: str, detail: str):
+        self.witness = witness
+        self.verdict = verdict  # "equivalent" | "not-equivalent" | "undecided"
+        self.detail = detail
 
     @property
     def equivalent(self) -> bool:

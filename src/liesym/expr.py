@@ -26,7 +26,6 @@ idempotent; the test suite checks both bit for bit.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from enum import Enum
@@ -766,6 +765,8 @@ def contains_func(e: Expr, name: Optional[str] = None) -> bool:
 
 def _stable_fraction(tag: str, lo: int = 2, hi: int = 97) -> Fraction:
     """Deterministic pseudo-random positive fraction derived from a tag."""
+    import hashlib  # only the samplers need it: kept off the import path
+
     h = hashlib.sha256(tag.encode()).digest()
     n = lo + int.from_bytes(h[:4], "big") % (hi - lo + 1)
     d = 1 + 2 * (int.from_bytes(h[4:6], "big") % 5)  # odd denominator
@@ -843,6 +844,8 @@ def sample_assignment(names: Iterable[str], sample_index: int, seed: int = 0,
     Parameter-like symbols get integers in [2, 97] (avoiding the degenerate
     exponent values 0 and 1); other symbols get positive fractions with odd
     denominators."""
+    import hashlib
+
     parameters = parameters or set()
     out = {}
     for name in sorted(names):

@@ -10,7 +10,8 @@ explicitly allows it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
 from .expr import (
     Expr, ExprError, SymbolTable, ZERO, add, differentiate, free_symbols,
     mul, substitute, sym,
@@ -91,8 +92,7 @@ def total_derivative(e: Expr, direction: str, table: SymbolTable,
     return out
 
 
-@dataclass(frozen=True)
-class VectorField:
+class VectorField(NamedTuple):
     """Point-symmetry generator xi_t*d/dt + xi_x*d/dx + eta*d/du.
 
     Coefficients are expressions in (t, x, u) only."""
@@ -140,8 +140,7 @@ class VectorField:
 ZERO_FIELD = VectorField(ZERO, ZERO, ZERO)
 
 
-@dataclass(frozen=True)
-class ProlongedField:
+class ProlongedField(NamedTuple):
     """Second prolongation: base field plus coefficients for d/du_t, d/du_x
     and d/du_xx."""
 

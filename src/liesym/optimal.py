@@ -21,10 +21,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (
-    Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 from .dsl import render
@@ -234,8 +233,7 @@ PARAM_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class ParamSpec:
+class ParamSpec(NamedTuple):
     """One named free parameter with its admissible domain."""
 
     name: str
@@ -246,8 +244,7 @@ class ParamSpec:
         return PARAM_KINDS[self.kind](float(value))
 
 
-@dataclass(frozen=True)
-class SubalgebraRep:
+class SubalgebraRep(NamedTuple):
     """One-dimensional subalgebra representative: a coefficient line over the
     algebra basis, possibly carrying free parameters."""
 
@@ -293,15 +290,18 @@ class SubalgebraRep:
         return body
 
 
-@dataclass(frozen=True)
 class Step:
     """One adjoint-word letter: exp of a basis direction or a declared
     discrete automorphism."""
 
-    kind: str                 # "exp" | "aut"
-    index: int = -1           # canonical basis index for exp steps
-    name: str = ""            # automorphism name for aut steps
-    epsilon: Union[Fraction, float, None] = None
+    __slots__ = ("kind", "index", "name", "epsilon")
+
+    def __init__(self, kind: str, index: int = -1, name: str = "",
+                 epsilon: Union[Fraction, float, None] = None):
+        self.kind = kind          # "exp" | "aut"
+        self.index = index        # canonical basis index for exp steps
+        self.name = name          # automorphism name for aut steps
+        self.epsilon = epsilon
 
     def inverse(self) -> "Step":
         if self.kind == "exp":
@@ -309,10 +309,12 @@ class Step:
         return self  # the declared reflections and the swap are involutions
 
 
-@dataclass
 class ConjugacyWitness:
-    steps: Tuple[Step, ...]
-    residual: float
+    __slots__ = ("steps", "residual")
+
+    def __init__(self, steps: Tuple[Step, ...], residual: float):
+        self.steps = steps
+        self.residual = residual
 
     def describe(self) -> str:
         parts = []
@@ -324,11 +326,14 @@ class ConjugacyWitness:
         return " . ".join(parts) if parts else "identity"
 
 
-@dataclass
 class Signature:
-    rep_id: str
-    params: Dict[str, Union[Fraction, float]]
-    steps: List[Step] = field(default_factory=list)
+    __slots__ = ("rep_id", "params", "steps")
+
+    def __init__(self, rep_id: str, params: Dict[str, Union[Fraction, float]],
+                 steps: List[Step]):
+        self.rep_id = rep_id
+        self.params = params
+        self.steps = steps
 
     def matches(self, other: "Signature") -> bool:
         if self.rep_id != other.rep_id:
@@ -351,13 +356,18 @@ class Signature:
         return f"{self.rep_id}({inner})"
 
 
-@dataclass
 class ConjugacyResult:
-    verdict: str              # conjugate | not-conjugate | undecided
-    witness: Optional[ConjugacyWitness] = None
-    invariant: str = ""
-    values: Tuple[str, str] = ("", "")
-    reason: str = ""          # why an undecided answer is undecided
+    __slots__ = ("verdict", "witness", "invariant", "values", "reason")
+
+    def __init__(self, verdict: str,
+                 witness: Optional[ConjugacyWitness] = None,
+                 invariant: str = "", values: Tuple[str, str] = ("", ""),
+                 reason: str = ""):
+        self.verdict = verdict    # conjugate | not-conjugate | undecided
+        self.witness = witness
+        self.invariant = invariant
+        self.values = values
+        self.reason = reason      # why an undecided answer is undecided
 
     @property
     def conjugate(self) -> bool:
@@ -1020,16 +1030,20 @@ def strategy_for(name: str, a: Optional[Fraction] = None) -> Strategy:
 # algebra-level operations through the identification witness
 # ---------------------------------------------------------------------------
 
-@dataclass
 class ClassifiedAlgebra:
     """An algebra together with its identification and strategy; all
     classification happens in the canonical coordinates of the witness."""
 
-    L: LieAlgebra
-    ident: Identification
-    strategy: Strategy
-    to_canonical: Matrix      # solves canonical coords from algebra coords
-    from_canonical: Matrix    # T^t: canonical rep -> algebra coords
+    __slots__ = ("L", "ident", "strategy", "to_canonical", "from_canonical")
+
+    def __init__(self, L: LieAlgebra, ident: Identification,
+                 strategy: Strategy, to_canonical: Matrix,
+                 from_canonical: Matrix):
+        self.L = L
+        self.ident = ident
+        self.strategy = strategy
+        self.to_canonical = to_canonical      # algebra -> canonical coords
+        self.from_canonical = from_canonical  # T^t: canonical rep -> algebra
 
     @classmethod
     def build(cls, L: LieAlgebra,
@@ -1217,7 +1231,6 @@ def _are_conjugate_generic(L: LieAlgebra, v, w,
 # candidate-system audits
 # ---------------------------------------------------------------------------
 
-@dataclass
 class AuditReport:
     """Pairwise conjugacy audit plus a seeded coverage audit.  A sample is
     undecided when the classifier cannot place it, or when it is uncovered
@@ -1225,13 +1238,21 @@ class AuditReport:
     (``unsolved``: the family parameter was not solved for); only the other
     uncovered samples are gaps."""
 
-    conjugate_pairs: List[Tuple[int, int, ConjugacyWitness]]
-    gaps: List[Tuple[int, Tuple[Fraction, ...], str]]
-    duplicates: List[Tuple[int, Tuple[int, ...]]]
-    n_samples: int
-    seed: int
-    undecided: int = 0
-    unsolved: int = 0
+    __slots__ = ("conjugate_pairs", "gaps", "duplicates", "n_samples", "seed",
+                 "undecided", "unsolved")
+
+    def __init__(self,
+                 conjugate_pairs: List[Tuple[int, int, ConjugacyWitness]],
+                 gaps: List[Tuple[int, Tuple[Fraction, ...], str]],
+                 duplicates: List[Tuple[int, Tuple[int, ...]]],
+                 n_samples: int, seed: int, undecided: int, unsolved: int):
+        self.conjugate_pairs = conjugate_pairs
+        self.gaps = gaps
+        self.duplicates = duplicates
+        self.n_samples = n_samples
+        self.seed = seed
+        self.undecided = undecided
+        self.unsolved = unsolved
 
     @property
     def ok(self) -> bool:
@@ -1313,7 +1334,6 @@ def _instances(ca: ClassifiedAlgebra, cand: SubalgebraRep,
     return out
 
 
-@dataclass
 class _Candidate:
     """A candidate with its instances classified once, in probe order: a
     frozen line itself, a family with several parameters at every
@@ -1322,9 +1342,13 @@ class _Candidate:
     canonical coordinates of a one-parameter family are read as u + p*w from
     p = 0 and p = 1 (``line``); a pole at either leaves ``line`` None."""
 
-    rep: SubalgebraRep
-    instances: List[_Instance]
-    line: Optional[Tuple[List[Fraction], List[Fraction]]] = None
+    __slots__ = ("rep", "instances", "line")
+
+    def __init__(self, rep: SubalgebraRep, instances: List[_Instance],
+                 line: Optional[Tuple[List[Fraction], List[Fraction]]] = None):
+        self.rep = rep
+        self.instances = instances
+        self.line = line
 
     @classmethod
     def build(cls, ca: ClassifiedAlgebra, rep: SubalgebraRep) -> "_Candidate":

@@ -9,10 +9,9 @@ form the invariance condition operates on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .expr import (
     Expr, ExprError, Rat, SymbolTable, ZERO, ZeroVerdict, add, differentiate,
@@ -36,16 +35,12 @@ def _as_param(v: ParamValue) -> Expr:
     return rat(v)
 
 
-@dataclass(frozen=True, eq=False)
 class EvolutionPDE:
     """u_t = rhs with rhs free of u_t, u_tt, u_tx."""
 
-    rhs: Expr
-    table: SymbolTable
-
-    def __post_init__(self):
-        for name in free_symbols(self.rhs):
-            entry = self.table.jet_index.get(name)
+    def __init__(self, rhs: Expr, table: SymbolTable):
+        for name in free_symbols(rhs):
+            entry = table.jet_index.get(name)
             if entry is None:
                 continue
             dt, dx = entry[1]
@@ -53,6 +48,8 @@ class EvolutionPDE:
                 raise ExprError(f"evolution rhs must not contain {name}")
             if dx > 2:
                 raise ExprError(f"evolution rhs is second order; got {name}")
+        self.rhs = rhs
+        self.table = table
 
     @cached_property
     def partials(self) -> Tuple[Expr, ...]:
@@ -67,8 +64,7 @@ class EvolutionPDE:
         return jets.total_derivative(self.rhs, "x", self.table, max_order=3)
 
 
-@dataclass(frozen=True)
-class DCRInstance:
+class DCRInstance(NamedTuple):
     """Parameter tuple (m, p, b0, b1, c0, c1); entries are exact rationals or
     symbolic expressions."""
 
@@ -121,18 +117,16 @@ class DCRInstance:
         return cls(**vals)
 
 
-@dataclass(frozen=True)
 class DCRFamilyMember:
     """General family member u_t = [A(u) u_x]_x + B(u) u_x + C(u), stored by
     its coefficient functions of u alone."""
 
-    A: Expr
-    B: Expr
-    C: Expr
+    __slots__ = ("A", "B", "C")
 
-    def __post_init__(self):
-        if is_zero(self.A) is ZeroVerdict.ZERO:
+    def __init__(self, A: Expr, B: Expr, C: Expr):
+        if is_zero(A) is ZeroVerdict.ZERO:
             raise NotInFamilyError("diffusion coefficient A(u) vanishes")
+        self.A, self.B, self.C = A, B, C
 
 
 def reaction_term(inst: DCRInstance) -> Expr:
@@ -205,8 +199,7 @@ def to_family(pde: EvolutionPDE) -> DCRFamilyMember:
     return DCRFamilyMember(A=A, B=B, C=C)
 
 
-@dataclass(frozen=True)
-class SpecialCaseFlags:
+class SpecialCaseFlags(NamedTuple):
     """Degeneracy and special-structure markers for a parameter tuple."""
 
     special_power_reaction: bool   # p + 1 = m and c0 = 0

@@ -18,9 +18,8 @@ checked as a canonical identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .expr import (
     Add, EULER, Expr, ExprError, Func, Mul, Pow, Rat, ZERO, ONE, ZeroVerdict,
@@ -56,8 +55,7 @@ PHI = "phi"
 OMEGA = sym("w")
 
 
-@dataclass(frozen=True)
-class AffineGenerator:
+class AffineGenerator(NamedTuple):
     """Coefficient data of a supported generator; entries are constants
     (exact rationals or parameter expressions)."""
 
@@ -115,8 +113,7 @@ def affine_data(X: VectorField) -> AffineGenerator:
     return AffineGenerator(a0=a0, a1=a1, b0=b0, b1=b1, b2=b2, c=c)
 
 
-@dataclass(frozen=True)
-class Invariants:
+class Invariants(NamedTuple):
     """Invariant variable and multiplier of the ansatz u = M * phi(omega),
     together with the section (t, x) = (T(s, w), X(s, w)) used to rewrite
     invariant coefficients as functions of omega."""
@@ -210,15 +207,18 @@ def _self_check(X: VectorField, data: AffineGenerator, inv: Invariants):
         raise ExprError(f"multiplier check failed: X(M) - c M = {xm!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class ReductionAnsatz:
     """u = M(t,x) * phi(omega(t,x)) with the reduced ODE and certificate."""
 
-    omega: Expr
-    multiplier: Expr
-    ode: Expr                 # expression in w, phi(w), phi'(w), phi''(w)
-    factor: Expr              # extracted nonzero cofactor G(t, x)
-    certificate: Expr         # R - factor * (ode at omega), literal zero
+    __slots__ = ("omega", "multiplier", "ode", "factor", "certificate")
+
+    def __init__(self, omega: Expr, multiplier: Expr, ode: Expr,
+                 factor: Expr, certificate: Expr):
+        self.omega = omega
+        self.multiplier = multiplier
+        self.ode = ode                  # in w, phi(w), phi'(w), phi''(w)
+        self.factor = factor            # extracted nonzero cofactor G(t, x)
+        self.certificate = certificate  # R - factor * (ode at omega), zero
 
 
 def _phi_split(term: Expr) -> Tuple[Expr, Expr]:
@@ -315,9 +315,11 @@ def _to_omega_symbol(mono: Expr) -> Expr:
 # exact solutions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
 class ClosedFormSolution:
-    expr: Expr
+    __slots__ = ("expr",)
+
+    def __init__(self, expr: Expr):
+        self.expr = expr
 
     def derivatives(self) -> Dict[str, Expr]:
         u = self.expr
@@ -326,8 +328,7 @@ class ClosedFormSolution:
                 jet_name(0, 1): ux, jet_name(0, 2): differentiate(ux, "x")}
 
 
-@dataclass(frozen=True)
-class SolutionVerdict:
+class SolutionVerdict(NamedTuple):
     verdict: str    # solution | not-solution | undecided
     residual: Expr
 

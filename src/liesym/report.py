@@ -10,7 +10,6 @@ reports are byte-identical across runs with fixed seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Dict, List, Optional
 
@@ -33,14 +32,19 @@ def _plain(value) -> Any:
     return value
 
 
-@dataclass
 class Report:
-    command: str
-    inputs: Dict[str, Any] = field(default_factory=dict)
-    verdict: str = ""
-    certificates: Dict[str, Any] = field(default_factory=dict)
-    seed: Optional[int] = None
-    human_lines: List[str] = field(default_factory=list)
+    __slots__ = ("command", "inputs", "verdict", "certificates", "seed",
+                 "human_lines")
+
+    def __init__(self, command: str, inputs: Dict[str, Any],
+                 verdict: str, certificates: Dict[str, Any],
+                 seed: Optional[int] = None):
+        self.command = command
+        self.inputs = inputs
+        self.verdict = verdict
+        self.certificates = certificates
+        self.seed = seed
+        self.human_lines: List[str] = []
 
     def add(self, line: str):
         self.human_lines.append(line)

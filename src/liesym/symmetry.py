@@ -9,11 +9,10 @@ coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from math import perm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .expr import (
     Add, Expr, ExprError, Mul, Rat, Sym, SymbolTable, ZERO, ONE, ZeroVerdict,
@@ -36,8 +35,7 @@ class Verdict(Enum):
     UNDECIDED = "undecided"
 
 
-@dataclass(frozen=True)
-class SymmetryVerdict:
+class SymmetryVerdict(NamedTuple):
     verdict: Verdict
     residual: Expr
 
@@ -228,13 +226,16 @@ def _check_rhs_supported(pde: EvolutionPDE):
                 "before the ansatz search")
 
 
-@dataclass
 class FindResult:
     """Solution basis of the determining system, each member re-verified."""
 
-    fields: List[VectorField]
-    bound: int
-    verified: List[SymmetryVerdict] = field(default_factory=list)
+    __slots__ = ("fields", "bound", "verified")
+
+    def __init__(self, fields: List[VectorField], bound: int,
+                 verified: List[SymmetryVerdict]):
+        self.fields = fields
+        self.bound = bound
+        self.verified = verified
 
     def __len__(self):
         return len(self.fields)

@@ -1,9 +1,11 @@
 """Catalog loading, schema validation, and the self-certifying regression."""
 
+import concurrent.futures
 import textwrap
 
 import pytest
 
+from liesym import catalog as catalog_module
 from liesym.catalog import CatalogError, load_catalog, run_regression
 
 
@@ -62,3 +64,40 @@ def test_parallel_jobs_give_same_results(catalog):
     b = run_regression(catalog, case_ids=["heat", "eq1"], audit_samples=50,
                        jobs=2)
     assert [r.line() for r in a.results] == [r.line() for r in b.results]
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor: records its size and runs each
+    submitted call at once in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = concurrent.futures.Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@pytest.mark.parametrize("case_ids, jobs, sizes", [
+    (["heat"], 2, []),                   # one case: no pool, no fork
+    (["heat", "eq1"], 8, [2]),           # at most one worker per case
+    (["heat", "eq1", "eq4"], 2, [2]),
+    (["heat", "eq1"], 1, []),
+])
+def test_pool_size_follows_cases(catalog, monkeypatch, case_ids, jobs, sizes):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    monkeypatch.setattr(catalog_module, "_check_case",
+                        lambda case, seed, samples: [case.case_id])
+    report = run_regression(catalog, case_ids=case_ids, jobs=jobs)
+    assert _InlinePool.sizes == sizes
+    assert sorted(report.results) == sorted(case_ids)

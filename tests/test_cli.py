@@ -239,16 +239,6 @@ class TestReports:
         assert json.loads(out.read_text())["seed"] == 7
 
 
-def test_import_leaves_numpy_out():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, liesym.cli; print('numpy' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
 def test_closed_stdout_pipe(tmp_path):
     # the reader is gone before the first line is printed: --out is still
     # written, and the exit code is the verdict's, not a traceback's 1
@@ -277,12 +267,17 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("usage error: cannot write")
 
 
-def test_import_leaves_yaml_out():
-    # yaml is imported only where a catalog is read
+@pytest.mark.parametrize("module", ["yaml", "numpy", "dataclasses",
+                                    "inspect", "hashlib"])
+def test_import_leaves_module_out(module):
+    # every CLI call pays for what importing liesym.cli loads: yaml is
+    # imported only where a catalog is read, hashlib only where the zero
+    # test samples, and records are classes that need no dataclasses
+    # (which would pull in inspect)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, liesym.cli; print('yaml' in sys.modules)"],
+         f"import sys, liesym.cli; print({module!r} in sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from liesym.expr import (
     EULER, ZERO, ONE, ZeroVerdict, _int_nth_root, add, differentiate,
-    evaluate_exact, exp, free_symbols, func, is_zero, log, mul, powx, rat,
-    sample_assignment, simplify, substitute, sym,
+    _stable_fraction, evaluate_exact, exp, free_symbols, func, is_zero, log,
+    mul, powx, rat, sample_assignment, simplify, substitute, sym,
 )
 
 t, x, u, m, p = sym("t"), sym("x"), sym("u"), sym("m"), sym("p")
@@ -133,6 +133,31 @@ class TestZeroTest:
             assert vals["m"] not in (0, 1)
             assert vals["p"] != 0
             assert vals["m"].denominator == 1
+
+    @pytest.mark.parametrize("args, want", [
+        (("a",), Fraction(52, 9)),
+        (("('f', 0, Fraction(3, 5))",), Fraction(74, 5)),
+        (("0:0:x", 2, 7), Fraction(5, 7)),
+        (("seed", 1, 1000), Fraction(423, 7)),
+    ])
+    def test_stable_fraction_is_pinned(self, args, want):
+        # the values every zero-test sample is drawn from: a change here
+        # moves residual verdicts and audit samples
+        assert _stable_fraction(*args) == want
+
+    @pytest.mark.parametrize("names, index, seed, parameters, want", [
+        (("t", "x", "u"), 0, 0, None,
+         {"t": Fraction(64), "u": Fraction(117649, 729),
+          "x": Fraction(15625, 117649)}),
+        (("m", "p", "x"), 3, 0, {"m", "p"},
+         {"m": Fraction(80), "p": Fraction(25), "x": Fraction(15625, 729)}),
+        (("u", "c0"), 7, 42, {"c0"},
+         {"c0": Fraction(43), "u": Fraction(15625, 729)}),
+        (("t",), 123, 5, set(), {"t": Fraction(1)}),
+    ])
+    def test_sample_assignment_is_pinned(self, names, index, seed,
+                                         parameters, want):
+        assert sample_assignment(names, index, seed, parameters) == want
 
     def test_undecided_for_hidden_identity(self):
         # equal as functions but not in the rewrite system: stays undecided,

@@ -4,8 +4,8 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
+import sympy
 
 from liesym.expr import ZERO, ONE, add, mul, powx, rat, substitute, sym
 from liesym.jets import VectorField
@@ -78,15 +78,22 @@ class TestAdjointMatrix:
             cls = canonical_class_by_name(name)
             a = F(2, 5) if cls.parameter else None
             L = cls.instantiated(a)
-            A = np.array(adjoint_matrix(L, L.dim - 1, eps), dtype=float)
-            c = L.rational_constants()
-            cf = np.array([[[float(c[i][j][k]) for k in range(L.dim)]
-                            for j in range(L.dim)] for i in range(L.dim)])
-            Ainv = np.linalg.inv(A)
-            for i in range(L.dim):
-                for j in range(L.dim):
-                    lhs = np.einsum("a,b,abk->k", A[:, i], A[:, j], cf)
-                    assert np.max(np.abs(Ainv @ lhs - cf[i][j])) < 1e-10
+            n = L.dim
+            # the float matrix read exactly, so that only its own rounding
+            # shows in the residual A^-1 [A e_i, A e_j] - [e_i, e_j]
+            A = sympy.Matrix([[sympy.Rational(v) for v in row]
+                              for row in adjoint_matrix(L, n - 1, eps)])
+            Ainv = A.inv()
+            c = [[[sympy.Rational(q) for q in row] for row in plane]
+                 for plane in L.rational_constants()]
+            for i in range(n):
+                for j in range(n):
+                    lhs = sympy.Matrix([
+                        sum(A[a, i] * A[b, j] * c[a][b][k]
+                            for a in range(n) for b in range(n))
+                        for k in range(n)])
+                    residual = Ainv * lhs - sympy.Matrix(c[i][j])
+                    assert max(abs(r) for r in residual) < 1e-10
 
     def test_irrational_spectrum_needs_numeric_eps(self):
         L = canonical_class_by_name("A3,9").algebra
@@ -139,7 +146,7 @@ class TestConjugacy:
         steps = list(rvw.witness.steps) + list(rwz.witness.steps)
         out = apply_steps_numeric(ca.strategy.cls, ca.strategy.a, steps,
                                   ca.canonical_coords(v))
-        target = np.array([float(q) for q in ca.canonical_coords(z)])
+        target = [float(q) for q in ca.canonical_coords(z)]
         assert projective_residual(out, target) <= 1e-9
 
 
@@ -179,7 +186,7 @@ class TestWitnessVerification:
                                         if not isinstance(vv, Fraction)
                                         else rat(vv) for k, vv in vals.items()})
                 target.append(float(bound.value))
-            assert projective_residual(out, np.array(target)) <= 1e-9, \
+            assert projective_residual(out, target) <= 1e-9, \
                 (name, vec, sig.rep_id)
 
     @pytest.mark.parametrize("a", [F(1, 2), F(2), F(1, 3)])
