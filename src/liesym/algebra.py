@@ -238,30 +238,25 @@ def structure_constants(basis: Sequence[VectorField],
                         parameters: Optional[set] = None) -> LieAlgebra:
     """Expand every pairwise bracket in the given basis.
 
-    Raises DependentBasisError when the fields are linearly dependent (rank
-    checked at exact sample points) and NotClosedError when some bracket
-    leaves the span."""
+    The constants solve one linear system, basis . C = [all brackets]: one
+    coordinate map of the basis and the brackets, and one elimination with a
+    right-hand-side column per bracket.  Raises DependentBasisError when the
+    fields are linearly dependent (rank checked at exact sample points) and
+    NotClosedError for the first pair, in (i, j) order, whose bracket leaves
+    the span or whose membership cannot be decided."""
     n = len(basis)
-    rows, columns = field_coordinates(basis)
-    if _rank_at_samples(columns, parameters or set()) < n:
+    pairs = list(itertools.combinations(range(n), 2))
+    brackets = [bracket(basis[i], basis[j]) for i, j in pairs]
+    _, columns = field_coordinates(list(basis) + brackets)
+    if _rank_at_samples(columns[:n], parameters or set()) < n:
         raise DependentBasisError("basis fields are linearly dependent")
-    entries = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            Z = bracket(basis[i], basis[j])
-            # joint support so the bracket's monomials align with the basis
-            joint_rows, joint_cols = field_coordinates(list(basis) + [Z])
-            mat = [[joint_cols[c][r] for c in range(n)]
-                   for r in range(len(joint_rows))]
-            rhs = [joint_cols[n][r] for r in range(len(joint_rows))]
-            try:
-                sol = solve_symbolic(mat, rhs, parameters=parameters)
-            except ValueError as exc:
-                raise NotClosedError(i, j, str(exc))
-            if sol is None:
-                raise NotClosedError(i, j, Z)
-            entries[(i, j)] = sol
-    return LieAlgebra.from_constants(n, entries, basis)
+    joint = list(zip(*columns))
+    solutions = solve_symbolic([r[:n] for r in joint], [r[n:] for r in joint],
+                               parameters=parameters)
+    for (i, j), Z, sol in zip(pairs, brackets, solutions):
+        if not isinstance(sol, list):
+            raise NotClosedError(i, j, Z if sol is None else sol)
+    return LieAlgebra.from_constants(n, dict(zip(pairs, solutions)), basis)
 
 
 class ClosureReport:
@@ -330,15 +325,13 @@ def derived_subalgebra(L: LieAlgebra) -> List[List[Fraction]]:
     return _subspace_brackets(L, full, full)
 
 
-def _series(L: LieAlgebra, derived: bool) -> List[List[List[Fraction]]]:
-    """The derived series [L,L], [L',L'], ... (derived=True) or the lower
-    central series [L,L], [L^2,L], ... up to the first term that is zero or
-    has the dimension of the one before it."""
-    full = identity(L.dim)
+def _series(L: LieAlgebra) -> List[List[List[Fraction]]]:
+    """The derived series [L,L], [L',L'], ... up to the first term that is
+    zero or has the dimension of the one before it."""
     terms = [derived_subalgebra(L)]
     while terms[-1]:
         cur = terms[-1]
-        terms.append(_subspace_brackets(L, cur, cur if derived else full))
+        terms.append(_subspace_brackets(L, cur, cur))
         if len(terms[-1]) == len(cur):
             break
     return terms
@@ -414,7 +407,6 @@ class AlgebraInvariants(NamedTuple):
 
     dim: int
     derived_dims: Tuple[int, ...]
-    lower_central_dims: Tuple[int, ...]
     center_dim: int
     killing_rank: int
     killing_signature: Tuple[int, int]
@@ -424,32 +416,25 @@ class AlgebraInvariants(NamedTuple):
     def abelian(self) -> bool:
         return not self.derived_dims
 
-    @property
-    def solvable(self) -> bool:
-        return True if not self.derived_dims else self.derived_dims[-1] == 0
-
-    @property
-    def nilpotent(self) -> bool:
-        return (True if not self.lower_central_dims
-                else self.lower_central_dims[-1] == 0)
-
 
 def algebra_invariants(L: LieAlgebra) -> AlgebraInvariants:
-    derived = _series(L, derived=True)
+    return _invariants(L, _series(L), center(L))
+
+
+def _invariants(L: LieAlgebra, derived: List[List[List[Fraction]]],
+                z: List[List[Fraction]]) -> AlgebraInvariants:
+    """The invariants of L from its derived series and its centre."""
     derived_dims = [len(term) for term in derived]
-    lc_dims = [len(term) for term in _series(L, derived=False)]
     # [L', L'] is the second derived term; an abelian L stops at L' = 0
     derived_ab = len(derived) == 1 or not derived[1]
     K = killing_form(L)
     pos, neg = _signature(K)
     if derived_dims[0] == 0:
         derived_dims = []
-        lc_dims = []
     return AlgebraInvariants(
         dim=L.dim,
         derived_dims=tuple(derived_dims),
-        lower_central_dims=tuple(lc_dims),
-        center_dim=len(center(L)),
+        center_dim=len(z),
         killing_rank=rank(K),
         killing_signature=(pos, neg),
         derived_abelian=derived_ab,
@@ -663,9 +648,9 @@ def identify(L: LieAlgebra) -> Identification:
     if L.dim > 4:
         return Identification(status="unidentified",
                               reason=f"dimension {L.dim} outside the catalog")
-    inv = algebra_invariants(L)
-    catalog = load_class_catalog()
-    ident = _identify_inner(L, inv, catalog)
+    series, z = _series(L), center(L)
+    inv = _invariants(L, series, z)
+    ident = _identify_inner(L, inv, series[0], z, load_class_catalog())
     ident.invariants = inv
     if ident.status == "identified":
         if not _verify_witness(L, ident.witness, ident.canonical,
@@ -677,17 +662,19 @@ def identify(L: LieAlgebra) -> Identification:
 
 
 def _identify_inner(L: LieAlgebra, inv: AlgebraInvariants,
+                    derived: List[List[Fraction]], z: List[List[Fraction]],
                     catalog: Dict[str, CanonicalClass]) -> Identification:
+    """Dispatch on dimension; derived spans [L, L] and z the centre."""
     n = L.dim
     if inv.abelian:
         name = {1: "A1", 2: "2A1", 3: "3A1", 4: "4A1"}[n]
         return Identification(status="identified", label=name,
                               witness=identity(n), canonical=catalog[name])
     if n == 2:
-        return _identify_a2(L, catalog)
+        return _identify_a2(L, derived[0], catalog)
     if n == 3:
-        return _identify_dim3(L, inv, catalog)
-    return _identify_dim4(L, inv, catalog)
+        return _identify_dim3(L, inv, derived, z, catalog)
+    return _identify_dim4(L, inv, derived, z, catalog)
 
 
 def _scaling_partner(L: LieAlgebra, w: List[Fraction]
@@ -701,31 +688,29 @@ def _scaling_partner(L: LieAlgebra, w: List[Fraction]
     return None
 
 
-def _identify_a2(L: LieAlgebra, catalog) -> Identification:
-    w = derived_subalgebra(L)[0]
+def _identify_a2(L: LieAlgebra, w: List[Fraction], catalog) -> Identification:
     return Identification(status="identified", label="A2",
                           witness=[w, _scaling_partner(L, w)],
                           canonical=catalog["A2"])
 
 
 def _identify_dim3(L: LieAlgebra, inv: AlgebraInvariants,
+                   derived: List[List[Fraction]], z: List[List[Fraction]],
                    catalog) -> Identification:
-    derived = derived_subalgebra(L)
     dd = len(derived)
     if dd == 3:
         return _identify_simple3(L, inv, catalog)
     if dd == 1:
-        z = center(L)
         if z and _in_span_coords(z, derived[0]) is not None:
             # derived line is central: Heisenberg
-            return _identify_heisenberg(L, catalog)
-        return _identify_a2a1(L, catalog)
+            return _identify_heisenberg(L, derived[0], catalog)
+        return _identify_a2a1(L, derived[0], z, catalog)
     # dd == 2: solvable with 2-dim abelian nilradical acted on by ad e3
     return _identify_solvable3(L, derived, catalog)
 
 
-def _identify_heisenberg(L: LieAlgebra, catalog) -> Identification:
-    w = derived_subalgebra(L)[0]
+def _identify_heisenberg(L: LieAlgebra, w: List[Fraction],
+                         catalog) -> Identification:
     for ei, ej in itertools.combinations(identity(3), 2):
         y = _in_span_coords([w], _bracket_rational(L, ei, ej))
         if y and y[0] != 0:
@@ -737,10 +722,9 @@ def _identify_heisenberg(L: LieAlgebra, catalog) -> Identification:
                           reason="no Heisenberg pair among basis vectors")
 
 
-def _identify_a2a1(L: LieAlgebra, catalog) -> Identification:
-    w = derived_subalgebra(L)[0]
+def _identify_a2a1(L: LieAlgebra, w: List[Fraction],
+                   z: List[List[Fraction]], catalog) -> Identification:
     f2 = _scaling_partner(L, w)
-    z = center(L)
     if not z or f2 is None:
         return Identification(status="unidentified",
                               reason="missing center for A2+A1 shape")
@@ -921,10 +905,9 @@ def _lift(rows: List[List[Fraction]], coords: List[Fraction]) -> List[Fraction]:
 
 
 def _identify_dim4(L: LieAlgebra, inv: AlgebraInvariants,
+                   derived: List[List[Fraction]], Z: List[List[Fraction]],
                    catalog) -> Identification:
     n = 4
-    derived = derived_subalgebra(L)
-    Z = center(L)
     # split off a central line not inside the derived algebra
     for z in Z:
         if _in_span_coords(derived, z) is None or not derived:

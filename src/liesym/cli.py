@@ -40,7 +40,7 @@ class UsageError(Exception):
 
 
 def _seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("LIESYM_SEED")
     return int(env) if env else DEFAULT_SEED
@@ -85,7 +85,7 @@ def _resolve_spec(args, spec: str, params: Dict[str, str]):
     bindings = {k: dsl.parse(v, table) for k, v in params.items()}
     if not spec.startswith("case:"):
         return None, table, bindings
-    catalog = load_catalog(getattr(args, "catalog", None))
+    catalog = load_catalog(args.catalog)
     cid = spec[5:]
     _check_case_ids(catalog, [cid])
     return catalog[cid], table, bindings
@@ -458,12 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, pde=False, algebra=False):
-        p.add_argument("--params", help="name=value,... (rationals or "
-                                        "symbolic names)")
-        p.add_argument("--seed", type=int, help="audit seed "
-                                                "(default LIESYM_SEED or "
-                                                f"{DEFAULT_SEED})")
-        p.add_argument("--catalog", help="case catalog file")
+        """--out on every subcommand; --params and --catalog with --pde or
+        --algebra, the options that read them."""
         p.add_argument("--out", help="write the structured JSON report here")
         if pde:
             p.add_argument("--pde", required=True,
@@ -471,6 +467,17 @@ def build_parser() -> argparse.ArgumentParser:
         if algebra:
             p.add_argument("--algebra", required=True,
                            help="semicolon-separated fields or case:<id>")
+        if pde or algebra:
+            p.add_argument("--params", help="name=value,... (rationals or "
+                                            "symbolic names)")
+            p.add_argument("--catalog", help="case catalog file")
+
+    def sampling(p, samples: int):
+        """--samples and the --seed that draws them."""
+        p.add_argument("--samples", type=_count(0), default=samples)
+        p.add_argument("--seed", type=int, help="audit seed "
+                                                "(default LIESYM_SEED or "
+                                                f"{DEFAULT_SEED})")
 
     p = sub.add_parser("verify-symmetry", help="invariance check")
     common(p, pde=True)
@@ -508,13 +515,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimal-system",
                        help="construct and audit the optimal system")
     common(p, algebra=True)
-    p.add_argument("--samples", type=_count(0), default=DEFAULT_SAMPLES)
+    sampling(p, DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_optimal_system)
 
     p = sub.add_parser("audit-system", help="audit a candidate list")
     common(p, algebra=True)
     p.add_argument("--candidates", required=True)
-    p.add_argument("--samples", type=_count(0), default=DEFAULT_SAMPLES)
+    sampling(p, DEFAULT_SAMPLES)
     p.set_defaults(func=cmd_audit_system)
 
     p = sub.add_parser("reduce", help="symmetry reduction to an ODE")
@@ -537,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("regress", help="run the catalog regression")
     common(p)
+    p.add_argument("--catalog", help="case catalog file")
     p.add_argument("--jobs", type=_count(1), default=1)
-    p.add_argument("--samples", type=_count(0), default=300)
+    sampling(p, 300)
     p.add_argument("--cases", nargs="*", help="restrict to these case ids")
     p.set_defaults(func=cmd_regress)
 
@@ -562,7 +570,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.time()
     try:
         report = args.func(args)
-        if getattr(args, "out", None):
+        if args.out:
             _write_out(args.out, report)
     except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -84,6 +84,9 @@ class Expr:
     def __neg__(self):
         return mul(MINUS_ONE, self)
 
+    def __setattr__(self, name, value):
+        raise AttributeError("Expr nodes are immutable")
+
     def __eq__(self, other):
         if self is other:
             return True
@@ -132,9 +135,6 @@ class Rat(Expr):
         object.__setattr__(self, "value", value if type(value) is Fraction
                            else Fraction(value))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _make_key(self):
         return (0, self.value.numerator, self.value.denominator)
 
@@ -146,9 +146,6 @@ class Sym(Expr):
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _make_key(self):
         return (1, self.name)
@@ -168,9 +165,6 @@ class Func(Expr):
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "arg", arg)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _make_key(self):
         return (2, self.name, self.order, self.arg.key())
 
@@ -183,9 +177,6 @@ class Pow(Expr):
     def __init__(self, base: Expr, exponent: Expr):
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "exponent", exponent)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _make_key(self):
         return (3, self.base.key(), self.exponent.key())
@@ -201,9 +192,6 @@ class Mul(Expr):
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "factors", factors)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
-
     def _make_key(self):
         return (4, tuple(f.key() for f in self.factors),
                 self.coeff.numerator, self.coeff.denominator)
@@ -217,9 +205,6 @@ class Add(Expr):
 
     def __init__(self, terms: Tuple[Expr, ...]):
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Expr nodes are immutable")
 
     def _make_key(self):
         return (5, tuple(t.key() for t in self.terms))

@@ -12,13 +12,17 @@ rule nor the row order changes the result.  ``rank``, ``nullspace``,
 ``solve`` and ``inverse`` read the pivot map of ``_eliminate`` directly;
 only ``rref`` builds the dense reduced matrix.  ``matmul`` and ``matvec``
 skip the products with a zero factor.
+
+``solve_symbolic`` solves small systems with Expr entries for several
+right-hand sides in one elimination: the structure constants of a basis
+solve basis . C = [every bracket], one column per bracket.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .expr import Expr, Rat, ZERO, ZeroVerdict, add, is_zero, mul, powx, rat
 
@@ -194,17 +198,19 @@ def inverse(a: Matrix) -> Optional[Matrix]:
 # symbolic-entry solving (small systems; pivots need a decidable nonzero)
 # ---------------------------------------------------------------------------
 
-def solve_symbolic(rows: List[List[Expr]], rhs: List[Expr],
-                   parameters=None) -> Optional[List[Expr]]:
-    """Solve a small linear system with Expr entries.
+def solve_symbolic(rows: List[List[Expr]], rhs: List[List[Expr]],
+                   parameters=None) -> List[Union[List[Expr], str, None]]:
+    """Solve rows * X = rhs for Expr entries, one column of X per entry of
+    each ``rhs[i]``, in one elimination.
 
     Pivots are chosen greedily: literal nonzero rationals first, then entries
-    whose nonzero-ness the randomized test certifies.  Returns None when the
-    system is inconsistent; raises ValueError when no usable pivot can be
-    certified (undecidable symbolic entry)."""
-    m = [list(r) + [b] for r, b in zip(rows, rhs)]
-    nrows = len(m)
+    whose nonzero-ness the randomized test certifies.  Returns one entry per
+    column: its solution, None when it is inconsistent, or the reason (a
+    str) why its consistency or the pivots cannot be certified, read off
+    the first row without a pivot that is not zero in that column."""
     ncols = len(rows[0]) if rows else 0
+    m = [list(r) + list(b) for r, b in zip(rows, rhs)]
+    nrows = len(m)
     pivots: List[Tuple[int, int]] = []
     used_rows: set = set()
     for c in range(ncols):
@@ -233,18 +239,22 @@ def solve_symbolic(rows: List[List[Expr]], rhs: List[Expr],
                 m[i] = [add(a, mul(-1, f, b)) for a, b in zip(m[i], m[cand])]
         used_rows.add(cand)
         pivots.append((cand, c))
-    x: List[Expr] = [ZERO] * ncols
-    for i, c in pivots:
-        x[c] = m[i][ncols]
-    # consistency: rows without pivots must have zero rhs
-    for i in range(nrows):
-        if i in used_rows:
-            continue
-        row_ok = all(v.is_zero_literal for v in m[i][:ncols])
-        if row_ok and not m[i][ncols].is_zero_literal:
-            if is_zero(m[i][ncols], parameters=parameters) is ZeroVerdict.NONZERO:
-                return None
-            raise ValueError("cannot decide consistency of symbolic system")
-        if not row_ok:
-            raise ValueError("cannot certify pivots of symbolic system")
-    return x
+    # a column fails at the first row without a pivot that is not zero
+    free = [m[i] for i in range(nrows) if i not in used_rows]
+    out: List[Union[List[Expr], str, None]] = []
+    for k in range(ncols, len(m[0]) if m else ncols):
+        x: Union[List[Expr], str, None] = [ZERO] * ncols
+        for i, c in pivots:
+            x[c] = m[i][k]
+        for row in free:
+            if not all(v.is_zero_literal for v in row[:ncols]):
+                x = "cannot certify pivots of symbolic system"
+            elif row[k].is_zero_literal:
+                continue
+            elif is_zero(row[k], parameters=parameters) is ZeroVerdict.NONZERO:
+                x = None
+            else:
+                x = "cannot decide consistency of symbolic system"
+            break
+        out.append(x)
+    return out

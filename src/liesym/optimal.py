@@ -1193,7 +1193,7 @@ def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
 def _membership_pattern(L: LieAlgebra, v: Sequence[Fraction]) -> Tuple[bool, ...]:
     """Membership of v in the first three derived-series terms, stopping
     after a zero term (a stabilized series repeats its last term)."""
-    terms = _series(L, derived=True)
+    terms = _series(L)
     pats = []
     for k in range(3):
         cur = terms[min(k, len(terms) - 1)]

@@ -162,15 +162,15 @@ def _operator_terms(shape, pde: EvolutionPDE, table: SymbolTable,
     return out
 
 
-def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]],
-                        bound: int) -> List[List[Fraction]]:
+def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
+                        ) -> List[List[Fraction]]:
     """One row per monomial of the residuals of the basis fields.
 
     The residual of t^i x^j in shape c is assembled in exponent space:
     each term (coefficient, e_t, e_x, rest) of C_c,ab adds
     ff(i,a)*ff(j,b)*coefficient at t^(e_t+i-a) x^(e_x+j-b) rest, ff the
     falling factorial, so a C that t^i x^j does not reach (C02 at
-    ``bound`` 1) adds nothing.  No Expr arithmetic runs per basis field.
+    degree bound 1) adds nothing.  No Expr arithmetic runs per basis field.
     Rows come in order of first occurrence; the nullspace does not depend
     on it.  Empty positions hold the int 0, which elimination skips
     fastest.  The jets of m are declared in a copy of ``pde.table``, since
@@ -229,12 +229,11 @@ def _check_rhs_supported(pde: EvolutionPDE):
 class FindResult:
     """Solution basis of the determining system, each member re-verified."""
 
-    __slots__ = ("fields", "bound", "verified")
+    __slots__ = ("fields", "verified")
 
-    def __init__(self, fields: List[VectorField], bound: int,
+    def __init__(self, fields: List[VectorField],
                  verified: List[SymmetryVerdict]):
         self.fields = fields
-        self.bound = bound
         self.verified = verified
 
     def __len__(self):
@@ -258,7 +257,7 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
         raise ValueError("ansatz degree bound must be >= 1")
     _check_rhs_supported(pde)
     basis = _ansatz_basis(bound)
-    solutions = nullspace(_determining_matrix(pde, basis, bound), len(basis))
+    solutions = nullspace(_determining_matrix(pde, basis), len(basis))
     fields = []
     verified = []
     for vec in solutions:
@@ -273,4 +272,4 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
                 f"residual {verdict.residual!r}")
         fields.append(f)
         verified.append(verdict)
-    return FindResult(fields=fields, bound=bound, verified=verified)
+    return FindResult(fields=fields, verified=verified)

@@ -6,15 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liesym import algebra, linalg
+from liesym.dsl import parse_vector_field
 from liesym.expr import ZERO, ONE, add, mul, powx, rat, sym
-from liesym.jets import VectorField
+from liesym.jets import VectorField, dcr_symbols
 from liesym.algebra import (DependentBasisError, LieAlgebra, NotClosedError,
                             algebra_invariants, bracket,
                             canonical_class_by_name, center, check_closure,
                             derived_subalgebra, identify, killing_form,
                             load_class_catalog, structure_constants)
 from liesym.linalg import identity, matvec
-from liesym.pde import power_diffusion
+from liesym.pde import heat_equation, power_diffusion
 from liesym.symmetry import find_symmetries
 
 t, x, u, m, p = sym("t"), sym("x"), sym("u"), sym("m"), sym("p")
@@ -79,6 +81,30 @@ class TestStructureConstants:
         with pytest.raises(DependentBasisError):
             structure_constants([X1, X1.scale(rat(2))])
 
+    def test_one_elimination_for_every_bracket(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(args)
+            return linalg.solve_symbolic(*args, **kw)
+
+        monkeypatch.setattr(algebra, "solve_symbolic", counted)
+        L = structure_constants([X1, X2, X3], parameters={"m", "p"})
+        assert len(calls) == 1
+        assert list(L.c[0][2]) == [m - 2 * p - 1, rat(-1), ZERO]
+
+    def test_first_pair_leaving_the_span_is_reported(self):
+        # the heat equation's bound-2 generators: [e5, e9] = (x^3 + 6tx) Du
+        # needs the degree-3 solution, and it is the first pair in order
+        # that leaves the span
+        fields = find_symmetries(heat_equation(), 2).fields
+        with pytest.raises(NotClosedError) as exc:
+            structure_constants(fields)
+        assert str(exc.value) == (
+            "bracket [e5, e9] leaves the span; leftover VectorField(xi_t=0, "
+            "xi_x=0, eta=x^3 + 6*t*x)")
+        assert exc.value.pair == (4, 8)
+
 
 class TestInvariants:
     def test_abelian_3(self):
@@ -109,6 +135,19 @@ class TestInvariants:
 
 
 class TestIdentify:
+    def test_derived_algebra_and_centre_computed_once(self, monkeypatch):
+        calls = {"center": 0, "derived_subalgebra": 0}
+        for name in calls:
+            def counted(L, name=name, real=getattr(algebra, name)):
+                calls[name] += 1
+                return real(L)
+            monkeypatch.setattr(algebra, name, counted)
+        table = dcr_symbols()
+        L = structure_constants([parse_vector_field(f, table)
+                                 for f in ("Dx", "x*Dx", "Du")])
+        assert identify(L).label == "A2+A1"
+        assert calls == {"center": 1, "derived_subalgebra": 1}
+
     def test_eq5_label_and_witness(self):
         L = structure_constants([X1, X2, VectorField(-5 * t, -2 * x, u)])
         ident = identify(L)

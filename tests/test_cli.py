@@ -261,6 +261,37 @@ def test_closed_stdout_pipe(tmp_path):
             == (tmp_path / "whole.json").read_bytes())
 
 
+_VERIFY = ["verify-symmetry", "--pde", "u_t = D(u,x,2)", "--field", "Dt"]
+_NORMALIZE = ["normalize", "--instance", "m=2,p=1,c1=4"]
+_EQUIV = ["equiv", "--a", "m=2,p=1,c1=4", "--b", "m=2,p=1,c1=4"]
+_UNREAD = [
+    (_VERIFY, "--seed"),
+    (["find-symmetries", "--pde", "u_t = D(u,x,2)"], "--seed"),
+    (_NORMALIZE, "--seed"),
+    (_NORMALIZE, "--params"),
+    (_NORMALIZE, "--catalog"),
+    (_EQUIV, "--seed"),
+    (_EQUIV, "--params"),
+    (_EQUIV, "--catalog"),
+    (["bracket-table", "--algebra", "Dx"], "--seed"),
+    (["identify", "--algebra", "Dx"], "--seed"),
+    (["reduce", "--pde", "u_t = D(u,x,2)", "--field", "Dt"], "--seed"),
+    (["verify-solution", "--pde", "u_t = D(u,x,2)", "--sol", "1"], "--seed"),
+    (["transform-solution", "--pde", "u_t = D(u,x,2)", "--sol", "x",
+      "--field", "Dt", "--epsilon", "1"], "--seed"),
+    (["regress", "--cases", "heat"], "--params"),
+]
+
+
+@pytest.mark.parametrize("argv,option", _UNREAD,
+                         ids=[f"{a[0]} {o}" for a, o in _UNREAD])
+def test_subcommands_reject_options_they_do_not_read(argv, option, capsys):
+    # --seed goes with --samples, --params and --catalog with --pde or
+    # --algebra (and regress reads --catalog)
+    assert run(argv + [option, "1"]) == 3
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert run(["verify-symmetry", "--pde", "u_t = D(u,x,2)", "--field", "Dt",
                 "--out", str(tmp_path / "missing" / "rep.json")]) == 3

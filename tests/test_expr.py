@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liesym.expr import (
-    EULER, ZERO, ONE, ZeroVerdict, _int_nth_root, add, differentiate,
+    EULER, ZERO, ONE, Add, Func, Mul, Pow, Rat, Sym, ZeroVerdict,
+    _int_nth_root, add, differentiate,
     _stable_fraction, evaluate_exact, exp, free_symbols, func, is_zero, log,
     mul, powx, rat, sample_assignment, simplify, substitute, sym,
 )
@@ -89,6 +90,16 @@ class TestCanonicalForm:
     def test_mul_zero_denominator_guard(self):
         with pytest.raises(ZeroDivisionError):
             powx(ZERO, rat(-1))
+
+
+@pytest.mark.parametrize("node,kind", [
+    (rat(2), Rat), (x, Sym), (func("f", x), Func), (powx(x, rat(-1)), Pow),
+    (mul(2, x, t), Mul), (x + t, Add)])
+def test_nodes_are_immutable(node, kind):
+    assert type(node) is kind
+    for name in kind.__slots__ + ("_hash", "other"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(node, name, ZERO)
 
 
 class TestCalculus:

@@ -5,9 +5,9 @@ from fractions import Fraction
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from liesym.expr import ZERO, rat, sym
+from liesym.expr import ZERO, powx, rat, sym
 from liesym.linalg import (inverse, matmul, matvec, nullspace, rank, rref,
-                           solve)
+                           solve, solve_symbolic)
 
 # mostly zeros, like the determining systems of the symmetry search
 ENTRIES = st.one_of(
@@ -203,3 +203,15 @@ def test_sparse_products_match_dense_on_exprs():
     Q = [[Fraction(1), Fraction(0), Fraction(0)], [Fraction(0)] * 3,
          [Fraction(0), Fraction(1, 2), Fraction(-1)]]
     assert_same_entries(matmul(M, Q), dense_matmul(M, Q))
+
+
+def test_symbolic_solve_decides_each_column_at_its_first_failing_row():
+    # 2^(1/2) is not rational at any sample, so the zero test cannot decide
+    # it; each column's entry comes from the first row without a pivot
+    # that is not zero in that column
+    x, root2 = sym("x"), powx(rat(2), Fraction(1, 2))
+    O, I = rat(0), rat(1)
+    assert solve_symbolic([[I], [O]], [[x, O, x], [O, x, root2]]) == [
+        [x], None, "cannot decide consistency of symbolic system"]
+    assert solve_symbolic([[O], [root2]], [[O, x], [x, O]]) == [
+        "cannot certify pivots of symbolic system", None]

@@ -177,7 +177,7 @@ def _per_field_matrix(pde, basis):
 
 def _assert_same_matrix(pde, bound):
     basis = symmetry._ansatz_basis(bound)
-    got = symmetry._determining_matrix(pde, basis, bound)
+    got = symmetry._determining_matrix(pde, basis)
     want = _per_field_matrix(pde, basis)
     # the same row multiset; the row order is free, and the nullspace, from
     # which the generator basis is read, does not depend on it
