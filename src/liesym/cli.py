@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 verified/constructed, 1 refuted, 2 undecided, 3 usage error,
-4 internal fault (an unexpected exception, reported on one stderr line).
+Exit codes: 0 verified/constructed, 1 refuted, 2 undecided (also when a
+canonical form would pass a size limit), 3 usage error, 4 internal fault (an
+unexpected exception, reported on one stderr line).
 Expressions use the input DSL; PDEs and algebras can also be drawn from the
 case catalog with ``case:<id>``.  The audit seed comes from --seed or the
 LIESYM_SEED environment variable.
@@ -16,7 +17,8 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-from .expr import ExprError, SymbolTable, rat, substitute, sym
+from .expr import (ExprError, ResourceLimitError, SymbolTable, rat,
+                   substitute, sym)
 from . import dsl
 from .jets import dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
@@ -121,6 +123,8 @@ def _resolve_algebra(args, params: Dict[str, str]) -> LieAlgebra:
     else:
         fields = [dsl.parse_vector_field(part.strip(), table)
                   for part in args.algebra.split(";") if part.strip()]
+        if not fields:
+            raise UsageError("--algebra names no vector field")
     if bindings:
         with _binding():
             fields = [f.substitute(bindings) for f in fields]
@@ -575,6 +579,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (UsageError, FileNotFoundError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except ResourceLimitError as exc:
+        print(f"undecided: {exc}", file=sys.stderr)
+        return _verdict_exit("undecided")
     except ExprError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

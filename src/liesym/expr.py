@@ -34,6 +34,10 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 Rational = Union[int, Fraction]
 
+# shared rational constants: the kernel never mutates a Fraction
+_F0 = Fraction(0)
+_F1 = Fraction(1)
+
 
 class ExprError(Exception):
     """Base class for kernel errors."""
@@ -45,6 +49,11 @@ class UndeclaredSymbolError(ExprError):
 
 class NonRationalValue(ExprError):
     """Exact evaluation left the rationals (irrational power atom)."""
+
+
+class ResourceLimitError(ExprError):
+    """A canonical form would exceed a fixed size limit, so the question
+    stays undecided rather than running without bound."""
 
 
 class Expr:
@@ -278,7 +287,7 @@ def _log(a: Expr) -> Expr:
         content = _add_content(a)
         if content > 0 and content != 1:
             return add(_log(Rat(content)),
-                       Func("log", 0, _scale_add(a, Fraction(1, 1) / content)))
+                       Func("log", 0, _scale_add(a, 1 / content)))
     return Func("log", 0, a)
 
 
@@ -305,46 +314,63 @@ def _coeff_monomial(e: Expr) -> Tuple[Fraction, Expr]:
     if isinstance(e, Mul):
         if len(e.factors) == 1:
             return e.coeff, e.factors[0]
-        return e.coeff, Mul(Fraction(1), e.factors)
-    return Fraction(1), e
+        return e.coeff, Mul(_F1, e.factors)
+    return _F1, e
 
 
 def _term_from(coeff: Fraction, mono: Expr) -> Expr:
+    """coeff * mono for a monomial of :func:`_coeff_monomial` (its own
+    coefficient is 1)."""
     if coeff == 0:
         return ZERO
-    if mono == ONE:
+    if mono is ONE:
         return Rat(coeff)
     if isinstance(mono, Mul):
-        c = coeff * mono.coeff
-        if c == 1 and len(mono.factors) == 1:
-            return mono.factors[0]
-        return Mul(c, mono.factors)
+        return Mul(coeff, mono.factors)
     if coeff == 1:
         return mono
     return Mul(coeff, (mono,))
 
 
 def add(*xs) -> Expr:
-    """Canonical sum of the arguments."""
-    acc: Dict[tuple, List] = {}
-    const = Fraction(0)
+    """Canonical sum of the arguments.  A term whose monomial occurs once
+    is kept as it is; only merged terms are rebuilt."""
+    # monomial key -> [term (None once merged), coefficient, factors]
+    acc: Dict[tuple, list] = {}
+    consts: List[Rat] = []
     for x in xs:
         x = _coerce(x)
-        terms = x.terms if isinstance(x, Add) else (x,)
-        for t in terms:
-            c, mono = _coeff_monomial(t)
-            if mono == ONE:
-                const += c
+        for t in (x.terms if isinstance(x, Add) else (x,)):
+            if isinstance(t, Rat):
+                consts.append(t)
                 continue
-            k = mono.key()
+            if isinstance(t, Mul):
+                c, fs = t.coeff, t.factors
+                k = fs[0].key() if len(fs) == 1 else (4, t.key()[1])
+            else:
+                c, fs = _F1, (t,)
+                k = t.key()
             entry = acc.get(k)
             if entry is None:
-                acc[k] = [mono, c]
+                acc[k] = [t, c, fs]
             else:
+                entry[0] = None
                 entry[1] += c
-    out = [_term_from(c, mono) for mono, c in acc.values() if c != 0]
-    if const != 0:
-        out.append(Rat(const))
+    out = []
+    for t, c, fs in acc.values():
+        if t is not None:
+            out.append(t)
+        elif c == 1 and len(fs) == 1:
+            out.append(fs[0])
+        elif c:
+            out.append(Mul(c, fs))
+    if len(consts) == 1:
+        if consts[0].value:
+            out.append(consts[0])
+    elif consts:
+        const = sum([r.value for r in consts], _F0)
+        if const:
+            out.append(Rat(const))
     if not out:
         return ZERO
     if len(out) == 1:
@@ -377,19 +403,23 @@ _MAX_MUL_ROUNDS = 64
 
 
 def mul(*xs) -> Expr:
-    """Canonical product of the arguments."""
-    coeff = Fraction(1)
+    """Canonical product of the arguments.  The rational coefficient is
+    carried as an integer numerator and denominator and reduced once, when
+    the product is built."""
+    num = den = 1
     # base.key() -> [base, [exponent, ...]]
     pend: Dict[tuple, List] = {}
     sums: List[Add] = []
 
     def absorb(e: Expr):
-        nonlocal coeff
+        nonlocal num, den
         if isinstance(e, Rat):
-            coeff *= e.value
+            num *= e.value.numerator
+            den *= e.value.denominator
             return
         if isinstance(e, Mul):
-            coeff *= e.coeff
+            num *= e.coeff.numerator
+            den *= e.coeff.denominator
             for f in e.factors:
                 absorb(f)
             return
@@ -398,8 +428,9 @@ def mul(*xs) -> Expr:
             # the same sum share one power base
             c = _add_content(e)
             if c != 1:
-                coeff *= c
-                e = _scale_add(e, Fraction(1, 1) / c)
+                num *= c.numerator
+                den *= c.denominator
+                e = _scale_add(e, 1 / c)
         b, ex = _base_exp(e)
         entry = pend.get(b.key())
         if entry is None:
@@ -412,13 +443,14 @@ def mul(*xs) -> Expr:
 
     # Fixpoint: normalize each (base, summed exponent), re-absorbing any
     # rewrites (prime splits, folds, merges) until the factor set is stable.
+    # A lone exponent is canonical already and is not summed.
     atoms: Dict[tuple, Expr] = {}
     rounds = 0
     while pend:
         rounds += 1
         if rounds > _MAX_MUL_ROUNDS:
             raise ExprError("product canonicalization did not stabilize")
-        if coeff == 0:
+        if num == 0:
             return ZERO
         work = list(pend.values())
         pend.clear()
@@ -428,7 +460,7 @@ def mul(*xs) -> Expr:
                 # merge with an already-finished atom and retry
                 ab, ae = _base_exp(atoms.pop(k))
                 exps = exps + [ae]
-            e = add(*exps)
+            e = exps[0] if len(exps) == 1 else add(*exps)
             p = powx(b, e)
             pb, pe = _base_exp(p)
             if not isinstance(p, (Rat, Mul, Add)) and pb == b and pe == e:
@@ -437,10 +469,10 @@ def mul(*xs) -> Expr:
                 sums.append(p)
             else:
                 absorb(p)
-    if coeff == 0:
+    if num == 0:
         return ZERO
 
-    head = _build_mul(coeff, list(atoms.values()))
+    head = _build_mul(Fraction(num, den), list(atoms.values()))
     if sums:
         out = []
         for combo in itertools.product(*[s.terms for s in sums]):
@@ -520,7 +552,7 @@ def _prime_pow(p: int, e: Expr) -> Expr:
     if isinstance(e, Rat):
         const, rest = e.value, ZERO
     elif isinstance(e, Add):
-        const = Fraction(0)
+        const = _F0
         parts = []
         for t in e.terms:
             if isinstance(t, Rat):
@@ -529,7 +561,7 @@ def _prime_pow(p: int, e: Expr) -> Expr:
                 parts.append(t)
         rest = add(*parts)
     else:
-        const, rest = Fraction(0), e
+        const, rest = _F0, e
     n = const.numerator // const.denominator
     frac = const - n
     atom_exp = add(Rat(frac), rest)
@@ -546,7 +578,7 @@ def _prime_pow(p: int, e: Expr) -> Expr:
 
 def _combine_prime_parts(parts: Sequence[Expr]) -> Expr:
     """Direct product of prime-power parts (distinct bases, canonical)."""
-    coeff = Fraction(1)
+    coeff = _F1
     atoms: List[Expr] = []
     for r in parts:
         if isinstance(r, Rat):
@@ -557,6 +589,11 @@ def _combine_prime_parts(parts: Sequence[Expr]) -> Expr:
         else:
             atoms.append(r)
     return _build_mul(coeff, atoms)
+
+
+#: most terms an integer power of a sum may expand to: an n-term sum to the
+#: power k has up to C(n+k-1, k) of them
+MAX_EXPANSION_TERMS = 100
 
 
 def powx(base, exponent) -> Expr:
@@ -588,11 +625,17 @@ def powx(base, exponent) -> Expr:
     if isinstance(b, Add):
         content = _add_content(b)
         if content != 1:
-            nb = _scale_add(b, Fraction(1, 1) / content)
+            nb = _scale_add(b, 1 / content)
             return mul(powx(Rat(content), e), powx(nb, e))
         if isinstance(e, Rat) and e.value.denominator == 1 and e.value > 1:
+            k, n = int(e.value), len(b.terms)
+            count = math.comb(n + k - 1, k)
+            if count > MAX_EXPANSION_TERMS:
+                raise ResourceLimitError(
+                    f"expanding a {n}-term sum to the power {k} could give "
+                    f"{count} terms, over the limit of {MAX_EXPANSION_TERMS}")
             out: Expr = b
-            for _ in range(int(e.value) - 1):
+            for _ in range(k - 1):
                 out = _expand_product(out, b)
             return out
         return Pow(b, e)

@@ -29,6 +29,8 @@ from .expr import Expr, Rat, ZERO, ZeroVerdict, add, is_zero, mul, powx, rat
 Matrix = List[List[Fraction]]
 SparseRow = Dict[int, Fraction]
 
+_ZERO = Fraction(0)
+
 
 def _choose_pivot(candidates: Set[int], rows: Dict[int, SparseRow]) -> int:
     """Markowitz-style pivot row: the shortest candidate, then the lowest
@@ -126,20 +128,17 @@ def _unit(n: int, j: int) -> List[Fraction]:
 
 
 def _primitive(v: Sequence[Fraction]) -> List[Fraction]:
-    """Scale so entries are coprime integers with positive leading entry."""
-    den = 1
-    for x in v:
-        den = lcm(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
+    """Scale so entries are coprime integers with positive leading entry.
+    The scaling runs on integers; zero entries share one Fraction(0)."""
+    den = lcm(*[x.denominator for x in v])
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
     if g:
         ints = [n // g for n in ints]
     lead = next((n for n in ints if n != 0), 1)
     if lead < 0:
         ints = [-n for n in ints]
-    return [Fraction(n) for n in ints]
+    return [Fraction(n) if n else _ZERO for n in ints]
 
 
 def solve(rows: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:

@@ -190,7 +190,9 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
                 continue
             for coeff, et, ex, rest in terms:
                 k = (et + i - a, ex + j - b, rest)
-                entries[k] = entries.get(k, 0) + f * coeff
+                v = coeff if f == 1 else f * coeff
+                old = entries.get(k)
+                entries[k] = v if old is None else old + v
         for k, v in entries.items():
             if v:
                 rows.setdefault(k, [0] * n)[col] = v

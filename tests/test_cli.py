@@ -50,6 +50,18 @@ class TestExitCodes:
                     "--sol", "(1+exp(x+t))^(-1)*exp(x+t)"]) == 2
         assert time.perf_counter() - start < 2
 
+    def test_oversized_power_expansion_is_undecided(self, capsys):
+        # (u+x+t+1)^200 would expand to 1373701 terms: the size limit stops
+        # it at once with a one-line reason
+        start = time.perf_counter()
+        assert run(["verify-symmetry", "--pde", "u_t=(u+x+t+1)^200",
+                    "--field", "Dx"]) == 2
+        assert time.perf_counter() - start < 2
+        err = capsys.readouterr().err
+        assert err.startswith("undecided: expanding a 4-term sum to the "
+                              "power 200")
+        assert err.count("\n") == 1
+
     def test_verify_solution_refuted(self):
         assert run(["verify-solution", "--pde", "u_t = D(u,x,2)",
                     "--sol", "x^2"]) == 1
@@ -146,6 +158,8 @@ class TestExitCodes:
         (["verify-symmetry", "--pde", "u_t = D(u,x,2)/m", "--params", "m=0",
           "--field", "Dx"], "division by zero substituting --params"),
         (["regress", "--cases", "nope"], "unknown case id 'nope'"),
+        (["bracket-table", "--algebra", ";"], "names no vector field"),
+        (["identify", "--algebra", " ; ; "], "names no vector field"),
     ])
     def test_bad_input_is_usage_error(self, argv, message, capsys):
         # exit 1 would read as "refuted"; bad input is a usage error

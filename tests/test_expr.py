@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liesym import expr as expr_module
 from liesym.expr import (
-    EULER, ZERO, ONE, Add, Func, Mul, Pow, Rat, Sym, ZeroVerdict,
+    EULER, ZERO, ONE, Add, Func, Mul, NonRationalValue, Pow, Rat, Sym,
+    ZeroVerdict,
     _int_nth_root, add, differentiate,
     _stable_fraction, evaluate_exact, exp, free_symbols, func, is_zero, log,
     mul, powx, rat, sample_assignment, simplify, substitute, sym,
@@ -180,31 +182,104 @@ class TestZeroTest:
 # -- property-based checks ---------------------------------------------------
 
 names = st.sampled_from(["t", "x", "u"])
+radicals = st.builds(powx, st.sampled_from([rat(12), rat(18), rat(6),
+                                             rat(Fraction(2, 3))]),
+                     st.sampled_from([rat(Fraction(1, 2)), rat(Fraction(-1, 2)),
+                                      rat(Fraction(3, 2)),
+                                      rat(Fraction(1, 3))]))
+# w occurs only in these bases, so no generated sum cancels against them
+inverse_sums = st.builds(
+    lambda a, b, k: powx(add(mul(rat(a), sym("w")), rat(b)), rat(-k)),
+    st.integers(1, 3), st.integers(1, 2), st.integers(1, 3))
+symbolic_powers = st.one_of(
+    st.builds(powx, names.map(sym),
+              st.sampled_from([m, m + Fraction(1, 2), 1 - m])),
+    st.builds(powx, st.sampled_from([rat(6), rat(Fraction(4, 9))]),
+              st.sampled_from([m, -m, m + 1])))
 
 
 @st.composite
-def poly_exprs(draw, depth=3):
-    """Random polynomial expressions over t, x, u with rational constants."""
+def poly_exprs(draw, depth=3, atoms=False):
+    """Random polynomial expressions over t, x, u with rational constants.
+    With ``atoms``, leaves also include rational radicals, negative integer
+    powers of sums and powers with the symbolic exponent m, so products
+    split primes and merge with finished atoms."""
     if depth == 0:
-        kind = draw(st.integers(0, 1))
+        kind = draw(st.integers(0, 4 if atoms else 1))
         if kind == 0:
             return sym(draw(names))
-        return rat(Fraction(draw(st.integers(-9, 9)),
-                            draw(st.integers(1, 7))))
+        if kind == 1:
+            return rat(Fraction(draw(st.integers(-9, 9)),
+                                draw(st.integers(1, 7))))
+        return draw([radicals, inverse_sums, symbolic_powers][kind - 2])
     kind = draw(st.integers(0, 3))
     if kind == 0:
-        return add(draw(poly_exprs(depth=depth - 1)),
-                   draw(poly_exprs(depth=depth - 1)))
+        return add(draw(poly_exprs(depth - 1, atoms)),
+                   draw(poly_exprs(depth - 1, atoms)))
     if kind == 1:
-        return mul(draw(poly_exprs(depth=depth - 1)),
-                   draw(poly_exprs(depth=depth - 1)))
+        return mul(draw(poly_exprs(depth - 1, atoms)),
+                   draw(poly_exprs(depth - 1, atoms)))
     if kind == 2:
         return powx(sym(draw(names)), rat(draw(st.integers(0, 4))))
-    return draw(poly_exprs(depth=depth - 1))
+    return draw(poly_exprs(depth - 1, atoms))
+
+
+def _exact_nodes(e):
+    """Every Rat value and Mul coefficient in e."""
+    if isinstance(e, Rat):
+        yield e.value
+    elif isinstance(e, Mul):
+        yield e.coeff
+        for f in e.factors:
+            yield from _exact_nodes(f)
+    elif isinstance(e, Add):
+        for t in e.terms:
+            yield from _exact_nodes(t)
+    elif isinstance(e, Pow):
+        yield from _exact_nodes(e.base)
+        yield from _exact_nodes(e.exponent)
+    elif isinstance(e, Func):
+        yield from _exact_nodes(e.arg)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_exprs(atoms=True), poly_exprs(atoms=True), poly_exprs(atoms=True))
+def test_mul_and_add_are_commutative_and_associative(a, b, c):
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c)) == mul(a, b, c)
+    assert add(a, b) == add(b, a)
+    assert add(add(a, b), c) == add(a, add(b, c)) == add(a, b, c)
+    assert mul(a) == a
+    assert add(a) == a
+    for e in (mul(a, b, c), add(a, b, c)):
+        assert all(type(v) is Fraction for v in _exact_nodes(e))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_exprs(atoms=True), poly_exprs(atoms=True), st.integers(0, 2))
+def test_products_and_sums_evaluate_to_products_and_sums(a, b, index):
+    names_ = free_symbols(a) | free_symbols(b)
+    point = sample_assignment(names_, index, parameters={"m"})
+    try:
+        va, vb = evaluate_exact(a, point), evaluate_exact(b, point)
+    except NonRationalValue:  # a radical atom has no rational value
+        return
+    assert evaluate_exact(mul(a, b), point) == va * vb
+    assert evaluate_exact(add(a, b), point) == va + vb
+
+
+def test_product_of_atoms_sums_no_exponents(monkeypatch):
+    # each base has one exponent, which is canonical already
+    calls = []
+    real_add = expr_module.add
+    monkeypatch.setattr(expr_module, "add",
+                        lambda *xs: calls.append(xs) or real_add(*xs))
+    assert mul(sym("x"), sym("u")) == Mul(Fraction(1), (u, x))
+    assert calls == []
 
 
 @settings(max_examples=120, deadline=None)
-@given(poly_exprs())
+@given(poly_exprs(atoms=True))
 def test_simplify_idempotent(e):
     assert simplify(e) == e
 

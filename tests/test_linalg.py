@@ -1,13 +1,15 @@
 """Exact elimination against sympy as an independent oracle."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
 from liesym.expr import ZERO, powx, rat, sym
-from liesym.linalg import (inverse, matmul, matvec, nullspace, rank, rref,
-                           solve, solve_symbolic)
+from liesym.linalg import (_primitive, inverse, matmul, matvec, nullspace,
+                           rank, rref, solve, solve_symbolic)
 
 # mostly zeros, like the determining systems of the symmetry search
 ENTRIES = st.one_of(
@@ -215,3 +217,38 @@ def test_symbolic_solve_decides_each_column_at_its_first_failing_row():
         [x], None, "cannot decide consistency of symbolic system"]
     assert solve_symbolic([[O], [root2]], [[O, x], [x, O]]) == [
         "cannot certify pivots of symbolic system", None]
+
+
+def _primitive_by_fractions(v):
+    """The former scaling: multiply each entry by the common denominator
+    as a Fraction."""
+    den = 1
+    for x in v:
+        den = lcm(den, x.denominator)
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints)
+    if g:
+        ints = [n // g for n in ints]
+    lead = next((n for n in ints if n != 0), 1)
+    if lead < 0:
+        ints = [-n for n in ints]
+    return [Fraction(n) for n in ints]
+
+
+@pytest.mark.parametrize("v", [
+    [],
+    [Fraction(0), Fraction(0)],
+    [Fraction(0), Fraction(-3, 4), Fraction(5, 6), Fraction(0)],
+    [Fraction(-2, 3), Fraction(4, 9), Fraction(-1)],
+    [Fraction(7), Fraction(-14), Fraction(21, 5)],
+])
+def test_primitive_scales_in_integers(v):
+    got = _primitive(v)
+    assert got == _primitive_by_fractions(v)
+    assert all(type(x) is Fraction and x.denominator == 1 for x in got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(ENTRIES, max_size=9))
+def test_primitive_matches_fraction_scaling(v):
+    assert _primitive(v) == _primitive_by_fractions(v)
