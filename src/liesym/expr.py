@@ -364,13 +364,11 @@ def add(*xs) -> Expr:
             out.append(fs[0])
         elif c:
             out.append(Mul(c, fs))
-    if len(consts) == 1:
-        if consts[0].value:
-            out.append(consts[0])
-    elif consts:
-        const = sum([r.value for r in consts], _F0)
-        if const:
-            out.append(Rat(const))
+    if consts:
+        r = (consts[0] if len(consts) == 1
+             else Rat(sum([q.value for q in consts], _F0)))
+        if r.value:
+            out.append(r)
     if not out:
         return ZERO
     if len(out) == 1:

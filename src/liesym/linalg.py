@@ -93,14 +93,13 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     ncols = len(rows[0])
     reduced = _eliminate(rows)
     pivots = sorted(reduced)
-    zero = Fraction(0)
     out: Matrix = []
     for c in pivots:
-        dense = [zero] * ncols
+        dense = [_ZERO] * ncols
         for j, v in reduced[c].items():
             dense[j] = v
         out.append(dense)
-    out.extend([zero] * ncols for _ in range(len(rows) - len(pivots)))
+    out.extend([_ZERO] * ncols for _ in range(len(rows) - len(pivots)))
     return out, pivots
 
 
@@ -122,7 +121,7 @@ def nullspace(rows: Matrix, ncols: int) -> List[List[Fraction]]:
 
 
 def _unit(n: int, j: int) -> List[Fraction]:
-    v = [Fraction(0)] * n
+    v = [_ZERO] * n
     v[j] = Fraction(1)
     return v
 
@@ -150,10 +149,9 @@ def solve(rows: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     reduced = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
     if ncols in reduced:
         return None
-    zero = Fraction(0)
-    x = [zero] * ncols
+    x = [_ZERO] * ncols
     for pc, prow in reduced.items():
-        x[pc] = prow.get(ncols, zero)
+        x[pc] = prow.get(ncols, _ZERO)
     return x
 
 
@@ -189,8 +187,7 @@ def inverse(a: Matrix) -> Optional[Matrix]:
     reduced = _eliminate([list(a[i]) + identity(n)[i] for i in range(n)])
     if any(c not in reduced for c in range(n)):
         return None
-    zero = Fraction(0)
-    return [[reduced[c].get(n + j, zero) for j in range(n)] for c in range(n)]
+    return [[reduced[c].get(n + j, _ZERO) for j in range(n)] for c in range(n)]
 
 
 # ---------------------------------------------------------------------------

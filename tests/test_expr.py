@@ -203,7 +203,7 @@ def poly_exprs(draw, depth=3, atoms=False):
     """Random polynomial expressions over t, x, u with rational constants.
     With ``atoms``, leaves also include rational radicals, negative integer
     powers of sums and powers with the symbolic exponent m, so products
-    split primes and merge with finished atoms."""
+    split primes and fold integer parts out of merged exponents."""
     if depth == 0:
         kind = draw(st.integers(0, 4 if atoms else 1))
         if kind == 0:
