@@ -291,11 +291,24 @@ def _log(a: Expr) -> Expr:
     return Func("log", 0, a)
 
 
+#: trial division in _factorize stops past this divisor: a cofactor left
+#: below its square is prime, a larger one is refused.  The tier-1 tests,
+#: the golden reports and the benchmark workloads reach divisor 93.
+FACTOR_LIMIT = 10 ** 5
+
+
 def _factorize(n: int) -> Iterator[Tuple[int, int]]:
-    """Prime factorization of a positive integer (inputs stay small here)."""
+    """Prime factorization of a positive integer by trial division up to
+    FACTOR_LIMIT.  A cofactor that may be composite raises
+    ResourceLimitError; it is never kept as an opaque base, whose log
+    stand-in could certify a false nonzero."""
     assert n > 0
     d = 2
     while d * d <= n:
+        if d > FACTOR_LIMIT:
+            raise ResourceLimitError(
+                f"a {n.bit_length()}-bit cofactor has no prime factor up to "
+                f"{FACTOR_LIMIT}, so it cannot be factored exactly")
         if n % d == 0:
             k = 0
             while n % d == 0:

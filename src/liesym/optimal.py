@@ -5,19 +5,28 @@ Strategy: an algebra is first identified (witness basis change to canonical
 coordinates); in canonical coordinates every encoded class has an exact
 classifier mapping a nonzero coefficient vector to its class representative
 together with a witness word of adjoint steps.  Conjugacy of two vectors is
-then signature equality, and the optimal system is the classifier's image.
+then signature equality, confirmed by applying the composed word exactly,
+and the optimal system is the classifier's image.
 
 The conjugacy quotient is the connected adjoint group, the line reflection
 v -> -v, and the per-class discrete automorphisms declared in the catalog
 (reflections for the diagonal solvable classes, the factor swap for 2A2).
 Subalgebra classifications in the reference tables use the same quotient.
 
-Witness parameters are exact rationals for shift steps; magnitude and angle
-normalizations use floating parameters with the stated residual tolerance.
+Everything is exact.  A signature parameter is a Fraction when it is a
+ratio of canonical coordinates, and a kernel value when it is a magnitude:
+a rational times prime radicals, whose canonical form is unique, or a
+rational times e^q, which is irrational for rational q != 0 (Lindemann).
+So signatures match by plain equality.  A shift or scaling step carries
+its parameter as a kernel expression (a rational, or a rational multiple
+of the log of a positive rational), and a rotation step carries its exact
+(cos, sin).  A word is a certificate: `conjugate` is answered only when the
+word, applied exactly, makes every 2x2 minor of (A v, w) the literal zero.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -28,8 +37,8 @@ from typing import (
 
 from .dsl import render
 from .expr import (
-    EULER, Expr, ExprError, Rat, ZERO, ONE, _rat_root, add, mul, powx, rat,
-    substitute, sym,
+    EULER, Add, Expr, ExprError, Mul, Pow, Rat, ZERO, ONE, _coerce, add,
+    exp, log, mul, powx, rat, substitute, sym,
 )
 from .algebra import (
     CanonicalClass, Identification, LieAlgebra, _in_span_coords, _series,
@@ -38,9 +47,9 @@ from .algebra import (
 from .linalg import Matrix, identity, inverse, matmul, matvec, nullspace
 
 
-PARAM_TOL = 1e-9
 DEFAULT_SEED = 20240901
 DEFAULT_SAMPLES = 1000
+_HALF = rat(Fraction(1, 2))
 
 
 class UnsupportedClassError(ExprError):
@@ -124,9 +133,12 @@ def _rational_roots(poly: List[Fraction]) -> Optional[Dict[Fraction, int]]:
     return roots if sum(roots.values()) == deg else None
 
 
-def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
-    """exp(eps*M) as exact expressions (polynomial and exponential entries in
-    eps) when the spectrum is rational; None otherwise."""
+@functools.lru_cache(maxsize=None)
+def _eigen_chains(M: Tuple[Tuple[Fraction, ...], ...]):
+    """(eigenvalue, Jordan chain) blocks of a rational matrix and the
+    inverse of the matrix of their lead vectors, when the spectrum is
+    rational; None otherwise.  They do not depend on the group parameter,
+    so each ad matrix is decomposed once."""
     n = len(M)
     roots = _rational_roots(_char_poly(M))
     if roots is None:
@@ -151,11 +163,20 @@ def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
             cols.append(v)
     if len(cols) != n:
         return None
-    P = [[cols[j][i] for j in range(n)] for i in range(n)]
-    Pinv = inverse(P)
-    if Pinv is None:
+    Pinv = inverse([[cols[j][i] for j in range(n)] for i in range(n)])
+    return None if Pinv is None else (blocks, Pinv)
+
+
+def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
+    """exp(eps*M) as exact expressions (polynomial and exponential entries in
+    eps) when the spectrum is rational; None otherwise."""
+    n = len(M)
+    data = _eigen_chains(tuple(map(tuple, M)))
+    if data is None:
         return None
-    # matrix whose column j is exp(eps M) applied to cols[j]
+    blocks, Pinv = data
+    # matrix whose column k is exp(eps M) applied to the lead vector of
+    # block k
     exp_cols: List[List[Expr]] = []
     for lam, chain in blocks:
         phase = powx(EULER, mul(rat(lam), eps))
@@ -178,58 +199,101 @@ def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
     return out
 
 
-def _expm_float(M: Matrix, eps: float) -> List[List[float]]:
-    """exp(eps*M) in floats by scaling-and-squaring Taylor, adequate for
-    dim <= 4."""
-    A = [[eps * float(x) for x in row] for row in M]
-    norm = max((abs(x) for row in A for x in row), default=0.0)
-    s = max(0, int(math.ceil(math.log2(norm + 1e-30))) + 2) if norm > 0.5 else 0
-    B = [[x / (2 ** s) for x in row] for row in A]
-    out = term = [[float(x) for x in row] for row in identity(len(A))]
-    for k in range(1, 24):
-        term = [[x / k for x in row] for row in matmul(term, B)]
-        out = [[a + b for a, b in zip(ro, rt)] for ro, rt in zip(out, term)]
-    for _ in range(s):
-        out = matmul(out, out)
-    return out
-
-
 def ad_matrix_rational(L: LieAlgebra, i: int) -> Matrix:
     """Matrix of ad e_i."""
     return ad_matrix(L, identity(L.dim)[i])
 
 
 def adjoint_matrix(L: LieAlgebra, i: int,
-                   eps: Union[Expr, Fraction, float, None] = None):
-    """Ad(exp(eps ad e_i)): exact symbolic matrix when the spectrum of
-    ad e_i is rational, else a numeric matrix at the instantiated eps."""
-    M = ad_matrix_rational(L, i)
-    if eps is None:
-        eps = sym("eps")
-    if isinstance(eps, (int, Fraction)):
-        eps = rat(eps)
-    if isinstance(eps, Expr):
-        exact = exact_expm(M, eps)
-        if exact is not None:
-            return exact
-        if isinstance(eps, Rat):
-            return _expm_float(M, float(eps.value))
-        raise ExprError("irrational spectrum: numeric adjoint needs a "
-                        "numeric epsilon")
-    return _expm_float(M, float(eps))
+                   eps: Union[Expr, Fraction, None] = None
+                   ) -> List[List[Expr]]:
+    """Ad(exp(eps ad e_i)) as exact expressions in eps (a symbol by
+    default).  A generator with an irrational spectrum, a rotation, has no
+    such closed form in eps: its steps are rotation steps (_rotate)."""
+    exact = exact_expm(ad_matrix_rational(L, i),
+                       sym("eps") if eps is None else _coerce(eps))
+    if exact is None:
+        raise ExprError(f"ad e{i + 1} has an irrational spectrum: its "
+                        "group elements are rotation steps")
+    return exact
+
+
+def _rotate(M: Matrix, turn: Tuple[Expr, Expr], x: List[Expr]) -> List[Expr]:
+    """exp(theta M) x for a rotation generator M, with (cos theta,
+    sin theta) = turn: I + sin*J + (1 - cos)*J^2, where J is M without its
+    diagonal and J^3 = -J.  The A3,7 spiral's diagonal -a on its plane
+    scales that plane by the positive number e^(-a*theta) on top, so the
+    line of x is mapped exactly only when x lies in that plane; any other x
+    raises ExprError."""
+    n = len(M)
+    diag = [M[i][i] for i in range(n)]
+    J = [[M[i][j] if i != j else Fraction(0) for j in range(n)]
+         for i in range(n)]
+    J2 = matmul(J, J)
+    if matmul(J, J2) != [[-m for m in row] for row in J] or any(
+            J[i][j] and diag[i] != diag[j]
+            for i in range(n) for j in range(n)):
+        raise ExprError("a rotation step needs a rotation generator")
+    if any(diag) and any(not x[i].is_zero_literal
+                         for i in range(n) if not diag[i]):
+        raise ExprError("a spiral rotation maps a line exactly only in its "
+                        "plane")
+    c, s = turn
+    return [add(xi, mul(s, jx), mul(add(ONE, mul(-1, c)), j2x))
+            for xi, jx, j2x in zip(x, _expr_matvec(J, x),
+                                   _expr_matvec(J2, x))]
+
+
+def apply_word(cls: CanonicalClass, a: Optional[Fraction],
+               steps: Sequence["Step"], v: Sequence) -> List[Expr]:
+    """An adjoint word applied exactly, first step first, to a coefficient
+    vector in canonical coordinates."""
+    alg = cls.instantiated(a)
+    x = [_coerce(t) for t in v]
+    for s in steps:
+        if s.kind == "aut":
+            x = _expr_matvec(cls.discrete_maps()[s.name], x)
+        elif s.kind == "rot":
+            x = _rotate(ad_matrix_rational(alg, s.index), s.turn, x)
+        else:
+            x = _expr_matvec(adjoint_matrix(alg, s.index, s.epsilon), x)
+    return x
+
+
+def _same_line(x: Sequence[Expr], y: Sequence) -> bool:
+    """x is nonzero and every 2x2 minor of (x, y) is the literal zero."""
+    return any(not t.is_zero_literal for t in x) and all(
+        add(mul(x[i], y[j]), mul(-1, x[j], y[i])).is_zero_literal
+        for i, j in itertools.combinations(range(len(x)), 2))
 
 
 # ---------------------------------------------------------------------------
 # subalgebra representatives, witnesses, signatures
 # ---------------------------------------------------------------------------
 
-# admissible domain of a free parameter, by kind
+def _sign(x) -> int:
+    """Sign of a rational, or of a kernel value c * prod(b^r) over positive
+    rational bases and e, which is what every irrational invariant and
+    magnitude built here is."""
+    if isinstance(x, Rat):
+        x = x.value
+    if not isinstance(x, Expr):
+        return (x > 0) - (x < 0)
+    coeff, factors = (x.coeff, x.factors) if isinstance(x, Mul) \
+        else (Fraction(1), (x,))
+    if all(isinstance(f, Pow) and (f.base == EULER or isinstance(f.base, Rat)
+                                   and f.base.value > 0) for f in factors):
+        return 1 if coeff > 0 else -1
+    raise ExprError(f"no exact sign for {render(x)}")
+
+
+# admissible domain of a free parameter, by kind (exact values, see _sign)
 PARAM_KINDS = {
     "any": lambda v: True,
-    "nonzero": lambda v: abs(v) > PARAM_TOL,
-    "positive": lambda v: v > PARAM_TOL,
-    "nonneg": lambda v: v >= -PARAM_TOL,
-    "unit-interval": lambda v: PARAM_TOL < abs(v) <= 1 + PARAM_TOL,
+    "nonzero": lambda v: _sign(v) != 0,
+    "positive": lambda v: _sign(v) > 0,
+    "nonneg": lambda v: _sign(v) >= 0,
+    "unit-interval": lambda v: 0 < abs(v) <= 1,
 }
 
 
@@ -241,7 +305,7 @@ class ParamSpec(NamedTuple):
     note: str = ""
 
     def admits(self, value) -> bool:
-        return PARAM_KINDS[self.kind](float(value))
+        return PARAM_KINDS[self.kind](value)
 
 
 class SubalgebraRep(NamedTuple):
@@ -290,64 +354,55 @@ class SubalgebraRep(NamedTuple):
         return body
 
 
-class Step:
-    """One adjoint-word letter: exp of a basis direction or a declared
-    discrete automorphism."""
+class Step(NamedTuple):
+    """One adjoint-word letter: exp(epsilon*ad e_k) with epsilon a kernel
+    expression, a rotation exp(theta*ad e_k) carried by its exact
+    (cos theta, sin theta), or a declared discrete automorphism."""
 
-    __slots__ = ("kind", "index", "name", "epsilon")
-
-    def __init__(self, kind: str, index: int = -1, name: str = "",
-                 epsilon: Union[Fraction, float, None] = None):
-        self.kind = kind          # "exp" | "aut"
-        self.index = index        # canonical basis index for exp steps
-        self.name = name          # automorphism name for aut steps
-        self.epsilon = epsilon
+    kind: str                 # "exp" | "rot" | "aut"
+    index: int = -1           # canonical basis index for exp/rot steps
+    name: str = ""            # automorphism name for aut steps
+    epsilon: Optional[Expr] = None
+    turn: Optional[Tuple[Expr, Expr]] = None   # (cos, sin) of a rot step
 
     def inverse(self) -> "Step":
         if self.kind == "exp":
-            return Step("exp", self.index, epsilon=-self.epsilon)
+            return Step("exp", self.index, epsilon=mul(-1, self.epsilon))
+        if self.kind == "rot":
+            return Step("rot", self.index,
+                        turn=(self.turn[0], mul(-1, self.turn[1])))
         return self  # the declared reflections and the swap are involutions
 
+    def describe(self) -> str:
+        if self.kind == "aut":
+            return f"aut[{self.name}]"
+        if self.kind == "rot":
+            eps = f"atan2({render(self.turn[1])}, {render(self.turn[0])})"
+        else:
+            eps = render(self.epsilon)
+            if isinstance(self.epsilon, Add):
+                eps = f"({eps})"
+        return f"exp({eps}*ad e{self.index + 1})"
 
-class ConjugacyWitness:
-    __slots__ = ("steps", "residual")
 
-    def __init__(self, steps: Tuple[Step, ...], residual: float):
-        self.steps = steps
-        self.residual = residual
+class ConjugacyWitness(NamedTuple):
+    """A word whose exact application maps v onto the line of w: every 2x2
+    minor vanished literally, so its residual is the exact 0."""
+
+    steps: Tuple[Step, ...]
+    residual: Fraction = Fraction(0)
 
     def describe(self) -> str:
-        parts = []
-        for s in self.steps:
-            if s.kind == "exp":
-                parts.append(f"exp({s.epsilon}*ad e{s.index + 1})")
-            else:
-                parts.append(f"aut[{s.name}]")
-        return " . ".join(parts) if parts else "identity"
+        return " . ".join(s.describe() for s in self.steps) or "identity"
 
 
-class Signature:
-    __slots__ = ("rep_id", "params", "steps")
-
-    def __init__(self, rep_id: str, params: Dict[str, Union[Fraction, float]],
-                 steps: List[Step]):
-        self.rep_id = rep_id
-        self.params = params
-        self.steps = steps
+class Signature(NamedTuple):
+    rep_id: str
+    params: Dict[str, object]   # exact: see the module docstring
+    steps: List[Step]
 
     def matches(self, other: "Signature") -> bool:
-        if self.rep_id != other.rep_id:
-            return False
-        if set(self.params) != set(other.params):
-            return False
-        for k, v in self.params.items():
-            w = other.params[k]
-            if isinstance(v, Fraction) and isinstance(w, Fraction):
-                if v != w:
-                    return False
-            elif abs(float(v) - float(w)) > PARAM_TOL * max(1.0, abs(float(v))):
-                return False
-        return True
+        return self.rep_id == other.rep_id and self.params == other.params
 
     def brief(self) -> str:
         if not self.params:
@@ -356,18 +411,12 @@ class Signature:
         return f"{self.rep_id}({inner})"
 
 
-class ConjugacyResult:
-    __slots__ = ("verdict", "witness", "invariant", "values", "reason")
-
-    def __init__(self, verdict: str,
-                 witness: Optional[ConjugacyWitness] = None,
-                 invariant: str = "", values: Tuple[str, str] = ("", ""),
-                 reason: str = ""):
-        self.verdict = verdict    # conjugate | not-conjugate | undecided
-        self.witness = witness
-        self.invariant = invariant
-        self.values = values
-        self.reason = reason      # why an undecided answer is undecided
+class ConjugacyResult(NamedTuple):
+    verdict: str              # conjugate | not-conjugate | undecided
+    witness: Optional[ConjugacyWitness] = None
+    invariant: str = ""
+    values: Tuple[str, str] = ("", "")
+    reason: str = ""          # why an undecided answer is undecided
 
     @property
     def conjugate(self) -> bool:
@@ -378,7 +427,28 @@ class ConjugacyResult:
 # ---------------------------------------------------------------------------
 
 def _exp_step(i: int, eps) -> Step:
-    return Step("exp", i, epsilon=eps)
+    return Step("exp", i, epsilon=_coerce(eps))
+
+
+def _log_step(i: int, r: Fraction, k: Fraction = Fraction(1)) -> Step:
+    """exp(k*log(r)*ad e_i) for a positive rational r: on a rational
+    spectrum its group element has rational powers of r as entries."""
+    return _exp_step(i, mul(k, log(rat(r))))
+
+
+def _norm(*cs: Fraction) -> Expr:
+    """Exact Euclidean length of a rational vector."""
+    return powx(rat(sum(c * c for c in cs)), _HALF)
+
+
+def _turn_to_e1(c1: Fraction, c2: Fraction) -> List[Step]:
+    """exp(theta ad e3) with (cos, sin) = (c1, -c2)/r, r = |(c1, c2)|: it
+    turns (c1, c2) onto (r, 0) in the plane that ad e3 rotates.  No step
+    when (c1, c2) lies on that half-axis already."""
+    if c2 == 0 and c1 >= 0:
+        return []
+    inv = powx(_norm(c1, c2), -1)
+    return [Step("rot", 2, turn=(mul(c1, inv), mul(-c2, inv)))]
 
 
 def _aut_step(name: str) -> Step:
@@ -392,7 +462,7 @@ def _sig(rep_id: str, params=None, steps=None) -> Signature:
 def _zflip(steps: List[Step], c) -> int:
     """Append the central flip v -> -v to steps when c < 0; returns the
     sign (+1 or -1) that makes c positive."""
-    if c < 0:
+    if _sign(c) < 0:
         steps.append(_aut_step("Z-flip"))
         return -1
     return 1
@@ -411,6 +481,7 @@ class Strategy:
     signature of its class representative with a witness word."""
 
     name = ""
+    invariant = ""   # names the invariant behind the signature parameters
 
     def __init__(self, cls: CanonicalClass, a: Optional[Fraction] = None):
         self.cls = cls
@@ -496,7 +567,7 @@ class A2A1Strategy(Strategy):
             if r < 0:
                 steps.append(_aut_step("R1"))
                 r = -r
-            steps.append(_exp_step(1, math.log(float(r))))
+            steps.append(_log_step(1, r))
             return _sig("e1+e3", {}, steps)
         return _sig("e1" if c1 != 0 else "e3")
 
@@ -526,7 +597,7 @@ class A2A1Strategy(Strategy):
                 steps.append(_aut_step("Z-flip"))
                 steps.append(_aut_step("R1"))
                 c3 = -c3
-            steps.append(_exp_step(1, math.log(float(c1))))
+            steps.append(_log_step(1, c1))
             return _sig("v:e1", {"d": c3}, steps)
         return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
 
@@ -608,9 +679,9 @@ class A32Strategy(Strategy):
             return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
         if c2 != 0:
             steps = [_exp_step(2, c1 / c2)]
-            b = float(c2) * math.exp(-float(c1 / c2))
-            return _sig("v:e2", {"b": _zflip(steps, b) * b}, steps)
-        steps = [_exp_step(2, math.log(abs(float(c1))))]
+            b = mul(_zflip(steps, c2) * c2, exp(rat(-c1 / c2)))
+            return _sig("v:e2", {"b": b}, steps)
+        steps = [_log_step(2, abs(c1))]
         _zflip(steps, c1)
         return _sig("v:e1", {}, steps)
 
@@ -651,10 +722,10 @@ class A33Strategy(Strategy):
         if c1 != 0:
             d = c2 / c1   # the flip negates c1 and c2 together
             c1 *= _zflip(steps, c1)
-            steps.append(_exp_step(2, math.log(float(c1))))
+            steps.append(_log_step(2, c1))
             return _sig("v:e1", {"d": d}, steps)
         c2 *= _zflip(steps, c2)
-        steps.append(_exp_step(2, math.log(float(c2))))
+        steps.append(_log_step(2, c2))
         return _sig("v:e2", {}, steps)
 
 
@@ -688,8 +759,7 @@ class _DiagonalStrategy(Strategy):
             if c2 < 0:
                 steps.append(_aut_step("R2"))
                 c2 = -c2
-            eps = math.log(float(c2 / c1)) / (float(self._a) - 1.0)
-            steps.append(_exp_step(2, eps))
+            steps.append(_log_step(2, c2 / c1, 1 / (self._a - 1)))
             return _sig("e1+e2", {}, steps)
         return _sig("e1" if c1 != 0 else "e2")
 
@@ -716,26 +786,22 @@ class _DiagonalStrategy(Strategy):
             if c2 < 0:
                 steps.append(_aut_step("R2"))
                 c2 = -c2
-            steps.append(_exp_step(2, math.log(float(c1))))
+            steps.append(_log_step(2, c1))
             if c2 == 0:
                 return _sig("v:e1", {}, steps)
-            # after scaling c1 -> 1 the second slot is c2*c1^(-a): exact
-            # for a = -1 (A3,4), a float otherwise
-            return _sig("v:hyp", {"q": c2 * c1 ** -a}, steps)
+            # after scaling c1 -> 1 the second slot is c2*c1^(-a)
+            q = mul(c2, powx(rat(c1), rat(-a)))
+            return _sig("v:hyp", {"q": q}, steps)
         if c2 < 0:
             steps.append(_aut_step("R2"))
             c2 = -c2
-        steps.append(_exp_step(2, math.log(float(c2)) / float(a)))
+        steps.append(_log_step(2, c2, 1 / a))
         return _sig("v:e2", {}, steps)
 
 
 class _RotationStrategy(Strategy):
-    """A3,6 (pure rotation) and A3,7^a (spiral, a > 0): exp(eps ad e3)
-    rotates the (e1, e2) plane by eps and scales it by e^(-a*eps)."""
-
-    @property
-    def _a(self) -> float:
-        return 0.0 if self.cls.name == "A3,6" else float(self.a)
+    """A3,6 (pure rotation) and A3,7^a (spiral, a > 0): exp(theta ad e3)
+    rotates the (e1, e2) plane by theta and scales it by e^(-a*theta)."""
 
     def reps(self):
         return [SubalgebraRep(_unit_coeffs(3, {2: ONE}), rep_id="e3"),
@@ -757,11 +823,10 @@ class _RotationStrategy(Strategy):
         c1, c2, c3 = v
         if c3 != 0:
             return _sig("e3", {}, self._kill_plane(c1, c2, c3))
-        theta = math.atan2(float(c2), float(c1))
-        return _sig("e1", {}, [_exp_step(2, -theta)])
+        return _sig("e1", {}, _turn_to_e1(c1, c2))
 
     def vector_reps(self):
-        note = "" if self.cls.name == "A3,6" else "windowed spiral radius"
+        note = "" if self.cls.name == "A3,6" else "plane vector up to sign"
         return [SubalgebraRep(_unit_coeffs(3, {2: sym("d")}),
                               (ParamSpec("d", "positive"),), rep_id="v:e3"),
                 SubalgebraRep(_unit_coeffs(3, {0: sym("r")}),
@@ -769,30 +834,31 @@ class _RotationStrategy(Strategy):
                               rep_id="v:plane")]
 
     def vector_classify(self, v):
+        """A plane vector of A3,6 is classified by its exact radius.  The
+        A3,7^a invariant r*e^(a*theta) mod e^(pi*a) has no kernel form, but
+        on rational vectors the plane vector up to sign is a complete key.
+        If v = +-e^(-a*theta) R(theta) w for rational v and w, then
+        u = e^(i*theta) and e^(-a*theta) = |v|/|w|, a value of u^(i*a), are
+        algebraic.  By Gelfond-Schneider (1934) alpha^beta is transcendental
+        for algebraic alpha != 0, 1 and algebraic irrational beta, here i*a;
+        so u = 1, theta = 2*pi*k, and e^(-2*pi*a*k), a value of
+        (-1)^(2*i*a*k), is algebraic only at k = 0: v = +-w."""
         c1, c2, c3 = v
         if c3 != 0:
             steps = self._kill_plane(c1, c2, c3)
             return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
-        a = self._a
-        # exp(-theta ad e3) turns the vector onto e1 and scales it by
-        # e^(a*theta)
-        theta = math.atan2(float(c2), float(c1))
-        r = math.hypot(float(c1), float(c2)) * math.exp(a * theta)
-        steps = [_exp_step(2, -theta)]
-        if a > 0:
-            # exp(k*pi ad e3) maps r*e1 to (-1)^k e^(-k*pi*a) r*e1: bring r
-            # into [1, e^(pi a)) and undo an odd sign with the central flip
-            period = math.pi * a
-            k = math.floor(math.log(r) / period)
-            r = r * math.exp(-k * period)
-            steps.append(_exp_step(2, k * math.pi))
-            if k % 2:
-                steps.append(_aut_step("Z-flip"))
-        return _sig("v:plane", {"r": r}, steps)
+        if self.cls.name == "A3,6":
+            return _sig("v:plane", {"r": _norm(c1, c2)},
+                        _turn_to_e1(c1, c2))
+        steps = []
+        s = _zflip(steps, c1 if c1 != 0 else c2)
+        return _sig("v:plane", {"r": (rat(s * c1), rat(s * c2))}, steps)
 
 
 class A38Strategy(Strategy):
     """sl(2, R): sign of the invariant quadratic form Q = c2^2 + 4 c1 c3."""
+
+    invariant = "Q = c2^2 + 4*c1*c3 (vectors: b = Q^(1/2) or (-Q)^(1/2)/2)"
 
     def reps(self):
         return [
@@ -808,61 +874,36 @@ class A38Strategy(Strategy):
     def _q(v) -> Fraction:
         return v[1] * v[1] + 4 * v[0] * v[2]
 
-    # exact for rational eps; a float eps gives the float image
-    @staticmethod
-    def _ad_e1(vv, eps):
-        c1, c2, c3 = vv
-        return (c1 + eps * c2 - eps * eps * c3, c2 - 2 * eps * c3, c3)
-
-    @staticmethod
-    def _ad_e3(vv, eps):
-        c1, c2, c3 = vv
-        return (c1, c2 + 2 * eps * c1, c3 - eps * c2 - eps * eps * c1)
-
-    def _normal_form(self, v) -> Tuple[str, List[Step], Union[Fraction, float]]:
+    def _normal_form(self, v) -> Tuple[str, List[Step], object]:
         """(representative id, witness steps, signed magnitude m): the steps
-        map v to m times the representative."""
+        map v to m times the representative.  exp(d ad e3) sends (c1, c2, c3)
+        to (c1, c2 + 2 d c1, c3 - d c2 - d^2 c1), and exp(eps ad e1) sends it
+        to (c1 + eps c2 - eps^2 c3, c2 - 2 eps c3, c3)."""
+        c1, c2, c3 = v
         q = self._q(v)
-        vv = tuple(v)
-        steps: List[Step] = []
         if q > 0:
-            if vv[2] != 0:
-                # a root of c3 - d c2 - d^2 c1 kills the third slot; c1 = 0
-                # makes q = c2^2 a perfect square
-                root = _rat_root(q, 2)
-                if root is None:
-                    root = math.sqrt(float(q))
-                dval = (-vv[1] + root) / (2 * vv[0]) if vv[0] != 0 \
-                    else vv[2] / vv[1]
-                steps.append(_exp_step(2, dval))
-                vv = self._ad_e3(vv, dval)
-            if vv[0] != 0:
-                epsv = -vv[0] / vv[1]
-                steps.append(_exp_step(0, epsv))
-                vv = self._ad_e1(vv, epsv)
-            return "e2", steps, vv[1]
+            if c1 != 0 and c3 != 0:
+                # d, a root of c3 - d c2 - d^2 c1, leaves (c1, Q^(1/2), 0)
+                root = powx(rat(q), _HALF)
+                return "e2", [_exp_step(2, add(-c2, root) / (2 * c1)),
+                              _exp_step(0, mul(-c1, powx(root, -1)))], root
+            # c1 = 0 or c3 = 0 makes q = c2^2
+            steps = [_exp_step(2, c3 / c2)] if c3 != 0 else \
+                [_exp_step(0, -c1 / c2)] if c1 != 0 else []
+            return "e2", steps, c2
         if q == 0:
-            if vv[2] != 0:
-                if vv[0] != 0:
-                    dval = -vv[1] / (2 * vv[0])
-                    steps.append(_exp_step(2, dval))
-                    vv = self._ad_e3(vv, dval)
-                else:
-                    # c2 = 0 here; rotate the e3 line onto the e1 line
-                    steps.append(_exp_step(0, Fraction(1)))
-                    vv = self._ad_e1(vv, Fraction(1))
-                    dval = Fraction(-1)
-                    steps.append(_exp_step(2, dval))
-                    vv = self._ad_e3(vv, dval)
-            return "e1", steps, vv[0]
-        # q < 0: c1 != 0 is guaranteed
-        dval = -vv[1] / (2 * vv[0])
-        steps.append(_exp_step(2, dval))
-        vv = self._ad_e3(vv, dval)
-        s2 = -float(vv[2]) / float(vv[0])
-        beta = -0.5 * math.log(s2)
-        steps.append(_exp_step(1, beta))
-        return "e1-e3", steps, float(vv[0]) * math.exp(-beta)
+            if c3 == 0:   # and so c2 = 0
+                return "e1", [], c1
+            if c1 != 0:
+                return "e1", [_exp_step(2, -c2 / (2 * c1))], c1
+            # c2 = 0 here; rotate the e3 line onto the e1 line
+            return "e1", [_exp_step(0, 1), _exp_step(2, -1)], -c3
+        # q < 0, so c1 != 0: exp(d ad e3) leaves (c1, 0, q/(4 c1)), and the
+        # e2 scaling by s2^(1/2) balances the two slots
+        s2 = -q / (4 * c1 * c1)
+        return "e1-e3", [_exp_step(2, -c2 / (2 * c1)),
+                         _log_step(1, s2, Fraction(-1, 2))], \
+            mul(c1, powx(rat(s2), _HALF))
 
     def classify(self, v):
         rep_id, steps, _ = self._normal_form(v)
@@ -882,11 +923,12 @@ class A38Strategy(Strategy):
         rep_id, steps, m = self._normal_form(v)
         _zflip(steps, m)
         if q > 0:
-            return _sig("v:hyp", {"b": math.sqrt(float(q))}, steps)
+            return _sig("v:hyp", {"b": powx(rat(q), _HALF)}, steps)
         if q == 0:
-            steps.append(_exp_step(1, math.log(abs(float(m)))))
+            steps.append(_log_step(1, abs(m)))
             return _sig("v:nil", {}, steps)
-        return _sig("v:ell", {"b": math.sqrt(-float(q)) / 2}, steps)
+        b = mul(_HALF, powx(rat(-q), _HALF))
+        return _sig("v:ell", {"b": b}, steps)
 
 
 class A39Strategy(Strategy):
@@ -894,20 +936,21 @@ class A39Strategy(Strategy):
         return [SubalgebraRep(_unit_coeffs(3, {0: ONE}), rep_id="e1")]
 
     def classify(self, v):
-        c = [float(x) for x in v]
+        c1, c2, c3 = v
         # rotate around e3 to kill c2, then around e2 to kill c3
-        t1 = math.atan2(c[1], c[0])
-        t2 = math.atan2(c[2], math.hypot(c[0], c[1]))
-        return _sig("e1", {}, [_exp_step(2, -t1), _exp_step(1, t2)])
+        steps = _turn_to_e1(c1, c2)
+        if c3 != 0:
+            inv = powx(_norm(c1, c2, c3), -1)
+            steps.append(Step("rot", 1, turn=(mul(_norm(c1, c2), inv),
+                                              mul(c3, inv))))
+        return _sig("e1", {}, steps)
 
     def vector_reps(self):
         return [SubalgebraRep(_unit_coeffs(3, {0: sym("r")}),
                               (ParamSpec("r", "positive"),), rep_id="v:e1")]
 
     def vector_classify(self, v):
-        c = [float(x) for x in v]
-        r = math.hypot(math.hypot(c[0], c[1]), c[2])
-        return _sig("v:e1", {"r": r}, self.classify(v).steps)
+        return _sig("v:e1", {"r": _norm(*v)}, self.classify(v).steps)
 
 
 class TwoA2Strategy(Strategy):
@@ -947,14 +990,12 @@ class TwoA2Strategy(Strategy):
             if c3 == 0:
                 return _sig("e2", {}, steps)
             s = 1 if (c3 > 0) == (c2 > 0) else -1
-            eps = math.log(abs(float(c3 / c2)))
-            steps.append(_exp_step(3, eps))
+            steps.append(_log_step(3, abs(c3 / c2)))
             return _sig("e2+e3" if s > 0 else "e2-e3", {}, steps)
         # c2 = c4 = 0
         if c1 != 0 and c3 != 0:
             s = 1 if (c1 > 0) == (c3 > 0) else -1
-            eps = math.log(abs(float(c1 / c3)))
-            steps.append(_exp_step(1, eps))
+            steps.append(_log_step(1, abs(c1 / c3)))
             return _sig("e1+e3" if s > 0 else "e1-e3", {}, steps)
         return _sig("e1", {}, steps)
 
@@ -966,6 +1007,7 @@ class SumA1Strategy(Strategy):
     def __init__(self, cls: CanonicalClass, base: Strategy):
         super().__init__(cls, base.a)
         self.base = base
+        self.invariant = base.invariant
 
     def reps(self):
         n = self.cls.dim
@@ -1030,20 +1072,15 @@ def strategy_for(name: str, a: Optional[Fraction] = None) -> Strategy:
 # algebra-level operations through the identification witness
 # ---------------------------------------------------------------------------
 
-class ClassifiedAlgebra:
+class ClassifiedAlgebra(NamedTuple):
     """An algebra together with its identification and strategy; all
     classification happens in the canonical coordinates of the witness."""
 
-    __slots__ = ("L", "ident", "strategy", "to_canonical", "from_canonical")
-
-    def __init__(self, L: LieAlgebra, ident: Identification,
-                 strategy: Strategy, to_canonical: Matrix,
-                 from_canonical: Matrix):
-        self.L = L
-        self.ident = ident
-        self.strategy = strategy
-        self.to_canonical = to_canonical      # algebra -> canonical coords
-        self.from_canonical = from_canonical  # T^t: canonical rep -> algebra
+    L: LieAlgebra
+    ident: Identification
+    strategy: Strategy
+    to_canonical: Matrix      # algebra -> canonical coords
+    from_canonical: Matrix    # T^t: canonical rep -> algebra
 
     @classmethod
     def build(cls, L: LieAlgebra,
@@ -1071,13 +1108,13 @@ class ClassifiedAlgebra:
 
 
 def _expr_matvec(M: Matrix, c: Sequence[Expr]) -> List[Expr]:
-    """M c for a rational matrix and symbolic coefficients."""
+    """M c for a matrix of rationals or expressions and a symbolic vector."""
     out = []
     for row in M:
         acc = ZERO
         for m, cj in zip(row, c):
             if m:
-                acc = add(acc, mul(rat(m), cj))
+                acc = add(acc, mul(m, cj))
         out.append(acc)
     return out
 
@@ -1118,53 +1155,20 @@ def construct_optimal_system(L: LieAlgebra,
     return out
 
 
-def apply_steps_numeric(cls: CanonicalClass, a: Optional[Fraction],
-                        steps: Sequence[Step], v: Sequence) -> List[float]:
-    """Apply an adjoint word numerically in canonical coordinates."""
-    alg = cls.instantiated(a)
-    discretes = cls.discrete_maps()
-    x = [float(t) for t in v]
-    for s in steps:
-        if s.kind == "exp":
-            E = _expm_float(ad_matrix_rational(alg, s.index), float(s.epsilon))
-            x = matvec(E, x)
-        else:
-            x = matvec(discretes[s.name], x)
-    return x
-
-
-def projective_residual(x: Sequence[float], y: Sequence[float]) -> float:
-    nx = math.hypot(*x)
-    ny = math.hypot(*y)
-    if nx == 0 or ny == 0:
-        return max(nx, ny)
-    x = [t / nx for t in x]
-    y = [t / ny for t in y]
-    return min(math.dist(x, y), math.dist(x, [-t for t in y]))
-
-
-def witness_from_steps(ca: ClassifiedAlgebra, steps: Sequence[Step],
-                       v: Sequence[Fraction], w: Sequence[Fraction]
-                       ) -> ConjugacyWitness:
-    """Package a word mapping v onto the line of w, with its numeric
-    residual."""
-    x = apply_steps_numeric(ca.strategy.cls, ca.strategy.a, steps,
-                            ca.canonical_coords(v))
-    y = [float(t) for t in ca.canonical_coords(w)]
-    return ConjugacyWitness(tuple(steps), projective_residual(x, y))
-
-
 def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
                   w: Sequence[Fraction],
                   ident: Optional[Identification] = None) -> ConjugacyResult:
     """Conjugacy of the lines spanned by v and w under the adjoint group
     extended by the declared discrete automorphisms.
 
-    For identified algebras the canonical classifier is a complete invariant:
-    equal signatures give a composed witness word, different signatures give
-    a NotConjugate verdict carrying the separating invariant.  An algebra
-    without a classifier is decided by exact rules (same line, central
-    line, derived series) or answered undecided with the reason."""
+    For identified algebras the canonical classifier's exact signature is a
+    complete invariant: different signatures give a not-conjugate verdict
+    carrying the separating invariant.  Equal signatures give the composed
+    witness word, and the verdict is conjugate only when that word, applied
+    exactly, maps v onto the line of w with every 2x2 minor the literal
+    zero; otherwise it is undecided.  An algebra without a classifier is
+    decided by exact rules (same line, central line, derived series) or
+    answered undecided with the reason."""
     if not any(v) or not any(w):
         raise ValueError("zero vector spans no subalgebra")
     try:
@@ -1173,17 +1177,24 @@ def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
         return _are_conjugate_generic(L, v, w, str(exc))
     sv = ca.classify(v)
     sw = ca.classify(w)
-    if sv.matches(sw):
-        back = [s.inverse() for s in reversed(sw.steps)]
-        steps = [s for s in list(sv.steps) + back
-                 if not (s.kind == "exp" and not s.epsilon)]
-        return ConjugacyResult("conjugate",
-                               witness=witness_from_steps(ca, steps, v, w))
-    return ConjugacyResult(
-        "not-conjugate",
-        invariant="canonical representative "
-                  f"({ca.ident.label} classifier)",
-        values=(sv.brief(), sw.brief()))
+    if not sv.matches(sw):
+        invariant = f"canonical representative ({ca.ident.label} classifier)"
+        if ca.strategy.invariant:
+            invariant += "; " + ca.strategy.invariant
+        return ConjugacyResult("not-conjugate", invariant=invariant,
+                               values=(sv.brief(), sw.brief()))
+    back = [s.inverse() for s in reversed(sw.steps)]
+    steps = tuple(s for s in sv.steps + back
+                  if not (s.kind == "exp" and s.epsilon.is_zero_literal))
+    try:
+        image = apply_word(ca.strategy.cls, ca.strategy.a, steps,
+                           ca.canonical_coords(v))
+    except ExprError as exc:
+        return ConjugacyResult("undecided", reason=str(exc))
+    if _same_line(image, ca.canonical_coords(w)):
+        return ConjugacyResult("conjugate", witness=ConjugacyWitness(steps))
+    return ConjugacyResult("undecided", reason="equal signatures, but a 2x2 "
+                           "minor of the word's image is not literally zero")
 
 
 # ---------------------------------------------------------------------------
@@ -1210,7 +1221,7 @@ def _are_conjugate_generic(L: LieAlgebra, v, w,
     derived-series membership pattern; anything else is undecided, with the
     reason no classifier applies."""
     if _in_span_coords([list(v)], list(w)) is not None:
-        return ConjugacyResult("conjugate", witness=ConjugacyWitness((), 0.0))
+        return ConjugacyResult("conjugate", witness=ConjugacyWitness(()))
     central = [not any(map(any, ad_matrix(L, list(x)))) for x in (v, w)]
     if any(central):
         x = v if central[0] else w
@@ -1231,28 +1242,20 @@ def _are_conjugate_generic(L: LieAlgebra, v, w,
 # candidate-system audits
 # ---------------------------------------------------------------------------
 
-class AuditReport:
+class AuditReport(NamedTuple):
     """Pairwise conjugacy audit plus a seeded coverage audit.  A sample is
     undecided when the classifier cannot place it, or when it is uncovered
     but a candidate family reaches its class at some parameter value
     (``unsolved``: the family parameter was not solved for); only the other
     uncovered samples are gaps."""
 
-    __slots__ = ("conjugate_pairs", "gaps", "duplicates", "n_samples", "seed",
-                 "undecided", "unsolved")
-
-    def __init__(self,
-                 conjugate_pairs: List[Tuple[int, int, ConjugacyWitness]],
-                 gaps: List[Tuple[int, Tuple[Fraction, ...], str]],
-                 duplicates: List[Tuple[int, Tuple[int, ...]]],
-                 n_samples: int, seed: int, undecided: int, unsolved: int):
-        self.conjugate_pairs = conjugate_pairs
-        self.gaps = gaps
-        self.duplicates = duplicates
-        self.n_samples = n_samples
-        self.seed = seed
-        self.undecided = undecided
-        self.unsolved = unsolved
+    conjugate_pairs: List[Tuple[int, int, ConjugacyWitness]]
+    gaps: List[Tuple[int, Tuple[Fraction, ...], str]]
+    duplicates: List[Tuple[int, Tuple[int, ...]]]
+    n_samples: int
+    seed: int
+    undecided: int
+    unsolved: int
 
     @property
     def ok(self) -> bool:
@@ -1334,7 +1337,7 @@ def _instances(ca: ClassifiedAlgebra, cand: SubalgebraRep,
     return out
 
 
-class _Candidate:
+class _Candidate(NamedTuple):
     """A candidate with its instances classified once, in probe order: a
     frozen line itself, a family with several parameters at every
     combination of _PROBES[:3], a one-parameter family at its special values
@@ -1342,13 +1345,9 @@ class _Candidate:
     canonical coordinates of a one-parameter family are read as u + p*w from
     p = 0 and p = 1 (``line``); a pole at either leaves ``line`` None."""
 
-    __slots__ = ("rep", "instances", "line")
-
-    def __init__(self, rep: SubalgebraRep, instances: List[_Instance],
-                 line: Optional[Tuple[List[Fraction], List[Fraction]]] = None):
-        self.rep = rep
-        self.instances = instances
-        self.line = line
+    rep: SubalgebraRep
+    instances: List[_Instance]
+    line: Optional[Tuple[List[Fraction], List[Fraction]]] = None
 
     @classmethod
     def build(cls, ca: ClassifiedAlgebra, rep: SubalgebraRep) -> "_Candidate":
@@ -1390,16 +1389,14 @@ def _ratio_solutions(line: Tuple[List[Fraction], List[Fraction]],
 
 
 def _covers(ca: ClassifiedAlgebra, cand: _Candidate, target: Signature
-            ) -> Optional[Dict[str, Union[Fraction, float]]]:
+            ) -> Optional[Dict[str, object]]:
     """The parameter values at which the candidate lies in the target's
     class (empty for a frozen line), or None."""
     rep = cand.rep
     if rep.rep_id:
         # the candidate came from construct_optimal_system: its parameters
-        # are the target's own
-        if rep.rep_id != target.rep_id or not all(
-                p.name in target.params and p.admits(target.params[p.name])
-                for p in rep.params):
+        # are the target's own, admissible by construction
+        if rep.rep_id != target.rep_id:
             return None
         return {p.name: target.params[p.name] for p in rep.params}
     for values, sig in cand.instances:

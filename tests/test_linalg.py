@@ -190,7 +190,7 @@ def test_sparse_products_match_dense_on_floats(n, m, data):
     assert_same_entries([matvec(a, v)], [dense_matvec(a, v)])
     # a float row of zero products is 0.0, not Fraction(0)
     assert_same_entries([matvec([[0.0] * m], v)], [[0.0]])
-    # rational matrix, float vector (apply_steps_numeric)
+    # rational matrix, float vector
     q = [[Fraction(int(x)) for x in row] for row in a]
     assert_same_entries([matvec(q, v)], [dense_matvec(q, v)])
 

@@ -1,30 +1,51 @@
 """Adjoint representation, conjugacy, optimal systems, audits."""
 
-import math
+import ast
+import itertools
+import json
 import random
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-import sympy
 
-from liesym.expr import ZERO, ONE, add, mul, powx, rat, substitute, sym
-from liesym.jets import VectorField
+from liesym.expr import (ZERO, ONE, Expr, ExprError, SymbolTable, add, log,
+                         mul, powx, rat, substitute, sym)
+from liesym.jets import VectorField, dcr_symbols
 from liesym.algebra import (canonical_class_by_name, identify,
                             structure_constants)
 from liesym.catalog import load_catalog
+from liesym.cli import _load_candidates, main
+from liesym.dsl import parse, parse_vector_field
 from liesym.optimal import (ClassifiedAlgebra, ParamSpec, Step, SubalgebraRep,
-                            ad_matrix_rational, adjoint_matrix,
-                            apply_steps_numeric, are_conjugate,
+                            _Candidate, _overlap, ad_matrix_rational,
+                            adjoint_matrix, apply_word, are_conjugate,
                             construct_optimal_system, exact_expm,
-                            projective_residual, strategy_for,
-                            verify_candidate_system)
+                            strategy_for, verify_candidate_system)
 
 t, x, u = sym("t"), sym("x"), sym("u")
 F = Fraction
+GOLDEN = Path(__file__).resolve().parent / "golden"
+OPTIMAL_PY = Path(__file__).resolve().parent.parent / "src" / "liesym" / \
+    "optimal.py"
 
 
 def frac_vec(*vals):
     return tuple(Fraction(v) for v in vals)
+
+
+def as_expr(v):
+    return v if isinstance(v, Expr) else rat(v)
+
+
+def assert_same_line(x, y):
+    """x is nonzero and every 2x2 minor of (x, y) is the literal zero."""
+    x, y = [as_expr(c) for c in x], [as_expr(c) for c in y]
+    assert any(not c.is_zero_literal for c in x)
+    for i, j in itertools.combinations(range(len(x)), 2):
+        minor = add(mul(x[i], y[j]), mul(-1, x[j], y[i]))
+        assert minor.is_zero_literal, (i, j, minor)
 
 
 class TestAdjointMatrix:
@@ -74,34 +95,47 @@ class TestAdjointMatrix:
                 assert (prod[i][j] - S[i][j]).is_zero_literal
 
     def test_ad_preserves_structure_constants(self):
-        for name, eps in (("2A2", 0.7), ("A3,5", 0.3)):
+        """A = Ad(exp(eps ad e_n)) is an automorphism: A^-1 [A e_i, A e_j]
+        - [e_i, e_j] is the literal ZERO, for a rational eps and for eps a
+        rational multiple of a log, whose group element has rational
+        powers as entries."""
+        for name, eps in (("2A2", rat(F(7, 10))), ("A3,5", rat(F(3, 10))),
+                          ("2A2", mul(F(1, 3), log(rat(2)))),
+                          ("A3,5", mul(F(-5, 3), log(rat(F(3, 2)))))):
             cls = canonical_class_by_name(name)
             a = F(2, 5) if cls.parameter else None
             L = cls.instantiated(a)
             n = L.dim
-            # the float matrix read exactly, so that only its own rounding
-            # shows in the residual A^-1 [A e_i, A e_j] - [e_i, e_j]
-            A = sympy.Matrix([[sympy.Rational(v) for v in row]
-                              for row in adjoint_matrix(L, n - 1, eps)])
-            Ainv = A.inv()
-            c = [[[sympy.Rational(q) for q in row] for row in plane]
-                 for plane in L.rational_constants()]
-            for i in range(n):
-                for j in range(n):
-                    lhs = sympy.Matrix([
-                        sum(A[a, i] * A[b, j] * c[a][b][k]
-                            for a in range(n) for b in range(n))
-                        for k in range(n)])
-                    residual = Ainv * lhs - sympy.Matrix(c[i][j])
-                    assert max(abs(r) for r in residual) < 1e-10
+            A = adjoint_matrix(L, n - 1, eps)
+            Ainv = adjoint_matrix(L, n - 1, mul(-1, eps))
+            c = L.rational_constants()
+            for i, j, k in itertools.product(range(n), repeat=3):
+                lhs = add(*[mul(Ainv[k][m], A[p][i], A[q][j], c[p][q][m])
+                            for p, q, m in itertools.product(range(n),
+                                                             repeat=3)
+                            if c[p][q][m]])
+                assert add(lhs, -c[i][j][k]).is_zero_literal, (name, i, j, k)
 
-    def test_irrational_spectrum_needs_numeric_eps(self):
-        L = canonical_class_by_name("A3,9").algebra
+    def test_a39_rotation_step_is_exact(self):
+        # so(3): ad e1 has the spectrum {0, i, -i}, so exp(eps ad e1) has no
+        # closed form in eps; its group elements are rotation steps carried
+        # by an exact (cos, sin)
+        cls = canonical_class_by_name("A3,9")
+        L = cls.algebra
         assert exact_expm(ad_matrix_rational(L, 0), sym("eps")) is None
-        M = adjoint_matrix(L, 0, 0.5)
-        assert len(M) == 3
-        assert all(len(row) == 3 and all(isinstance(v, float) for v in row)
-                   for row in M)
+        with pytest.raises(ExprError):
+            adjoint_matrix(L, 0)
+        turn = Step("rot", 0, turn=(rat(F(3, 5)), rat(F(4, 5))))
+        assert turn.describe() == "exp(atan2(4/5, 3/5)*ad e1)"
+        assert apply_word(cls, None, [turn], frac_vec(0, 1, 0)) == \
+            [ZERO, rat(F(3, 5)), rat(F(4, 5))]
+        assert apply_word(cls, None, [turn, turn.inverse()],
+                          frac_vec(1, 2, 3)) == [rat(1), rat(2), rat(3)]
+        # two eighth turns, with cos = sin = 2^(-1/2), make a quarter turn
+        h = powx(rat(2), rat(F(-1, 2)))
+        eighth = Step("rot", 0, turn=(h, h))
+        assert apply_word(cls, None, [eighth, eighth],
+                          frac_vec(0, 1, 0)) == [ZERO, ZERO, ONE]
 
 
 class TestConjugacy:
@@ -144,10 +178,30 @@ class TestConjugacy:
         rvw = are_conjugate(L, v, w, ident)
         rwz = are_conjugate(L, w, z, ident)
         steps = list(rvw.witness.steps) + list(rwz.witness.steps)
-        out = apply_steps_numeric(ca.strategy.cls, ca.strategy.a, steps,
-                                  ca.canonical_coords(v))
-        target = [float(q) for q in ca.canonical_coords(z)]
-        assert projective_residual(out, target) <= 1e-9
+        assert_same_line(apply_word(ca.strategy.cls, ca.strategy.a, steps,
+                                    ca.canonical_coords(v)),
+                         ca.canonical_coords(z))
+
+
+def _group_steps(cls, a):
+    """One rational group element per generator whose group elements keep
+    rational vectors rational: a shift exp(3/2 ad e_i) for a nilpotent
+    ad e_i, the turn (3/5, 4/5) for a pure rotation generator."""
+    from liesym.linalg import matmul
+
+    L = cls.instantiated(a)
+    out = []
+    for i in range(cls.dim):
+        M = ad_matrix_rational(L, i)
+        P = M
+        for _ in range(cls.dim - 1):
+            P = matmul(P, M)
+        if not any(map(any, P)):
+            out.append(Step("exp", i, epsilon=rat(F(3, 2))))
+        elif not any(M[k][k] for k in range(cls.dim)) and \
+                exact_expm(M, sym("eps")) is None:
+            out.append(Step("rot", i, turn=(rat(F(3, 5)), rat(F(4, 5)))))
+    return out
 
 
 class TestWitnessVerification:
@@ -161,60 +215,103 @@ class TestWitnessVerification:
         ("A3,9+A1", None),
     ])
     def test_classifier_words_map_to_representatives(self, name, a):
-        """Random vectors: applying the classifier's witness word lands on
-        the claimed representative (projective residual <= 1e-9)."""
+        """Random vectors: the classifier's witness word, applied exactly,
+        lands on the claimed representative at the signature's exact
+        parameters (every 2x2 minor is the literal zero).  Sampled pairs
+        (v, k*g(v)) for a rational group element g are conjugate, with a
+        word that maps v onto the line of k*g(v) exactly."""
         strategy = strategy_for(name, a)
         rng = random.Random(name)
         dim = strategy.cls.dim
         reps = {r.rep_id: r for r in strategy.reps()}
-        for _ in range(60):
+        L = strategy.cls.instantiated(a)
+        ident = identify(L)
+        ca = ClassifiedAlgebra.build(L, ident)
+        moves = _group_steps(strategy.cls, a)
+        for n in range(40):
             vec = tuple(Fraction(rng.randint(-8, 8), rng.randint(1, 3))
                         for _ in range(dim))
             if not any(vec):
                 continue
             sig = strategy.classify(vec)
-            out = apply_steps_numeric(strategy.cls, a, sig.steps, vec)
             rep = reps[sig.rep_id]
-            vals = {}
-            for ps in rep.params:
-                v = sig.params[ps.name]
-                assert ps.admits(v), (name, sig.rep_id, ps.name, v)
-                vals[ps.name] = v
-            target = []
-            for ce in rep.coeffs:
-                bound = substitute(ce, {k: rat(F(vv).limit_denominator(10 ** 9))
-                                        if not isinstance(vv, Fraction)
-                                        else rat(vv) for k, vv in vals.items()})
-                target.append(float(bound.value))
-            assert projective_residual(out, target) <= 1e-9, \
-                (name, vec, sig.rep_id)
+            if isinstance(sig.params.get("r"), tuple):
+                # A3,7 + A1: the spiral class is keyed by the plane vector
+                # up to sign, and the word reaches that key
+                target = list(sig.params["r"]) + [ZERO, ONE]
+            else:
+                for ps in rep.params:
+                    assert ps.admits(sig.params[ps.name]), \
+                        (name, sig.rep_id, ps.name, sig.params[ps.name])
+                bind = {k: as_expr(v) for k, v in sig.params.items()}
+                target = [substitute(c, bind) for c in rep.coeffs]
+            assert_same_line(apply_word(strategy.cls, a, sig.steps, vec),
+                             target)
+            if n % 4 or not moves:
+                continue
+            image = apply_word(strategy.cls, a, [rng.choice(moves)], vec)
+            k = rng.choice([-2, 1, 3])
+            w = tuple(k * c.value for c in image)
+            res = are_conjugate(L, vec, w, ident)
+            assert res.verdict == "conjugate", (name, vec, w, res.reason)
+            assert res.witness.residual == 0
+            assert_same_line(apply_word(ca.strategy.cls, ca.strategy.a,
+                                        res.witness.steps,
+                                        ca.canonical_coords(vec)),
+                             ca.canonical_coords(w))
 
     @pytest.mark.parametrize("a", [F(1, 2), F(2), F(1, 3)])
     def test_spiral_radius_is_invariant(self, a):
-        """The A3,7 plane radius r is unchanged under exp(eps ad e3) and
-        under v -> -v (the central flip of A3,7+A1)."""
+        """The A3,7^a plane vectors of A3,7^a + A1 are keyed by the vector
+        up to sign (Gelfond-Schneider; see
+        _RotationStrategy.vector_classify).  Cross-check at 50 digits: the
+        spiral invariant log r + a*theta mod pi*a is unchanged by
+        exp(eps ad e3) and by v -> -v, agrees on equal keys and differs
+        on different ones."""
+        mpmath = pytest.importorskip("mpmath")
         strategy = strategy_for("A3,7", a)
         rng = random.Random(f"spiral-{a}")
-        for _ in range(40):
+        vecs = []
+        while len(vecs) < 30:
             vec = (F(rng.randint(-9, 9), rng.randint(1, 3)),
                    F(rng.randint(-9, 9), rng.randint(1, 3)), F(0))
-            if not any(vec):
-                continue
-            sig = strategy.vector_classify(vec)
-            r = sig.params["r"]
-            images = [tuple(-c for c in vec)]
-            for _ in range(3):
-                eps = rng.uniform(-3, 3)
-                step = Step("exp", 2, epsilon=eps)
-                images.append(tuple(F(c).limit_denominator(10 ** 12) for c
-                                    in apply_steps_numeric(strategy.cls, a,
-                                                           [step], vec)))
-            for img in images:
-                other = strategy.vector_classify(img)
-                assert other.rep_id == sig.rep_id == "v:plane"
-                assert other.params["r"] == pytest.approx(r, rel=1e-9), \
-                    (vec, img)
-            assert 1 - 1e-12 <= r < math.exp(math.pi * a) * (1 + 1e-12)
+            if any(vec):
+                vecs.append(vec)
+        keys = [strategy.vector_classify(v).params["r"] for v in vecs]
+        for v, key in zip(vecs, keys):
+            neg = strategy.vector_classify(tuple(-c for c in v))
+            assert neg.rep_id == "v:plane" and neg.params["r"] == key
+        with mpmath.workdps(50):
+            A = mpmath.mpf(a.numerator) / a.denominator
+            period = mpmath.pi * A
+
+            def spiral(c1, c2):
+                s = mpmath.log(mpmath.hypot(c1, c2)) + A * mpmath.atan2(c2, c1)
+                return s - period * mpmath.floor(s / period)
+
+            def apart(p, q):
+                d = abs(p - q)
+                return min(d, period - d)
+
+            def value(c):
+                return mpmath.mpf(c.numerator) / c.denominator
+
+            inv = [spiral(value(v[0]), value(v[1])) for v in vecs]
+            for (c1, c2, _), s in zip(vecs, inv):
+                eps = mpmath.mpf(rng.randint(-30, 30)) / 7
+                scale = mpmath.exp(-A * eps)
+                g1 = scale * (mpmath.cos(eps) * value(c1)
+                              - mpmath.sin(eps) * value(c2))
+                g2 = scale * (mpmath.sin(eps) * value(c1)
+                              + mpmath.cos(eps) * value(c2))
+                assert apart(spiral(g1, g2), s) < mpmath.mpf(10) ** -45
+                assert apart(spiral(-value(c1), -value(c2)), s) < \
+                    mpmath.mpf(10) ** -45
+            for i, j in itertools.combinations(range(len(vecs)), 2):
+                if keys[i] == keys[j]:
+                    assert apart(inv[i], inv[j]) < mpmath.mpf(10) ** -45
+                else:
+                    assert apart(inv[i], inv[j]) > mpmath.mpf(10) ** -40
 
 
 class TestOptimalSystems:
@@ -389,19 +486,16 @@ class TestGenericFallback:
 
     def test_numeric_witness_search(self):
         L = self._scaled_so3()
-        # rotate a vector by a one-parameter subgroup numerically, then ask
-        # for a witness back
-        from liesym.linalg import matvec
-        from liesym.optimal import _expm_float
-
-        w = matvec(_expm_float(ad_matrix_rational(L, 2), 0.8), [1.0, 0.0, 0.0])
-        wq = tuple(Fraction(float(v)).limit_denominator(10 ** 6) for v in w)
-        res = are_conjugate(L, frac_vec(1, 0, 0), wq)
+        # ad e3 = [[0, -1/2, 0], [2, 0, 0], [0, 0, 0]] squares to
+        # -diag(1, 1, 0), so exp(theta ad e3) e1 = (cos, 2 sin, 0): at
+        # (cos, sin) = (3/5, 4/5) a rational point on the orbit of e1
+        res = are_conjugate(L, frac_vec(1, 0, 0),
+                            frac_vec(F(3, 5), F(8, 5), 0))
         # either a found witness or an honest undecided; never a wrong
         # not-conjugate
         assert res.verdict in ("conjugate", "undecided")
         if res.conjugate:
-            assert res.witness.residual <= 1e-6
+            assert res.witness.residual == 0
 
     def test_central_line_is_its_own_orbit(self):
         # 4A1+A1 is abelian and outside the catalog's dimensions
@@ -455,3 +549,89 @@ def test_sample_directions_unchanged(n, seed):
 
     assert _sample_directions(n, 150, seed) == _old_sample_directions(
         n, 150, seed)
+
+
+def test_a38_probe_separated_by_q():
+    # e2 + e4 and (1 + 10^-12) e2 + e4 on sl(2, R) + R: the invariant
+    # Q = c2^2 + 4 c1 c3 of the sl(2) part, at e4-coefficient 1, is 1
+    # against (1 + 10^-12)^2, so the lines are not conjugate
+    table = dcr_symbols()
+    L = structure_constants([parse_vector_field(f, table)
+                             for f in ("Dx", "x*Dx", "x^2*Dx", "Dt")])
+    near = F(10 ** 12 + 1, 10 ** 12)
+    res = are_conjugate(L, frac_vec(0, 1, 0, 1), (F(0), near, F(0), F(1)))
+    assert res.verdict == "not-conjugate"
+    assert "Q = c2^2 + 4*c1*c3" in res.invariant
+    assert res.values[0] != res.values[1]
+
+
+def _parse_word(word):
+    """The steps of a printed witness word."""
+    if word == "identity":
+        return []
+    table = SymbolTable()
+    steps = []
+    for letter in word.split(" . "):
+        aut = re.fullmatch(r"aut\[(.+)\]", letter)
+        if aut:
+            steps.append(Step("aut", name=aut.group(1)))
+            continue
+        eps, k = re.fullmatch(r"exp\((.+)\*ad e(\d+)\)", letter).groups()
+        turn = re.fullmatch(r"atan2\((.+), (.+)\)", eps)
+        if turn:
+            steps.append(Step("rot", int(k) - 1,
+                              turn=(parse(turn.group(2), table),
+                                    parse(turn.group(1), table))))
+        else:
+            steps.append(Step("exp", int(k) - 1, epsilon=parse(eps, table)))
+    return steps
+
+
+def _audit_cases():
+    from test_golden_reports import CASES
+
+    return [(name, argv) for name, argv, _ in CASES
+            if argv[0] == "audit-system"]
+
+
+@pytest.mark.parametrize("name,argv", _audit_cases(),
+                         ids=[c[0] for c in _audit_cases()])
+def test_golden_conjugacy_words_reapply_exactly(name, argv, tmp_path,
+                                                monkeypatch, capsys):
+    """Each golden audit's command, run in process, reproduces its pairs,
+    and each printed word, parsed back and applied exactly to the pair's
+    lines, maps the first onto the line of the second."""
+    from liesym.cli import _parse_params, _resolve_algebra, build_parser
+
+    monkeypatch.chdir(GOLDEN)
+    out = tmp_path / "doc.json"
+    main([*argv, "--out", str(out)])
+    pairs = json.loads(out.read_text())["certificates"]["pairs"]
+    golden = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert pairs == golden["certificates"]["pairs"]
+    args = build_parser().parse_args(argv)
+    L = _resolve_algebra(args, _parse_params(args.params))
+    cands = _load_candidates(args.candidates, L.dim)
+    ca = ClassifiedAlgebra.build(L)
+    built = [_Candidate.build(ca, r) for r in cands]
+    for i, j, word in pairs:
+        vi, vj = _overlap(ca, built[i], built[j])
+        image = apply_word(ca.strategy.cls, ca.strategy.a, _parse_word(word),
+                           ca.canonical_coords(cands[i].instantiate(vi)))
+        assert_same_line(image, ca.canonical_coords(cands[j].instantiate(vj)))
+
+
+def test_optimal_has_no_float_path():
+    """optimal.py calls no float() and no math function but the exact
+    integer helpers, and defines no PARAM_TOL: every verdict is exact."""
+    allowed = {"lcm", "factorial", "comb", "isqrt"}
+    tree = ast.parse(OPTIMAL_PY.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            assert node.func.id != "float", node.lineno
+        if isinstance(node, ast.Attribute) and \
+                isinstance(node.value, ast.Name) and node.value.id == "math":
+            assert node.attr in allowed, (node.attr, node.lineno)
+        if isinstance(node, ast.ImportFrom):
+            assert node.module != "math", node.lineno
+        assert not (isinstance(node, ast.Name) and node.id == "PARAM_TOL")
