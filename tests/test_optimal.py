@@ -18,6 +18,7 @@ from liesym.algebra import (canonical_class_by_name, identify,
 from liesym.catalog import load_catalog
 from liesym.cli import _load_candidates, main
 from liesym.dsl import parse, parse_vector_field
+from liesym.linalg import matmul
 from liesym.optimal import (ClassifiedAlgebra, ParamSpec, Step, SubalgebraRep,
                             _Candidate, _overlap, ad_matrix_rational,
                             adjoint_matrix, apply_word, are_conjugate,
@@ -187,8 +188,6 @@ def _group_steps(cls, a):
     """One rational group element per generator whose group elements keep
     rational vectors rational: a shift exp(3/2 ad e_i) for a nilpotent
     ad e_i, the turn (3/5, 4/5) for a pure rotation generator."""
-    from liesym.linalg import matmul
-
     L = cls.instantiated(a)
     out = []
     for i in range(cls.dim):
