@@ -22,7 +22,7 @@ from .expr import (
 )
 from .jets import VectorField
 from .linalg import (
-    Matrix, identity, matmul, matvec, nullspace, rank, rref, solve,
+    Matrix, identity, inverse, matmul, matvec, nullspace, rank, rref, solve,
     solve_symbolic,
 )
 
@@ -566,20 +566,14 @@ class Identification:
 
 
 def _transform_constants(L: LieAlgebra, T: Matrix) -> List[List[List[Fraction]]]:
-    """Structure constants in the basis f_i = sum_j T[i][j] e_j."""
+    """Structure constants in the basis f_i = sum_j T[i][j] e_j: each
+    bracket [f_i, f_j] in f-coordinates, through one inverse of T^t."""
     n = L.dim
-    Tt = [[T[i][j] for i in range(n)] for j in range(n)]
-    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            w = [x if isinstance(x, Fraction) else Fraction(x)
-                 for x in _bracket_rational(L, T[i], T[j])]
-            y = solve(Tt, w)
-            if y is None:
-                raise ExprError("witness basis is singular")
-            for k in range(n):
-                out[i][j][k] = y[k]
-    return out
+    Tt_inv = inverse([[T[i][j] for i in range(n)] for j in range(n)])
+    if Tt_inv is None:
+        raise ExprError("witness basis is singular")
+    return [[matvec(Tt_inv, _bracket_rational(L, T[i], T[j]))
+             for j in range(n)] for i in range(n)]
 
 
 def _verify_witness(L: LieAlgebra, T: Matrix, cls: CanonicalClass,

@@ -13,6 +13,12 @@ rule nor the row order changes the result.  ``rank``, ``nullspace``,
 only ``rref`` builds the dense reduced matrix.  ``matmul`` and ``matvec``
 skip the products with a zero factor.
 
+``exact_expm`` builds exp(eps*M) exactly for a rational matrix M that is
+triangular in some order of its basis, which is every flow and every
+non-rotation adjoint generator the program exponentiates.  Its spectrum is
+its diagonal, so no characteristic polynomial or root search is needed; a
+matrix whose off-diagonal entries form a cycle returns None.
+
 ``solve_symbolic`` solves small systems with Expr entries for several
 right-hand sides in one elimination: the structure constants of a basis
 solve basis . C = [every bracket], one column per bracket.
@@ -20,11 +26,15 @@ solve basis . C = [every bracket], one column per bracket.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .expr import Expr, Rat, ZERO, ZeroVerdict, add, is_zero, mul, powx, rat
+from .expr import (
+    EULER, Expr, Rat, ZERO, ZeroVerdict, add, is_zero, mul, powx, rat,
+)
 
 Matrix = List[List[Fraction]]
 SparseRow = Dict[int, Fraction]
@@ -188,6 +198,71 @@ def inverse(a: Matrix) -> Optional[Matrix]:
     if any(c not in reduced for c in range(n)):
         return None
     return [[reduced[c].get(n + j, _ZERO) for j in range(n)] for c in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# exact exponentials of matrices that are triangular in some basis order
+# ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _eigen_chains(M: Tuple[Tuple[Fraction, ...], ...]):
+    """(eigenvalue, Jordan chain) blocks of a rational matrix and the
+    inverse of the matrix of their lead vectors, when the matrix is
+    triangular in some order of its basis; None otherwise.  It is when the
+    graph with an edge i -> j for each nonzero off-diagonal M[i][j] has no
+    cycle, and then its spectrum is its diagonal.  The blocks do not depend
+    on the group parameter, so each matrix is decomposed once."""
+    n = len(M)
+    left = set(range(n))
+    while left:  # peel off the rows with no off-diagonal entry left
+        sinks = {i for i in left if not any(M[i][j] for j in left - {i})}
+        if not sinks:
+            return None
+        left -= sinks
+    cols: List[List[Fraction]] = []
+    blocks: List[Tuple[Fraction, List[List[Fraction]]]] = []
+    for lam, mu in sorted(Counter(M[i][i] for i in range(n)).items()):
+        B = [[M[i][j] - (lam if i == j else 0) for j in range(n)]
+             for i in range(n)]
+        Bp = identity(n)
+        for _ in range(mu):
+            Bp = matmul(B, Bp)
+        for v in nullspace(Bp, n):
+            # exp(eps M) v = e^(lam eps) * sum_k eps^k/k! B^k v
+            chain = [v]
+            w = v
+            for _ in range(mu - 1):
+                w = matvec(B, w)
+                chain.append(w)
+            blocks.append((lam, chain))
+            cols.append(v)
+    # the generalized eigenspaces of a split spectrum span the space
+    return blocks, inverse([[cols[j][i] for j in range(n)] for i in range(n)])
+
+
+def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
+    """exp(eps*M) as exact expressions, polynomial and exponential in eps,
+    when the rational matrix M is triangular in some order of its basis;
+    None when its off-diagonal entries form a cycle (a rotation
+    generator, for one)."""
+    n = len(M)
+    data = _eigen_chains(tuple(map(tuple, M)))
+    if data is None:
+        return None
+    blocks, Pinv = data
+    # matrix whose column k is exp(eps M) applied to the lead vector of
+    # block k
+    exp_cols: List[List[Expr]] = []
+    for lam, chain in blocks:
+        phase = powx(EULER, mul(rat(lam), eps))
+        col = [ZERO] * n
+        for k, w in enumerate(chain):
+            coef = mul(powx(eps, rat(k)), rat(Fraction(1, factorial(k))))
+            for i in range(n):
+                if w[i]:
+                    col[i] = add(col[i], mul(coef, rat(w[i])))
+        exp_cols.append([mul(phase, entry) for entry in col])
+    return matmul(list(zip(*exp_cols)), Pinv)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,16 @@ rational times e^q, which is irrational for rational q != 0 (Lindemann).
 So signatures match by plain equality.  A shift or scaling step carries
 its parameter as a kernel expression (a rational, or a rational multiple
 of the log of a positive rational), and a rotation step carries its exact
-(cos, sin).  A word is a certificate: `conjugate` is answered only when the
+(cos, sin).  A shift or scaling step's group element is linalg.exact_expm
+of a generator that is triangular in some order of the basis, so that its
+spectrum is its diagonal; on the encoded classes every other generator is
+a rotation.  A word is a certificate: `conjugate` is answered only when the
 word, applied exactly, makes every 2x2 minor of (A v, w) the literal zero.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 import random
 from fractions import Fraction
 from typing import (
@@ -44,7 +45,7 @@ from .algebra import (
     CanonicalClass, Identification, LieAlgebra, _in_span_coords, _series,
     ad_matrix, canonical_class_by_name, identify, sum_base,
 )
-from .linalg import Matrix, identity, inverse, matmul, matvec, nullspace
+from .linalg import Matrix, exact_expm, identity, inverse, matmul, matvec
 
 
 DEFAULT_SEED = 20240901
@@ -57,147 +58,9 @@ class UnsupportedClassError(ExprError):
 
 
 # ---------------------------------------------------------------------------
-# adjoint matrices: exact closed form where the spectrum is rational
+# adjoint matrices: exact closed form for generators that are triangular in
+# some order of the basis, rotation steps for the others
 # ---------------------------------------------------------------------------
-
-def _char_poly(M: Matrix) -> List[Fraction]:
-    """Characteristic polynomial det(xI - M), coefficients low-to-high, by
-    Faddeev-LeVerrier."""
-    n = len(M)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    Mk = identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                Mk[i][i] += c
-        Mk = matmul(M, Mk)
-        c = -Fraction(1, k) * sum(Mk[i][i] for i in range(n))
-        coeffs[n - k] = c
-    return coeffs
-
-
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    out = []
-    for d in range(1, n + 1):
-        if d * d > n:
-            break
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
-
-
-def _rational_roots(poly: List[Fraction]) -> Optional[Dict[Fraction, int]]:
-    """All roots with multiplicity if the polynomial splits over Q."""
-    cur = [Fraction(c) for c in poly]
-    while cur and cur[-1] == 0:
-        cur.pop()
-    deg = len(cur) - 1
-    roots: Dict[Fraction, int] = {}
-    while len(cur) > 1:
-        if cur[0] == 0:
-            roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
-            cur = cur[1:]
-            continue
-        den = 1
-        for c in cur:
-            den = math.lcm(den, c.denominator)
-        ic = [int(c * den) for c in cur]
-        found = None
-        cands = set()
-        for p in _divisors(ic[0]):
-            for q in _divisors(ic[-1]):
-                cands.add(Fraction(p, q))
-                cands.add(Fraction(-p, q))
-        for r in sorted(cands):
-            val = Fraction(0)
-            for c in reversed(cur):
-                val = val * r + c
-            if val == 0:
-                found = r
-                break
-        if found is None:
-            return None
-        roots[found] = roots.get(found, 0) + 1
-        # synthetic division by (x - found)
-        out = [Fraction(0)] * (len(cur) - 1)
-        acc = Fraction(0)
-        for i in range(len(cur) - 1, 0, -1):
-            acc = cur[i] + acc * found
-            out[i - 1] = acc
-        cur = out
-    return roots if sum(roots.values()) == deg else None
-
-
-@functools.lru_cache(maxsize=None)
-def _eigen_chains(M: Tuple[Tuple[Fraction, ...], ...]):
-    """(eigenvalue, Jordan chain) blocks of a rational matrix and the
-    inverse of the matrix of their lead vectors, when the spectrum is
-    rational; None otherwise.  They do not depend on the group parameter,
-    so each ad matrix is decomposed once."""
-    n = len(M)
-    roots = _rational_roots(_char_poly(M))
-    if roots is None:
-        return None
-    cols: List[List[Fraction]] = []
-    blocks: List[Tuple[Fraction, List[List[Fraction]]]] = []
-    for lam, mu in sorted(roots.items()):
-        B = [[M[i][j] - (lam if i == j else 0) for j in range(n)]
-             for i in range(n)]
-        Bp = identity(n)
-        for _ in range(mu):
-            Bp = matmul(B, Bp)
-        basis = nullspace(Bp, n)
-        for v in basis:
-            # exp(eps M) v = e^(lam eps) * sum_k eps^k/k! B^k v
-            chain = [v]
-            w = v
-            for _ in range(mu - 1):
-                w = matvec(B, w)
-                chain.append(w)
-            blocks.append((lam, chain))
-            cols.append(v)
-    if len(cols) != n:
-        return None
-    Pinv = inverse([[cols[j][i] for j in range(n)] for i in range(n)])
-    return None if Pinv is None else (blocks, Pinv)
-
-
-def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
-    """exp(eps*M) as exact expressions (polynomial and exponential entries in
-    eps) when the spectrum is rational; None otherwise."""
-    n = len(M)
-    data = _eigen_chains(tuple(map(tuple, M)))
-    if data is None:
-        return None
-    blocks, Pinv = data
-    # matrix whose column k is exp(eps M) applied to the lead vector of
-    # block k
-    exp_cols: List[List[Expr]] = []
-    for lam, chain in blocks:
-        phase = powx(EULER, mul(rat(lam), eps))
-        col = [ZERO] * n
-        for k, w in enumerate(chain):
-            coef = mul(powx(eps, rat(k)), rat(Fraction(1, math.factorial(k))))
-            for i in range(n):
-                if w[i]:
-                    col[i] = add(col[i], mul(coef, rat(w[i])))
-        col = [mul(phase, entry) for entry in col]
-        exp_cols.append(col)
-    out = [[ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            acc = ZERO
-            for k in range(n):
-                if Pinv[k][j]:
-                    acc = add(acc, mul(exp_cols[k][i], rat(Pinv[k][j])))
-            out[i][j] = acc
-    return out
-
 
 def ad_matrix_rational(L: LieAlgebra, i: int) -> Matrix:
     """Matrix of ad e_i."""
@@ -208,13 +71,16 @@ def adjoint_matrix(L: LieAlgebra, i: int,
                    eps: Union[Expr, Fraction, None] = None
                    ) -> List[List[Expr]]:
     """Ad(exp(eps ad e_i)) as exact expressions in eps (a symbol by
-    default).  A generator with an irrational spectrum, a rotation, has no
-    such closed form in eps: its steps are rotation steps (_rotate)."""
+    default), for an ad e_i that is triangular in some order of the basis,
+    so that its spectrum is its rational diagonal.  On the encoded classes
+    every other generator is a rotation, with no such closed form in eps:
+    its steps are rotation steps (_rotate)."""
     exact = exact_expm(ad_matrix_rational(L, i),
                        sym("eps") if eps is None else _coerce(eps))
     if exact is None:
-        raise ExprError(f"ad e{i + 1} has an irrational spectrum: its "
-                        "group elements are rotation steps")
+        raise ExprError(f"ad e{i + 1} is not triangular in any order of the "
+                        "basis: a rotation generator, whose group elements "
+                        "are rotation steps")
     return exact
 
 
@@ -240,8 +106,7 @@ def _rotate(M: Matrix, turn: Tuple[Expr, Expr], x: List[Expr]) -> List[Expr]:
                         "plane")
     c, s = turn
     return [add(xi, mul(s, jx), mul(add(ONE, mul(-1, c)), j2x))
-            for xi, jx, j2x in zip(x, _expr_matvec(J, x),
-                                   _expr_matvec(J2, x))]
+            for xi, jx, j2x in zip(x, matvec(J, x), matvec(J2, x))]
 
 
 def apply_word(cls: CanonicalClass, a: Optional[Fraction],
@@ -252,11 +117,11 @@ def apply_word(cls: CanonicalClass, a: Optional[Fraction],
     x = [_coerce(t) for t in v]
     for s in steps:
         if s.kind == "aut":
-            x = _expr_matvec(cls.discrete_maps()[s.name], x)
+            x = matvec(cls.discrete_maps()[s.name], x)
         elif s.kind == "rot":
             x = _rotate(ad_matrix_rational(alg, s.index), s.turn, x)
         else:
-            x = _expr_matvec(adjoint_matrix(alg, s.index, s.epsilon), x)
+            x = matvec(adjoint_matrix(alg, s.index, s.epsilon), x)
     return x
 
 
@@ -1107,18 +972,6 @@ class ClassifiedAlgebra(NamedTuple):
         return self.strategy.classify(self.canonical_coords(v))
 
 
-def _expr_matvec(M: Matrix, c: Sequence[Expr]) -> List[Expr]:
-    """M c for a matrix of rationals or expressions and a symbolic vector."""
-    out = []
-    for row in M:
-        acc = ZERO
-        for m, cj in zip(row, c):
-            if m:
-                acc = add(acc, mul(m, cj))
-        out.append(acc)
-    return out
-
-
 def _normalize_leading(coeffs: List[Expr]) -> Tuple[Expr, ...]:
     """Scale so the first nonzero rational coefficient is +-1 with positive
     sign preferred (subalgebra representatives are lines)."""
@@ -1149,7 +1002,7 @@ def construct_optimal_system(L: LieAlgebra,
     ca = ClassifiedAlgebra.build(L, ident)
     out = []
     for rep in ca.strategy.reps():
-        coeffs = _normalize_leading(_expr_matvec(ca.from_canonical,
+        coeffs = _normalize_leading(matvec(ca.from_canonical,
                                                  rep.coeffs))
         out.append(SubalgebraRep(coeffs, rep.params, rep.rep_id, rep.note))
     return out

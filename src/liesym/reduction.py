@@ -28,7 +28,7 @@ from .expr import (
 )
 from .equivalence import _inverse_point_map
 from .jets import VectorField, jet_name
-from .optimal import exact_expm
+from .linalg import exact_expm
 from .pde import EvolutionPDE
 from .symmetry import is_symmetry
 
@@ -360,9 +360,7 @@ def transform_solution(sol: ClosedFormSolution, X: VectorField,
     A = [[data.rational("a1"), Fraction(0), data.rational("a0")],
          [data.rational("b1"), data.rational("b2"), data.rational("b0")],
          [Fraction(0), Fraction(0), Fraction(0)]]
-    flow = exact_expm(A, mul(-1, eps))
-    if flow is None:
-        raise UnsupportedGeneratorError("flow has no rational closed form")
+    flow = exact_expm(A, mul(-1, eps))  # triangular in the order 1, t, x
     t, x = sym("t"), sym("x")
     t_old = add(mul(flow[0][0], t), mul(flow[0][1], x), flow[0][2])
     x_old = add(mul(flow[1][0], t), mul(flow[1][1], x), flow[1][2])

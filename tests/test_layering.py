@@ -1,0 +1,32 @@
+"""Import layering: the exact linear algebra, exponential included, sits in
+the trusted core next to the kernel, below the search modules."""
+
+import ast
+from pathlib import Path
+
+PKG = Path(__file__).resolve().parent.parent / "src" / "liesym"
+
+
+def _liesym_imports(filename: str) -> set:
+    """The liesym modules a source file imports, relative imports
+    resolved."""
+    out = set()
+    for node in ast.walk(ast.parse((PKG / filename).read_text())):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                out.add(node.module)
+            elif node.module:
+                out.add(f"liesym.{node.module}")
+            else:
+                out.update(f"liesym.{a.name}" for a in node.names)
+    return {m for m in out if m == "liesym" or m.startswith("liesym.")}
+
+
+def test_linalg_imports_only_the_kernel():
+    assert _liesym_imports("linalg.py") == {"liesym.expr"}
+
+
+def test_reduction_does_not_import_optimal_systems():
+    assert "liesym.optimal" not in _liesym_imports("reduction.py")

@@ -1,4 +1,5 @@
-"""Exact elimination against sympy as an independent oracle."""
+"""Exact elimination and the exact matrix exponential against sympy as an
+independent oracle."""
 
 from fractions import Fraction
 from math import gcd, lcm
@@ -7,9 +8,12 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from liesym.algebra import canonical_class_by_name
+from liesym.dsl import render
 from liesym.expr import ZERO, powx, rat, sym
-from liesym.linalg import (_primitive, inverse, matmul, matvec, nullspace,
-                           rank, rref, solve, solve_symbolic)
+from liesym.linalg import (_primitive, exact_expm, inverse, matmul, matvec,
+                           nullspace, rank, rref, solve, solve_symbolic)
+from liesym.optimal import ad_matrix_rational
 
 # mostly zeros, like the determining systems of the symmetry search
 ENTRIES = st.one_of(
@@ -252,3 +256,59 @@ def test_primitive_scales_in_integers(v):
 @given(st.lists(ENTRIES, max_size=9))
 def test_primitive_matches_fraction_scaling(v):
     assert _primitive(v) == _primitive_by_fractions(v)
+
+
+# -- the exact exponential -------------------------------------------------
+
+# few distinct values, so that diagonals repeat and Jordan blocks occur
+DIAGONAL = st.sampled_from([Fraction(0), Fraction(1), Fraction(-1, 2),
+                            Fraction(2)])
+
+
+@st.composite
+def permuted_triangular(draw, min_n=1):
+    """An upper triangular rational matrix up to 4x4, its basis permuted at
+    random; returns the matrix and the permutation."""
+    n = draw(st.integers(min_n, 4))
+    perm = draw(st.permutations(range(n)))
+    M = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        M[perm[i]][perm[i]] = draw(DIAGONAL)
+        for j in range(i + 1, n):
+            M[perm[i]][perm[j]] = draw(ENTRIES)
+    return M, perm
+
+
+@settings(max_examples=25, deadline=None)
+@given(permuted_triangular())
+def test_exact_expm_matches_sympy(case):
+    M, _ = case
+    n = len(M)
+    E = exact_expm(M, sym("eps"))
+    S = (sympy.Symbol("eps") * to_sympy(M, n)).exp()
+    for i in range(n):
+        for j in range(n):
+            diff = sympy.sympify(render(E[i][j])) - S[i, j]
+            assert sympy.simplify(diff) == 0, (M, i, j)
+
+
+@settings(max_examples=50, deadline=None)
+@given(permuted_triangular(min_n=2), st.data())
+def test_exact_expm_refuses_a_cycle(case, data):
+    M, perm = case
+    n = len(M)
+    i = data.draw(st.integers(0, n - 2))
+    j = data.draw(st.integers(i + 1, n - 1))
+    # a nonzero pair M[a][b], M[b][a] is a 2-cycle: no basis order makes
+    # the matrix triangular, whatever its spectrum
+    a, b = perm[i], perm[j]
+    M[a][b] = data.draw(st.sampled_from([Fraction(1), Fraction(-3, 2)]))
+    M[b][a] = data.draw(st.sampled_from([Fraction(1), Fraction(2, 5)]))
+    assert exact_expm(M, sym("eps")) is None
+
+
+@pytest.mark.parametrize("name,i", [("A3,6", 2), ("A3,9", 0), ("A3,9", 1),
+                                    ("A3,9", 2)])
+def test_exact_expm_refuses_rotation_generators(name, i):
+    M = ad_matrix_rational(canonical_class_by_name(name).algebra, i)
+    assert exact_expm(M, sym("eps")) is None
