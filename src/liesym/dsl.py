@@ -251,6 +251,8 @@ def parse_vector_field(text: str, table: SymbolTable) -> VectorField:
     for marker in _FIELD_MARKERS:
         extended.variable(marker)
     e = parse(text, extended)
+    if e.is_zero_literal:
+        raise ParseError("the vector field is zero", 0)
     coefs = {m: ZERO for m in _FIELD_MARKERS}
     terms = e.terms if isinstance(e, Add) else (e,)
     for term in terms:

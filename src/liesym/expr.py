@@ -416,9 +416,13 @@ _MAX_MUL_ROUNDS = 64
 def mul(*xs) -> Expr:
     """Canonical product of the arguments.  The rational coefficient is
     carried as an integer numerator and denominator and reduced once, when
-    the product is built."""
+    the product is built; one whose numerator or denominator passes
+    MAX_POWER_BITS raises ResourceLimitError.  A factor that arrives as a
+    canonical atom and whose base occurs once is kept as it is, so a
+    product of atoms with pairwise distinct bases and no sum is built in
+    one pass; only merged bases go through :func:`powx`."""
     num = den = 1
-    # base.key() -> [base, [exponent, ...]]
+    # base.key() -> [base, [exponent, ...], the atom when it came as one]
     pend: Dict[tuple, List] = {}
     sums: List[Add] = []
 
@@ -434,7 +438,9 @@ def mul(*xs) -> Expr:
             for f in e.factors:
                 absorb(f)
             return
+        atom = e
         if isinstance(e, Add):
+            atom = None
             # factor sums by their rational content so scalar multiples of
             # the same sum share one power base
             c = _add_content(e)
@@ -445,7 +451,7 @@ def mul(*xs) -> Expr:
         b, ex = _base_exp(e)
         entry = pend.get(b.key())
         if entry is None:
-            pend[b.key()] = [b, [ex]]
+            pend[b.key()] = [b, [ex], atom]
         else:
             entry[1].append(ex)
 
@@ -453,9 +459,11 @@ def mul(*xs) -> Expr:
         absorb(_coerce(x))
 
     # Fixpoint: normalize each (base, summed exponent), re-absorbing any
-    # rewrites (prime splits, folds, merges) until the factor set is stable.
-    # A lone exponent is canonical already and is not summed.
-    atoms: Dict[tuple, Expr] = {}
+    # rewrites (folds of a prime's integer part, merges) until the factor
+    # set is stable.  A power of a base is a rational, a sum or a product
+    # of powers of that same base (a prime stays one prime, %e has no log
+    # term left to pull out), so a finished base never comes back.
+    atoms: List[Expr] = []
     rounds = 0
     while pend:
         rounds += 1
@@ -465,25 +473,28 @@ def mul(*xs) -> Expr:
             return ZERO
         work = list(pend.values())
         pend.clear()
-        for b, exps in work:
-            k = b.key()
-            if k in atoms:
-                # merge with an already-finished atom and retry
-                ab, ae = _base_exp(atoms.pop(k))
-                exps = exps + [ae]
+        for b, exps, atom in work:
+            if atom is not None and len(exps) == 1:
+                atoms.append(atom)
+                continue
             e = exps[0] if len(exps) == 1 else add(*exps)
             p = powx(b, e)
-            pb, pe = _base_exp(p)
-            if not isinstance(p, (Rat, Mul, Add)) and pb == b and pe == e:
-                atoms[k] = p
-            elif isinstance(p, Add):
+            if isinstance(p, Add):
                 sums.append(p)
-            else:
+            elif isinstance(p, (Rat, Mul)):
                 absorb(p)
+            else:
+                atoms.append(p)
     if num == 0:
         return ZERO
 
-    head = _build_mul(Fraction(num, den), list(atoms.values()))
+    coeff = Fraction(num, den)
+    if max(coeff.numerator.bit_length(),
+           coeff.denominator.bit_length()) > MAX_POWER_BITS:
+        raise ResourceLimitError(
+            f"a product's coefficient passes the limit of {MAX_POWER_BITS} "
+            "bits")
+    head = _build_mul(coeff, atoms)
     if sums:
         out = []
         for combo in itertools.product(*[s.terms for s in sums]):
@@ -537,10 +548,11 @@ def _rat_root(q: Fraction, k: int) -> Optional[Fraction]:
 
 
 #: most bits the numerator or denominator of an exact integer power of a
-#: rational may reach, measured as |n| * bits(q) for q^n.  Outside the
-#: fuzzers the tier-1 tests reach 1600 and the benchmark workloads 602.  It
-#: stays below the 4300-digit (about 14,000-bit) limit on int-to-str
-#: conversion, so a bounded power still renders.
+#: rational may reach, measured as |n| * bits(q) for q^n, and of a
+#: product's coefficient.  Outside the fuzzers the tier-1 tests reach 1600
+#: and the benchmark workloads 602 in powers, 26 and 12 in coefficients.
+#: It stays below the 4300-digit (about 14,000-bit) limit on int-to-str
+#: conversion, so a bounded power or product still renders.
 MAX_POWER_BITS = 8192
 
 

@@ -1,17 +1,23 @@
-"""Exact linear algebra over Fraction, plus a pivoting solver for small
-systems whose entries are symbolic expressions.
+"""Exact linear algebra over the rationals, plus a pivoting solver for
+small systems whose entries are symbolic expressions.
 
-Exact elimination is sparse.  The determining systems of the symmetry
-search have hundreds of rows with under two nonzeros each, so ``rref``
-stores each row as a dict column -> Fraction and drops all-zero rows on
-entry.  A column -> rows index finds the rows to eliminate, pivots are
-taken column by column (the shortest candidate row, ties broken by row
-index; see ``_choose_pivot``), and entries that cancel are deleted, so rows
-stay sparse.  The reduced row echelon form is unique, so neither the pivot
-rule nor the row order changes the result.  ``rank``, ``nullspace``,
-``solve`` and ``inverse`` read the pivot map of ``_eliminate`` directly;
-only ``rref`` builds the dense reduced matrix.  ``matmul`` and ``matvec``
-skip the products with a zero factor.
+Exact elimination is sparse and fraction-free (Bareiss 1968): it runs on
+Python ints alone.  The determining systems of the symmetry search have
+hundreds of integer rows with under two nonzeros each, so ``_eliminate``
+stores each row as a dict column -> int, drops all-zero rows and clears a
+rational row's denominators on entry.  A column -> rows index finds the
+rows to eliminate, pivots are taken column by column (the shortest
+candidate row, ties broken by row index; see ``_choose_pivot``), a row
+update row <- a*row - b*pivot row uses the cofactors a, b of the pivot and
+the eliminated entry over their gcd, and each updated row is divided by
+its content.  Pivots are never normalised, and entries that cancel are
+deleted, so rows stay small and sparse.  Each pivot row is a multiple of
+the reduced row echelon form's row, which is unique, so neither the pivot
+rule nor the row order changes a result.  Fractions appear only in the
+readout: ``rref``, ``solve`` and ``inverse`` divide by the pivot,
+``nullspace`` reads primitive integer vectors off the pivot rows and
+``rank`` counts them.  ``matmul`` and ``matvec`` skip the products with a
+zero factor.
 
 ``exact_expm`` builds exp(eps*M) exactly for a rational matrix M that is
 triangular in some order of its basis, which is every flow and every
@@ -33,11 +39,12 @@ from math import factorial, gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .expr import (
-    EULER, Expr, Rat, ZERO, ZeroVerdict, add, is_zero, mul, powx, rat,
+    EULER, Expr, Rat, Rational, ZERO, ZeroVerdict, add, is_zero, mul, powx,
+    rat,
 )
 
 Matrix = List[List[Fraction]]
-SparseRow = Dict[int, Fraction]
+SparseRow = Dict[int, int]
 
 _ZERO = Fraction(0)
 
@@ -49,18 +56,25 @@ def _choose_pivot(candidates: Set[int], rows: Dict[int, SparseRow]) -> int:
 
 
 def _eliminate(rows: Matrix) -> Dict[int, SparseRow]:
-    """Sparse Gauss-Jordan elimination; returns pivot column -> its reduced
-    row, normalised to 1 at the pivot and zero in every other pivot
-    column."""
+    """Sparse fraction-free Gauss-Jordan elimination over Z; returns pivot
+    column -> its reduced row, an integer multiple of the reduced row
+    echelon form's row (the multiple is its entry at the pivot), zero in
+    every other pivot column."""
     sparse: Dict[int, SparseRow] = {}
     by_col: Dict[int, Set[int]] = {}
     for i, r in enumerate(rows):
-        row = {j: v if type(v) is Fraction else Fraction(v)
-               for j, v in enumerate(r) if v}
-        if row:
-            sparse[i] = row
-            for j in row:
-                by_col.setdefault(j, set()).add(i)
+        row = {j: v for j, v in enumerate(r) if v}
+        if not row:
+            continue
+        for v in row.values():
+            if type(v) is not int:  # clear the denominators of the row
+                den = lcm(*[v.denominator for v in row.values()])
+                row = {j: v.numerator * (den // v.denominator)
+                       for j, v in row.items()}
+                break
+        sparse[i] = row
+        for j in row:
+            by_col.setdefault(j, set()).add(i)
     reduced: Dict[int, SparseRow] = {}
     pending = set(sparse)
     for c in sorted(by_col):
@@ -72,25 +86,34 @@ def _eliminate(rows: Matrix) -> Dict[int, SparseRow]:
         pending.discard(p)
         prow = sparse[p]
         pv = prow[c]
-        if pv != 1:
-            prow = sparse[p] = {j: v / pv for j, v in prow.items()}
         for i in list(holders):
             if i == p:
                 continue
+            # row <- a*row - b*prow, a/b = pv/row[c] in lowest terms, a > 0
             row = sparse[i]
-            f = row[c]
+            g = gcd(pv, row[c])
+            a, b = pv // g, row[c] // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for j in row:
+                    row[j] *= a
             for j, v in prow.items():
                 old = row.get(j)
                 if old is None:
-                    row[j] = -f * v
+                    row[j] = -b * v
                     by_col[j].add(i)
                 else:
-                    new = old - f * v
+                    new = old - b * v
                     if new:
                         row[j] = new
                     else:
                         del row[j]
                         by_col[j].discard(i)
+            g = gcd(*row.values())
+            if g > 1:  # divide the row by its content
+                for j in row:
+                    row[j] //= g
         reduced[c] = prow
     return reduced
 
@@ -106,8 +129,9 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     out: Matrix = []
     for c in pivots:
         dense = [_ZERO] * ncols
+        pv = reduced[c][c]
         for j, v in reduced[c].items():
-            dense[j] = v
+            dense[j] = Fraction(v, pv)
         out.append(dense)
     out.extend([_ZERO] * ncols for _ in range(len(rows) - len(pivots)))
     return out, pivots
@@ -120,23 +144,28 @@ def rank(rows: Matrix) -> int:
 
 def nullspace(rows: Matrix, ncols: int) -> List[List[Fraction]]:
     """Basis of the right nullspace, scaled to primitive integer vectors:
-    one vector per free column, read off the reduced pivot rows."""
+    one vector per free column, read off the pivot rows in integers (the
+    free column's entry is the lcm of the pivots of the rows that hold
+    it)."""
     reduced = _eliminate(rows)
-    free = {c: _unit(ncols, c) for c in range(ncols) if c not in reduced}
+    free: Dict[int, list] = {c: [] for c in range(ncols) if c not in reduced}
     for pc, prow in reduced.items():
+        pv = prow[pc]
         for j, v in prow.items():
             if j != pc:  # a reduced row is zero in every other pivot column
-                free[j][pc] = -v
-    return [_primitive(v) for v in free.values()]
+                free[j].append((pc, v, pv))
+    out = []
+    for c, held in free.items():
+        scale = lcm(*[pv for _, _, pv in held])
+        vec = [0] * ncols
+        vec[c] = scale
+        for pc, v, pv in held:
+            vec[pc] = -v * (scale // pv)
+        out.append(_primitive(vec))
+    return out
 
 
-def _unit(n: int, j: int) -> List[Fraction]:
-    v = [_ZERO] * n
-    v[j] = Fraction(1)
-    return v
-
-
-def _primitive(v: Sequence[Fraction]) -> List[Fraction]:
+def _primitive(v: Sequence[Rational]) -> List[Fraction]:
     """Scale so entries are coprime integers with positive leading entry.
     The scaling runs on integers; zero entries share one Fraction(0)."""
     den = lcm(*[x.denominator for x in v])
@@ -161,7 +190,7 @@ def solve(rows: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
         return None
     x = [_ZERO] * ncols
     for pc, prow in reduced.items():
-        x[pc] = prow.get(ncols, _ZERO)
+        x[pc] = Fraction(prow.get(ncols, 0), prow[pc])
     return x
 
 
@@ -197,7 +226,8 @@ def inverse(a: Matrix) -> Optional[Matrix]:
     reduced = _eliminate([list(a[i]) + identity(n)[i] for i in range(n)])
     if any(c not in reduced for c in range(n)):
         return None
-    return [[reduced[c].get(n + j, _ZERO) for j in range(n)] for c in range(n)]
+    return [[Fraction(reduced[c].get(n + j, 0), reduced[c][c])
+             for j in range(n)] for c in range(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,13 @@ coordinates.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from math import perm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .expr import (
-    Add, Expr, ExprError, Mul, Rat, Sym, SymbolTable, ZERO, ONE, ZeroVerdict,
-    _base_exp, _coeff_monomial, add, free_symbols, is_zero, mul, powx, rat,
-    substitute, sym,
+    Add, Expr, ExprError, Mul, Rat, Rational, Sym, SymbolTable, ZERO, ONE,
+    ZeroVerdict, _base_exp, _coeff_monomial, add, free_symbols, is_zero, mul,
+    powx, rat, substitute, sym,
 )
 from . import jets
 from .jets import VectorField, jet, jet_name, prolong2
@@ -137,7 +136,8 @@ def _operator_terms(shape, pde: EvolutionPDE, table: SymbolTable,
     D_x Q and D_x^2 Q, so each term of the one residual holds exactly one
     of these four jets of m, and its orders (a, b) name the C the term
     belongs to.  Each C is split into terms (coefficient, t-exponent,
-    x-exponent, id of the remaining factors in ``rests``)."""
+    x-exponent, id of the remaining factors in ``rests``); an integral
+    coefficient is an int, so the matrix assembles integer entries."""
     residual = invariance_residual(pde, shape(sym(_AUX)), table=table)
     out: Dict[Tuple[int, int], list] = {}
     for term in (residual.terms if isinstance(residual, Add)
@@ -145,6 +145,8 @@ def _operator_terms(shape, pde: EvolutionPDE, table: SymbolTable,
         if term.is_zero_literal:
             continue
         coeff, mono = _coeff_monomial(term)
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
         et, ex, ab, rest = 0, 0, None, []
         for f in _monomial_factors(mono):
             base, e = _base_exp(f)
@@ -163,7 +165,7 @@ def _operator_terms(shape, pde: EvolutionPDE, table: SymbolTable,
 
 
 def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
-                        ) -> List[List[Fraction]]:
+                        ) -> List[List[Rational]]:
     """One row per monomial of the residuals of the basis fields.
 
     The residual of t^i x^j in shape c is assembled in exponent space:
@@ -181,9 +183,9 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
     rests: Dict[tuple, int] = {}
     ops = [_operator_terms(shape, pde, table, rests) for shape in _SHAPES]
     n = len(basis)
-    rows: Dict[tuple, List[Fraction]] = {}
+    rows: Dict[tuple, List[Rational]] = {}
     for col, (c, i, j) in enumerate(basis):
-        entries: Dict[tuple, Fraction] = {}
+        entries: Dict[tuple, Rational] = {}
         for (a, b), terms in ops[c].items():
             f = perm(i, a) * perm(j, b)
             if not f:

@@ -70,6 +70,17 @@ class TestExitCodes:
         assert run(["verify-symmetry", "--pde", "u_t = u_x",
                     "--field", "q*Dt"]) == 3
 
+    @pytest.mark.parametrize("argv", [
+        ["transform-solution", "--pde", "u_t = D(u,x,2)", "--sol", "x",
+         "--field", "0*Dt", "--epsilon", "1"],
+        ["verify-symmetry", "--pde", "u_t = D(u,x,2)", "--field", "0*Dx"],
+    ])
+    def test_zero_field_is_named(self, capsys, argv):
+        # the canonical sum of a zero field is the literal 0 and has no
+        # term, so no term is to blame for a missing Dt, Dx or Du
+        assert run(argv) == 3
+        assert "the vector field is zero" in capsys.readouterr().err
+
     def test_unknown_case(self):
         assert run(["verify-solution", "--pde", "case:nope",
                     "--sol", "1"]) == 3
@@ -310,6 +321,21 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys):
     assert run(["verify-symmetry", "--pde", "u_t = D(u,x,2)", "--field", "Dt",
                 "--out", str(tmp_path / "missing" / "rep.json")]) == 3
     assert capsys.readouterr().err.startswith("usage error: cannot write")
+
+
+def test_oversized_product_coefficient_is_undecided():
+    # each power stays under MAX_POWER_BITS, but their product has about
+    # 5400 digits, past the 4300 that int-to-str conversion allows: the
+    # product's bound answers undecided instead of faulting in the renderer
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "liesym.cli", "verify-solution",
+         "--pde", "u_t = D(u,x,2)", "--sol", "2^4000*3^4000*7^2700*x^2"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("undecided: a product's coefficient")
 
 
 @pytest.mark.parametrize("module", ["yaml", "numpy", "dataclasses",

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from liesym import expr as expr_module
+from liesym.dsl import render
 from liesym.expr import (
     EULER, ZERO, ONE, Add, Func, Mul, NonRationalValue, Pow, Rat, Sym,
     ZeroVerdict,
@@ -276,6 +278,57 @@ def test_product_of_atoms_sums_no_exponents(monkeypatch):
                         lambda *xs: calls.append(xs) or real_add(*xs))
     assert mul(sym("x"), sym("u")) == Mul(Fraction(1), (u, x))
     assert calls == []
+
+
+# bases that recur across factors, so products merge exponents: powers of
+# x, radicals of 2 that multiply to rationals (2^(1/2)*2^(1/2) = 2) and a
+# prime power with a symbolic exponent whose integer part folds out
+shared_bases = st.sampled_from([
+    x, powx(x, 2), powx(x, -1), powx(x, m), powx(x, 1 - m),
+    powx(rat(2), Fraction(1, 2)), powx(rat(2), Fraction(-1, 2)),
+    powx(rat(2), m + Fraction(1, 2)), powx(rat(6), Fraction(1, 2)),
+    powx(rat(3), Fraction(1, 3))])
+exp_atoms = st.builds(lambda a, b: exp(add(mul(rat(a), t), mul(rat(b), x))),
+                      st.integers(-2, 2), st.integers(-2, 2))
+factors = st.one_of(poly_exprs(atoms=True), shared_bases, exp_atoms,
+                    inverse_sums)
+lone_atoms = st.one_of(shared_bases, exp_atoms, inverse_sums, radicals,
+                       symbolic_powers, names.map(sym)).filter(
+    lambda e: isinstance(e, (Sym, Func, Pow)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factors, factors, factors)
+def test_mul_is_commutative_and_associative_on_shared_bases(a, b, c):
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c)) == mul(a, b, c)
+    assert mul(a, b, c) == mul(c, a, b)
+
+
+def _sympy(e):
+    # the kernel's power rules assume positive bases
+    symbols = {n: sympy.Symbol(n, positive=True) for n in "txuwm"}
+    return sympy.sympify(render(e), locals=symbols)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factors, factors)
+def test_mul_matches_sympy(a, b):
+    diff = sympy.expand(_sympy(mul(a, b)) - _sympy(a) * _sympy(b))
+    assert diff == 0 or sympy.simplify(diff) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(lone_atoms)
+def test_mul_keeps_a_lone_atom(a):
+    assert mul(a) is a
+
+
+def test_radicals_multiply_to_rationals():
+    r2 = powx(rat(2), Fraction(1, 2))
+    assert mul(r2, r2) == rat(2)
+    assert mul(r2, powx(rat(2), Fraction(-1, 2))) == ONE
+    assert mul(powx(rat(2), m + Fraction(1, 2)), r2) == 2 * powx(rat(2), m)
 
 
 @settings(max_examples=120, deadline=None)

@@ -8,12 +8,16 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from liesym import linalg
 from liesym.algebra import canonical_class_by_name
-from liesym.dsl import render
+from liesym.dsl import parse_pde, render
 from liesym.expr import ZERO, powx, rat, sym
 from liesym.linalg import (_primitive, exact_expm, inverse, matmul, matvec,
                            nullspace, rank, rref, solve, solve_symbolic)
+from liesym.jets import dcr_symbols
 from liesym.optimal import ad_matrix_rational
+from liesym.pde import EvolutionPDE
+from liesym.symmetry import _ansatz_basis, _determining_matrix
 
 # mostly zeros, like the determining systems of the symmetry search
 ENTRIES = st.one_of(
@@ -129,6 +133,138 @@ def test_square_solve_and_inverse_match_sympy(rows, data):
     assert inv == from_sympy(A.inv())
     S = A.LUsolve(to_sympy([[v] for v in rhs], 1))
     assert x == [row[0] for row in from_sympy(S)]
+
+
+# -- the fraction-free engine against sympy ---------------------------------
+
+# a few 30-digit entries, so that rows grow past machine words
+BIG = st.integers(10 ** 29, 10 ** 30 - 1).flatmap(
+    lambda n: st.sampled_from([n, -n]))
+
+
+@st.composite
+def engine_matrices(draw, square=False):
+    """Sparse integer or rational matrices up to 12x10 like the determining
+    systems: mostly at most two nonzeros per row, some dense rows, a few
+    30-digit entries and, now and then, a row that combines two others.
+    Integer matrices hold Python ints, rational ones Fractions."""
+    nrows = draw(st.integers(1, 10) if square else st.integers(0, 12))
+    ncols = nrows if square else draw(st.integers(1, 10))
+    rational = draw(st.booleans())
+    small = (st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+             if rational else st.integers(-9, 9))
+
+    def entry():
+        v = draw(BIG) if draw(st.integers(0, 24)) == 0 else draw(small)
+        return Fraction(v) if rational else v
+
+    rows = []
+    for _ in range(nrows):
+        row = [Fraction(0) if rational else 0] * ncols
+        if draw(st.integers(0, 4)) == 0:
+            cols = range(ncols)
+        else:
+            cols = draw(st.lists(st.integers(0, ncols - 1), max_size=2))
+        for j in cols:
+            row[j] = entry()
+        rows.append(row)
+    if len(rows) > 2 and draw(st.booleans()):
+        i, k = draw(st.permutations(range(len(rows))))[:2]
+        a, b = entry(), entry()
+        rows[i] = [a * x + b * y for x, y in zip(rows[i], rows[k])]
+    return rows, ncols
+
+
+def primitive_sympy(v):
+    """A sympy vector scaled to coprime integers, leading entry positive."""
+    den = lcm(*[int(x.q) for x in v])
+    ints = [int(x.p) * (den // int(x.q)) for x in v]
+    g = gcd(*ints)
+    lead = next(n for n in ints if n)
+    return [Fraction(n // g if lead > 0 else -n // g) for n in ints]
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_matrices())
+def test_engine_matches_sympy(case):
+    rows, ncols = case
+    A = to_sympy([[Fraction(v) for v in r] for r in rows], ncols)
+    assert rank(rows) == A.rank()
+    assert nullspace(rows, ncols) == [primitive_sympy(v)
+                                      for v in A.nullspace()]
+    if rows:
+        S, spivots = A.rref()
+        assert rref(rows) == (from_sympy(S), list(spivots))
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_matrices(), st.data())
+def test_engine_solve_matches_sympy(case, data):
+    rows, ncols = case
+    if not rows:
+        return
+    A = to_sympy([[Fraction(v) for v in r] for r in rows], ncols)
+    rhs = [data.draw(st.integers(-9, 9)) for _ in rows]
+    if data.draw(st.booleans()):  # consistent: rhs = A x0
+        x0 = [data.draw(st.integers(-9, 9)) for _ in range(ncols)]
+        rhs = [sum(a * b for a, b in zip(r, x0)) for r in rows]
+    b = sympy.Matrix(rhs)
+    x = solve(rows, rhs)
+    try:
+        S, params = A.gauss_jordan_solve(b)
+    except ValueError:  # inconsistent
+        assert x is None
+        return
+    # free coordinates are set to zero
+    S = S.subs({p: 0 for p in params})
+    assert x == [row[0] for row in from_sympy(S)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_matrices(square=True))
+def test_engine_inverse_matches_sympy(case):
+    rows, n = case
+    A = to_sympy([[Fraction(v) for v in r] for r in rows], n)
+    inv = inverse(rows)
+    if A.det() == 0:
+        assert inv is None
+    else:
+        assert inv == from_sympy(A.inv())
+
+
+def _count_fractions(monkeypatch):
+    """Count every Fraction constructed from now on, arithmetic included."""
+    made = []
+    real_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kw):
+        made.append(args)
+        return real_new(cls, *args, **kw)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return made
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_elimination_constructs_no_fraction(monkeypatch, rational):
+    # a determining system and a rational matrix with 30-digit entries:
+    # elimination runs on ints, Fractions appear only at the readout
+    table = dcr_symbols()
+    pde = EvolutionPDE(rhs=parse_pde("u_t = D(u^2,x,2)+D(u^2,x)+u^3", table),
+                       table=table)
+    basis = _ansatz_basis(4)
+    rows = _determining_matrix(pde, basis)
+    assert all(type(v) is int for r in rows for v in r)
+    if rational:
+        rows = [[Fraction(v, 7) + Fraction(10 ** 30, 3) if v else v
+                 for v in r] for r in rows]
+    made = _count_fractions(monkeypatch)
+    reduced = linalg._eliminate(rows)
+    assert made == []
+    assert all(type(v) is int for r in reduced.values() for v in r.values())
+    basis_vectors = nullspace(rows, len(basis))
+    # the readout builds one Fraction per nonzero entry of the basis
+    assert len(made) == sum(1 for v in basis_vectors for x in v if x)
 
 
 # the dense products that matmul and matvec replaced, kept as oracles

@@ -185,6 +185,24 @@ def _assert_same_matrix(pde, bound):
     assert nullspace(got, len(basis)) == nullspace(want, len(basis))
 
 
+def test_nullspace_arguments_keep_the_benchmark_contract(monkeypatch):
+    # bench/run.py counts matrix rows, columns, nonzeros and rank from the
+    # dense rows and column count that find_symmetries passes to nullspace
+    seen = []
+
+    def capture(rows, ncols):
+        result = nullspace(rows, ncols)
+        seen.append((rows, ncols, result))
+        return result
+
+    monkeypatch.setattr(symmetry, "nullspace", capture)
+    find_symmetries(_pde("u_t = D(u^2,x,2)+D(u^2,x)+u^3"), bound=4)
+    [(rows, ncols, result)] = seen
+    assert all(type(r) is list and len(r) == ncols for r in rows)
+    assert (len(rows), ncols, sum(1 for r in rows for v in r if v),
+            ncols - len(result)) == (205, 60, 367, 58)
+
+
 # one rhs term: coefficient, powers of t and x, a rational power of u, and
 # powers of u_x and u_xx
 _rhs_term = st.tuples(
