@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 from fractions import Fraction
 from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -27,12 +28,23 @@ from .linalg import (
 )
 
 
+def load_packaged(name: str):
+    """The data of the packaged catalog file data/<name>.  The packaged
+    catalogs are JSON under their .yaml names (JSON is YAML, so YAML readers
+    of them, such as bench/checks.py, build the same data), and json reads
+    them without importing PyYAML, whose import costs more than the rest of
+    a catalog call.  Their top-level "about" lists hold the files' notes and
+    are not read."""
+    return json.loads((resources.files("liesym") / "data" / name).read_text())
+
+
 def load_yaml(text: str):
-    """The data of a YAML document; a syntax error raises ValueError with
-    PyYAML's message.  PyYAML is imported here, on first use, so commands
-    that read no catalog skip its import.  libyaml's safe loader, when
-    PyYAML was built with it, is about ten times faster than the
-    pure-Python one and builds the same data."""
+    """The data of a YAML document, such as a user's --catalog file; a
+    syntax error raises ValueError with PyYAML's message.  PyYAML is
+    imported here, on first use, so commands that read no user catalog skip
+    its import.  libyaml's safe loader, when PyYAML was built with it, is
+    about ten times faster than the pure-Python one and builds the same
+    data."""
     import yaml
 
     try:
@@ -473,8 +485,7 @@ def load_class_catalog() -> Dict[str, CanonicalClass]:
     global _catalog_cache
     if _catalog_cache is not None:
         return _catalog_cache
-    text = (resources.files("liesym") / "data" / "algebra_catalog.yaml").read_text()
-    raw = load_yaml(text)
+    raw = load_packaged("algebra_catalog.yaml")
     table = SymbolTable()
     table.parameter("a")
     out: Dict[str, CanonicalClass] = {}

@@ -8,7 +8,6 @@ nothing is trusted.  Failures carry the certificate that refutes the claim
 from __future__ import annotations
 
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
@@ -18,7 +17,8 @@ from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
 from .algebra import (
-    check_closure, field_coordinates, identify, load_yaml, structure_constants,
+    check_closure, field_coordinates, identify, load_packaged, load_yaml,
+    structure_constants,
 )
 from .linalg import rank
 from .optimal import (DEFAULT_SEED, construct_optimal_system,
@@ -109,15 +109,16 @@ class CatalogCase:
 
 
 def load_catalog(path: Optional[str] = None) -> Dict[str, CatalogCase]:
-    """Load and validate the case catalog (packaged file by default)."""
+    """Load and validate the case catalog: the packaged file (JSON, read
+    with json) by default, else the YAML file at path."""
     if path is None:
-        text = (resources.files("liesym") / "data" / "cases.yaml").read_text()
+        raw = load_packaged("cases.yaml")
     else:
         text = Path(path).read_text()
-    try:
-        raw = load_yaml(text)
-    except ValueError as exc:
-        raise CatalogError(f"catalog is not valid YAML: {exc}")
+        try:
+            raw = load_yaml(text)
+        except ValueError as exc:
+            raise CatalogError(f"catalog is not valid YAML: {exc}")
     if not isinstance(raw, dict) or "cases" not in raw:
         raise CatalogError("catalog must be a mapping with a 'cases' list")
     out: Dict[str, CatalogCase] = {}
@@ -355,8 +356,9 @@ def run_regression(catalog: Dict[str, CatalogCase],
                    seed: int = DEFAULT_SEED, audit_samples: int = 300,
                    jobs: int = 1) -> RegressionReport:
     """Re-derive every stored claim; aggregate pass/fail per check.  jobs
-    caps the worker processes; there is never more than one per case, and
-    one case runs in this process."""
+    caps the worker processes, and there is never more than one per case:
+    with jobs 1, or when only a single case is selected, every case runs in
+    the calling process and no worker starts."""
     # every name of a case maps to the same case: keep catalog order
     cases = {c.case_id: c for c in catalog.values()
              if case_ids is None or c.case_id in case_ids

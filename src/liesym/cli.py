@@ -17,10 +17,10 @@ import time
 from contextlib import contextmanager
 from typing import Dict, List, Optional
 
-from .expr import (ExprError, ResourceLimitError, SymbolTable, rat,
-                   substitute, sym)
+from .expr import (ExprError, LogOfZeroError, ResourceLimitError, SymbolTable,
+                   rat, substitute, sym)
 from . import dsl
-from .jets import dcr_symbols
+from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
 from .algebra import LieAlgebra, check_closure, identify, structure_constants
@@ -64,12 +64,25 @@ def _parse_params(spec: Optional[str]) -> Dict[str, str]:
 
 @contextmanager
 def _binding():
-    """Report a division by zero while substituting --params as a usage
-    error."""
+    """Report a division by zero or a log of zero while substituting
+    --params as a usage error."""
     try:
         yield
+    except LogOfZeroError:
+        raise UsageError("log of zero substituting --params") from None
     except ZeroDivisionError:
         raise UsageError("division by zero substituting --params") from None
+
+
+def _bind(bindings, parsed):
+    """parsed (an expression or a vector field) with the --params values
+    substituted."""
+    if not bindings:
+        return parsed
+    with _binding():
+        if isinstance(parsed, VectorField):
+            return parsed.substitute(bindings)
+        return substitute(parsed, bindings)
 
 
 def _table_with(params: Dict[str, str]) -> SymbolTable:
@@ -101,19 +114,18 @@ def _check_case_ids(catalog, ids: List[str]) -> None:
 
 
 def _resolve_pde(args, params: Dict[str, str]):
-    """PDE from 'case:<id>' or a DSL string; returns (pde, table)."""
+    """PDE from 'case:<id>' or a DSL string; returns (pde, table, parsed
+    bindings), so that every other expression argument is bound as the PDE
+    is."""
     case, table, bindings = _resolve_spec(args, args.pde, params)
     if case is not None:
         inst = case.instance()
         if bindings:
             with _binding():
                 inst = inst.instantiate(bindings)
-        return build_dcr(inst, table), table
-    rhs = dsl.parse_pde(args.pde, table)
-    if bindings:
-        with _binding():
-            rhs = substitute(rhs, bindings)
-    return EvolutionPDE(rhs=rhs, table=table), table
+        return build_dcr(inst, table), table, bindings
+    rhs = _bind(bindings, dsl.parse_pde(args.pde, table))
+    return EvolutionPDE(rhs=rhs, table=table), table, bindings
 
 
 def _resolve_algebra(args, params: Dict[str, str]) -> LieAlgebra:
@@ -125,10 +137,7 @@ def _resolve_algebra(args, params: Dict[str, str]) -> LieAlgebra:
                   for part in args.algebra.split(";") if part.strip()]
         if not fields:
             raise UsageError("--algebra names no vector field")
-    if bindings:
-        with _binding():
-            fields = [f.substitute(bindings) for f in fields]
-    return structure_constants(fields)
+    return structure_constants([_bind(bindings, f) for f in fields])
 
 
 def _parse_instance(spec: str, table: SymbolTable) -> DCRInstance:
@@ -212,8 +221,8 @@ def _verdict_exit(verdict: str) -> int:
 
 def cmd_verify_symmetry(args) -> Report:
     params = _parse_params(args.params)
-    pde, table = _resolve_pde(args, params)
-    field = dsl.parse_vector_field(args.field, table)
+    pde, table, bindings = _resolve_pde(args, params)
+    field = _bind(bindings, dsl.parse_vector_field(args.field, table))
     v = is_symmetry(pde, field)
     verdict = v.verdict.value
     rep = Report("verify-symmetry",
@@ -227,7 +236,7 @@ def cmd_verify_symmetry(args) -> Report:
 
 def cmd_find_symmetries(args) -> Report:
     params = _parse_params(args.params)
-    pde, table = _resolve_pde(args, params)
+    pde = _resolve_pde(args, params)[0]
     result = find_symmetries(pde, bound=args.bound)
     closure = check_closure(result.fields) if len(result) > 1 else None
     rep = Report("find-symmetries",
@@ -382,8 +391,8 @@ def cmd_audit_system(args) -> Report:
 
 def cmd_reduce(args) -> Report:
     params = _parse_params(args.params)
-    pde, table = _resolve_pde(args, params)
-    field = dsl.parse_vector_field(args.field, table)
+    pde, table, bindings = _resolve_pde(args, params)
+    field = _bind(bindings, dsl.parse_vector_field(args.field, table))
     ansatz = reduce_pde(pde, field)
     rep = Report("reduce",
                  inputs={"pde": dsl.render(pde.rhs), "field": args.field},
@@ -404,8 +413,8 @@ def cmd_reduce(args) -> Report:
 
 def cmd_verify_solution(args) -> Report:
     params = _parse_params(args.params)
-    pde, table = _resolve_pde(args, params)
-    sol = ClosedFormSolution(dsl.parse(args.sol, table))
+    pde, table, bindings = _resolve_pde(args, params)
+    sol = ClosedFormSolution(_bind(bindings, dsl.parse(args.sol, table)))
     v = verify_solution(pde, sol)
     rep = Report("verify-solution",
                  inputs={"pde": dsl.render(pde.rhs), "sol": args.sol},
@@ -417,10 +426,10 @@ def cmd_verify_solution(args) -> Report:
 
 def cmd_transform_solution(args) -> Report:
     params = _parse_params(args.params)
-    pde, table = _resolve_pde(args, params)
-    sol = ClosedFormSolution(dsl.parse(args.sol, table))
-    field = dsl.parse_vector_field(args.field, table)
-    eps = dsl.parse(args.epsilon, table)
+    pde, table, bindings = _resolve_pde(args, params)
+    sol = ClosedFormSolution(_bind(bindings, dsl.parse(args.sol, table)))
+    field = _bind(bindings, dsl.parse_vector_field(args.field, table))
+    eps = _bind(bindings, dsl.parse(args.epsilon, table))
     out = transform_solution(sol, field, eps)
     v = verify_solution(pde, out)
     rep = Report("transform-solution",

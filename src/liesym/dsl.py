@@ -21,9 +21,9 @@ from fractions import Fraction
 from typing import List, Tuple
 
 from .expr import (
-    Add, EULER, Expr, ExprError, Func, MINUS_ONE, Mul, ONE, Pow, Rat, Sym,
-    SymbolKind, SymbolTable, UndeclaredSymbolError, ZERO, add, free_symbols,
-    func, mul, powx, rat, sym,
+    Add, EULER, Expr, ExprError, Func, LogOfZeroError, MINUS_ONE, Mul, ONE,
+    Pow, Rat, Sym, SymbolKind, SymbolTable, UndeclaredSymbolError, ZERO, add,
+    free_symbols, func, mul, powx, rat, sym,
 )
 from . import jets
 from .jets import VectorField
@@ -209,7 +209,10 @@ class _Parser:
         if name == "log":
             if order:
                 raise ParseError("log takes no derivative primes", pos)
-            return func("log", e)
+            try:
+                return func("log", e)
+            except LogOfZeroError:
+                raise ParseError("log of zero", pos) from None
         if not self.table.declared(name):
             raise UndeclaredSymbolError(
                 f"undeclared function: {name} (at position {pos})")

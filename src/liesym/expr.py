@@ -56,6 +56,12 @@ class ResourceLimitError(ExprError):
     stays undecided rather than running without bound."""
 
 
+class LogOfZeroError(ExprError, ZeroDivisionError):
+    """The log of the rational 0.  Like 0 to a negative power, it is a pole:
+    handlers of a division by zero catch it, and anywhere else it is an
+    input outside the domain."""
+
+
 class Expr:
     """Base class of all canonical expression nodes."""
 
@@ -262,13 +268,16 @@ def log(e) -> Expr:
 
 def _log(a: Expr) -> Expr:
     """Canonical natural log, expanding over products, powers and positive
-    rationals (positivity of factors is assumed, as everywhere here)."""
+    rationals (positivity of factors is assumed, as everywhere here).  The
+    log of the rational 0 raises LogOfZeroError."""
     if a == EULER:
         return ONE
     if isinstance(a, Rat):
         q = a.value
         if q == 1:
             return ZERO
+        if q == 0:
+            raise LogOfZeroError("log of zero")
         if q > 0:
             terms = []
             for p, k in _factorize(q.numerator):

@@ -45,6 +45,10 @@ class NotASymmetryError(ExprError):
     pass
 
 
+class SingularSolutionError(ExprError):
+    """The solution puts the PDE on a pole, so its residual is undefined."""
+
+
 class ReductionFailureError(ExprError):
     def __init__(self, message: str, residual: Optional[Expr] = None):
         super().__init__(message)
@@ -105,11 +109,12 @@ def affine_data(X: VectorField) -> AffineGenerator:
             and differentiate(b2, x).is_zero_literal):
         raise UnsupportedGeneratorError("xi_x must be affine in (t, x)")
     b0 = substitute(X.xi_x, {t: ZERO, x: ZERO})
+    # c is checked first: eta at u = 0 can be a pole (eta = u^(-1))
     c = differentiate(X.eta, u)
-    if not substitute(X.eta, {u: ZERO}).is_zero_literal:
-        raise UnsupportedGeneratorError("eta must be c*u")
     if free_symbols(c) & {"t", "x", "u"}:
         raise UnsupportedGeneratorError("eta must be c*u with constant c")
+    if not add(X.eta, mul(-1, c, sym(u))).is_zero_literal:
+        raise UnsupportedGeneratorError("eta must be c*u")
     return AffineGenerator(a0=a0, a1=a1, b0=b0, b1=b1, b2=b2, c=c)
 
 
@@ -339,9 +344,15 @@ class SolutionVerdict(NamedTuple):
 
 def verify_solution(pde: EvolutionPDE,
                     sol: ClosedFormSolution) -> SolutionVerdict:
-    """Substitute u(t, x) into u_t - F and test the canonical residual."""
-    residual = substitute(add(sym(jet_name(1, 0)), mul(-1, pde.rhs)),
-                          sol.derivatives())
+    """Substitute u(t, x) into u_t - F and test the canonical residual.  A
+    division by zero in the substitution raises SingularSolutionError."""
+    derivs = sol.derivatives()
+    try:
+        residual = substitute(add(sym(jet_name(1, 0)), mul(-1, pde.rhs)),
+                              derivs)
+    except ZeroDivisionError as exc:
+        raise SingularSolutionError(
+            f"substituting the solution into the PDE: {exc}") from None
     v = is_zero(residual, parameters=free_symbols(residual) - {"t", "x"})
     if v is ZeroVerdict.ZERO:
         return SolutionVerdict("solution", residual)

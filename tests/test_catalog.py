@@ -1,9 +1,12 @@
 """Catalog loading, schema validation, and the self-certifying regression."""
 
 import concurrent.futures
+import json
 import textwrap
+from importlib import resources
 
 import pytest
+import yaml
 
 from liesym import catalog as catalog_module
 from liesym.catalog import CatalogError, load_catalog, run_regression
@@ -34,6 +37,27 @@ def test_not_yaml(tmp_path):
     bad.write_text("cases: [unbalanced")
     with pytest.raises(CatalogError):
         load_catalog(str(bad))
+
+
+@pytest.mark.parametrize("name", ["cases.yaml", "algebra_catalog.yaml"])
+def test_packaged_catalog_is_json_and_yaml(name):
+    # liesym parses the packaged catalogs with json; a YAML reader of the
+    # same file (bench/checks.py reads cases.yaml) must build the same data
+    text = (resources.files("liesym") / "data" / name).read_text()
+    assert json.loads(text) == yaml.safe_load(text)
+
+
+def test_json_catalog_file_loads(tmp_path, catalog):
+    # a --catalog file goes through PyYAML, which reads JSON too: the
+    # packaged catalog given as a file loads the same cases
+    path = tmp_path / "cases.json"
+    path.write_text(
+        (resources.files("liesym") / "data" / "cases.yaml").read_text())
+    again = load_catalog(str(path))
+    assert list(again) == list(catalog)
+    for name, case in catalog.items():
+        assert again[name].params == case.params
+        assert again[name].basis_text == case.basis_text
 
 
 def test_full_regression_passes(catalog):

@@ -354,6 +354,24 @@ def test_import_leaves_module_out(module):
     assert proc.stdout.strip() == "False"
 
 
+@pytest.mark.parametrize("argv", [
+    ["bracket-table", "--algebra", "case:eq5"],
+    ["identify", "--algebra", "case:eq5", "--params", "m=2,p=3"],
+    ["regress", "--cases", "heat", "--samples", "10"],
+], ids=["bracket-table", "identify", "regress"])
+def test_packaged_catalog_calls_leave_yaml_out(argv):
+    # the packaged catalogs are read with json: only a user --catalog file
+    # needs PyYAML
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from liesym.cli import main; "
+         f"code = main({argv!r}); print(code, 'yaml' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+
+
 def test_import_loads_every_traced_module():
     # bench/run.py --trace 1 patches the functions in its TARGETS through
     # sys.modules after importing liesym.cli, so a lazy import there breaks
