@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 verified/constructed, 1 refuted, 2 undecided (also when a
-canonical form would pass a size limit), 3 usage error, 4 internal fault (an
-unexpected exception, reported on one stderr line).
+canonical form or a symmetry-search ansatz would pass a size limit), 3 usage
+error, 4 internal fault (an unexpected exception, reported on one stderr
+line).
 Expressions use the input DSL; PDEs and algebras can also be drawn from the
 case catalog with ``case:<id>``.  The audit seed comes from --seed or the
 LIESYM_SEED environment variable.

@@ -737,29 +737,31 @@ def _exp_of(e: Expr) -> Expr:
 # calculus
 # ---------------------------------------------------------------------------
 
-def differentiate(e, name: str) -> Expr:
-    """Partial derivative with respect to the symbol ``name``; every other
-    symbol is held constant."""
+def derive(e, images: Dict[str, Expr]) -> Expr:
+    """The derivation that sends each symbol to its image in ``images`` (0
+    when absent), extended to every node by the chain rule in one walk:
+    D(a + b) = Da + Db, D(a*b) = Da*b + a*Db, D(b^x) = x*b^(x-1)*Db +
+    b^x*log(b)*Dx and D(f(a)) = f'(a)*Da."""
     e = _coerce(e)
     if isinstance(e, Rat):
         return ZERO
     if isinstance(e, Sym):
-        return ONE if e.name == name else ZERO
+        return images.get(e.name, ZERO)
     if isinstance(e, Add):
-        return add(*[differentiate(t, name) for t in e.terms])
+        return add(*[derive(t, images) for t in e.terms])
     if isinstance(e, Mul):
         parts = []
         factors = e.factors
         for i, f in enumerate(factors):
-            df = differentiate(f, name)
+            df = derive(f, images)
             if df.is_zero_literal:
                 continue
             rest = [Rat(e.coeff)] + [g for j, g in enumerate(factors) if j != i]
             parts.append(mul(df, *rest))
         return add(*parts)
     if isinstance(e, Pow):
-        db = differentiate(e.base, name)
-        de = differentiate(e.exponent, name)
+        db = derive(e.base, images)
+        de = derive(e.exponent, images)
         out = ZERO
         if not db.is_zero_literal:
             out = add(out, mul(e.exponent,
@@ -768,13 +770,19 @@ def differentiate(e, name: str) -> Expr:
             out = add(out, mul(powx(e.base, e.exponent), _log(e.base), de))
         return out
     if isinstance(e, Func):
-        da = differentiate(e.arg, name)
+        da = derive(e.arg, images)
         if da.is_zero_literal:
             return ZERO
         if e.name == "log" and e.order == 0:
             return mul(da, powx(e.arg, MINUS_ONE))
         return mul(Func(e.name, e.order + 1, e.arg), da)
     raise TypeError(f"cannot differentiate {e!r}")
+
+
+def differentiate(e, name: str) -> Expr:
+    """Partial derivative with respect to the symbol ``name``; every other
+    symbol is held constant."""
+    return derive(e, {name: ONE})
 
 
 def substitute(e, bindings: Dict[str, Expr]) -> Expr:

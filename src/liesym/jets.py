@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .expr import (
-    Expr, ExprError, SymbolTable, ZERO, add, differentiate, free_symbols,
-    mul, substitute, sym,
+    Expr, ExprError, ONE, Sym, SymbolTable, add, derive, differentiate,
+    free_symbols, mul, substitute, sym,
 )
 
 
@@ -63,32 +63,42 @@ def dcr_symbols() -> SymbolTable:
 
 def total_derivative(e: Expr, direction: str, table: SymbolTable,
                      max_order: int = 2) -> Expr:
-    """Total derivative D_t or D_x on a jet expression.
+    """Total derivative D_t or D_x on a jet expression, in one walk.
 
-    Each jet is differentiated into the jet of its own dependent variable.
-    ``max_order`` bounds the jets allowed in the *result*; exceeding it
-    raises :class:`OrderOverflowError`.
+    D_z is the derivation that sends z to 1 and each jet to the jet of its
+    own dependent variable one order higher in z (:func:`expr.derive`).
+    ``max_order`` bounds the jets allowed in the *result*: a jet that would
+    pass it is sent to a placeholder symbol, and when a placeholder
+    survives in the result, :class:`OrderOverflowError` names the jet of
+    the first such variable in name order.
     """
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
-    out = differentiate(e, direction)
-    for name in sorted(free_symbols(e)):
+    images = {direction: ONE}
+    overflow = {}
+    for name in free_symbols(e):
         entry = table.jet_index.get(name)
         if entry is None:
-            continue
-        partial = differentiate(e, name)
-        if partial.is_zero_literal:
             continue
         dep, (dt, dx) = entry
         if direction == "t":
             dt += 1
         else:
             dx += 1
+        target = jet_name(dt, dx, dep)
         if dt + dx > max_order:
+            # no declared name starts with "#", so no term can cancel it
+            overflow["#" + target] = name
+            target = "#" + target
+        images[name] = Sym(target)
+    out = derive(e, images)
+    if overflow:
+        left = overflow.keys() & free_symbols(out)
+        if left:
+            first = min(left, key=overflow.get)
             raise OrderOverflowError(
-                f"total derivative needs jet {jet_name(dt, dx, dep)} "
+                f"total derivative needs jet {first[1:]} "
                 f"beyond order {max_order}")
-        out = add(out, mul(jet(dt, dx, dep), partial))
     return out
 
 
@@ -137,9 +147,6 @@ class VectorField(NamedTuple):
                    mul(self.eta, differentiate(e, "u")))
 
 
-ZERO_FIELD = VectorField(ZERO, ZERO, ZERO)
-
-
 class ProlongedField(NamedTuple):
     """Second prolongation: base field plus coefficients for d/du_t, d/du_x
     and d/du_xx."""
@@ -154,20 +161,23 @@ def prolong2(field: VectorField, table: SymbolTable) -> ProlongedField:
     """Second prolongation via the recursive total-derivative formulas.
 
     eta^J,z = D_z(eta^J) - u_{J,t} D_z(xi_t) - u_{J,x} D_z(xi_x); the mixed
-    jet u_tx enters eta_xx whenever xi_t depends on x or u.
+    jet u_tx enters eta_xx whenever xi_t depends on x or u.  D_x xi_t and
+    D_x xi_x serve both eta_x and eta_xx, so each of the seven distinct
+    total derivatives is formed once.
     """
     xi_t, xi_x, eta = field.xi_t, field.xi_x, field.eta
 
     def d(e, z):
         return total_derivative(e, z, table, max_order=2)
 
+    dx_xi_t, dx_xi_x = d(xi_t, "x"), d(xi_x, "x")
     eta_t = add(d(eta, "t"),
                 mul(-1, jet(1, 0), d(xi_t, "t")),
                 mul(-1, jet(0, 1), d(xi_x, "t")))
     eta_x = add(d(eta, "x"),
-                mul(-1, jet(1, 0), d(xi_t, "x")),
-                mul(-1, jet(0, 1), d(xi_x, "x")))
+                mul(-1, jet(1, 0), dx_xi_t),
+                mul(-1, jet(0, 1), dx_xi_x))
     eta_xx = add(d(eta_x, "x"),
-                 mul(-1, jet(1, 1), d(xi_t, "x")),
-                 mul(-1, jet(0, 2), d(xi_x, "x")))
+                 mul(-1, jet(1, 1), dx_xi_t),
+                 mul(-1, jet(0, 2), dx_xi_x))
     return ProlongedField(field, eta_t, eta_x, eta_xx)

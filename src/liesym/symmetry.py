@@ -14,11 +14,10 @@ from math import perm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .expr import (
-    Add, Expr, ExprError, Mul, Rat, Rational, Sym, SymbolTable, ZERO, ONE,
-    ZeroVerdict, _base_exp, _coeff_monomial, add, free_symbols, is_zero, mul,
-    powx, rat, substitute, sym,
+    Add, Expr, ExprError, Mul, Rat, Rational, ResourceLimitError, Sym,
+    SymbolTable, ZERO, ONE, ZeroVerdict, _base_exp, _coeff_monomial, add,
+    free_symbols, is_zero, mul, powx, rat, substitute, sym,
 )
-from . import jets
 from .jets import VectorField, jet, jet_name, prolong2
 from .linalg import nullspace
 from .pde import EvolutionPDE
@@ -244,6 +243,13 @@ class FindResult:
         return len(self.fields)
 
 
+#: Most unknowns (ansatz columns) a search may have.  Each monomial of the
+#: determining system gets a dense row this long, so peak memory grows
+#: about as bound^3.5: 146 MB at bound 30 (1984 columns), the largest
+#: bound under the limit.
+MAX_ANSATZ_COLUMNS = 2048
+
+
 def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     """Solve the determining equations under the polynomial ansatz.
 
@@ -255,20 +261,27 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     the four C's of each component come from one residual of a generic
     function m(t, x) (4 residuals in all) and every row is assembled in
     exponent space
-    (:func:`_determining_matrix`).  Returns a basis of the solution space;
-    every returned field is re-verified by the invariance residual."""
+    (:func:`_determining_matrix`).  A bound whose ansatz would have more
+    than ``MAX_ANSATZ_COLUMNS`` unknowns raises ``ResourceLimitError``
+    before anything is assembled.  Returns a basis of the solution space;
+    each generator component is one sum over its ansatz terms, and every
+    returned field is re-verified by the invariance residual."""
     if bound < 1:
         raise ValueError("ansatz degree bound must be >= 1")
+    ncols = len(_SHAPES) * (bound + 1) * (bound + 2) // 2
+    if ncols > MAX_ANSATZ_COLUMNS:
+        raise ResourceLimitError(
+            f"ansatz bound {bound} has {ncols} unknowns, more than the "
+            f"limit of {MAX_ANSATZ_COLUMNS}")
     _check_rhs_supported(pde)
     basis = _ansatz_basis(bound)
     solutions = nullspace(_determining_matrix(pde, basis), len(basis))
     fields = []
     verified = []
     for vec in solutions:
-        f = jets.ZERO_FIELD
-        for c, entry in zip(vec, basis):
-            if c:
-                f = f + _basis_field(entry).scale(rat(c))
+        terms = [_SHAPES[s](mul(rat(c), powx(_T, rat(i)), powx(_X, rat(j))))
+                 for c, (s, i, j) in zip(vec, basis) if c]
+        f = VectorField(*[add(*comp) for comp in zip(*terms)])
         verdict = is_symmetry(pde, f)
         if not verdict.is_symmetry:
             raise RuntimeError(

@@ -338,6 +338,21 @@ def test_oversized_product_coefficient_is_undecided():
     assert proc.stderr.startswith("undecided: a product's coefficient")
 
 
+def test_oversized_ansatz_bound_is_undecided():
+    # a bound-1000 ansatz has 2006004 unknowns; the search refuses it before
+    # allocating one dense row per monomial of its determining system
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "liesym.cli", "find-symmetries",
+         "--pde", "u_t = D(u^2,x,2)+D(u^2,x)+u^3", "--bound", "1000"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("undecided: ansatz bound 1000 has 2006004")
+    assert len(proc.stderr.splitlines()) == 1
+
+
 @pytest.mark.parametrize("module", ["yaml", "numpy", "dataclasses",
                                     "inspect", "hashlib"])
 def test_import_leaves_module_out(module):

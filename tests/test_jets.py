@@ -1,11 +1,15 @@
 """Total derivatives and second prolongation."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesym.expr import ZERO, ONE, mul, powx, rat, sym
+from liesym.expr import (ZERO, ONE, add, differentiate, exp, free_symbols,
+                         func, log, mul, powx, rat, sym)
 from liesym.jets import (OrderOverflowError, VectorField, dcr_symbols, jet,
                          jet_name, prolong2, total_derivative)
+from test_expr import radicals, symbolic_powers
 
 t, x, u, m = sym("t"), sym("x"), sym("u"), sym("m")
 u_t, u_x, u_xx, u_tx = jet(1, 0), jet(0, 1), jet(0, 2), jet(1, 1)
@@ -72,8 +76,6 @@ class TestProlongation:
 
     def test_mixed_jet_appears_for_x_dependent_xi_t(self):
         pr = prolong2(VectorField(x, ZERO, ZERO), TABLE)
-        from liesym.expr import free_symbols
-
         assert "u_tx" in free_symbols(pr.eta_xx)
 
 
@@ -129,3 +131,74 @@ class TestSecondDependent:
                 assert total_derivative(e, z, self.table(), 3) == \
                     total_derivative(e, z, TABLE, 3)
         assert jet_name(0, 1) == "u_x" and jet_name(1, 1) == "u_tx"
+
+
+# -- the one-walk total derivative against its definition ---------------------
+
+def _by_definition(e, z, table, max_order):
+    """D_z e = de/dz + sum over jets J of J_z * de/dJ, each partial formed
+    on its own; over order, the first jet in name order with a nonzero
+    partial is named."""
+    out = differentiate(e, z)
+    for name in sorted(free_symbols(e)):
+        entry = table.jet_index.get(name)
+        if entry is None:
+            continue
+        partial = differentiate(e, name)
+        if partial.is_zero_literal:
+            continue
+        dep, (dt, dx) = entry
+        dt, dx = (dt + 1, dx) if z == "t" else (dt, dx + 1)
+        if dt + dx > max_order:
+            raise OrderOverflowError(
+                f"total derivative needs jet {jet_name(dt, dx, dep)} "
+                f"beyond order {max_order}")
+        out = add(out, mul(jet(dt, dx, dep), partial))
+    return out
+
+
+JET_SYMBOLS = st.sampled_from(
+    ["t", "x", "u", "u_t", "u_x", "u_tt", "u_tx", "u_xx",
+     "v", "v_t", "v_x", "v_tx", "v_xx"]).map(sym)
+EXPONENTS = st.sampled_from([rat(k) for k in (-2, -1, 2, 3)]
+                            + [rat(Fraction(1, 2)), rat(Fraction(-1, 3)),
+                               m, m + Fraction(1, 2), 1 - m])
+
+
+@st.composite
+def jet_exprs(draw, depth=2):
+    """Expressions in t, x and the jets of u and v: sums, products,
+    rational and symbolic powers, exp, log and phi, over the kernel
+    strategies' radicals and symbolic powers."""
+    if depth == 0:
+        return draw(st.one_of(JET_SYMBOLS, JET_SYMBOLS, radicals,
+                              symbolic_powers, st.integers(-3, 3).map(rat)))
+    kind = draw(st.integers(0, 6))
+    if kind == 0:
+        return add(draw(jet_exprs(depth - 1)), draw(jet_exprs(depth - 1)))
+    if kind == 1:
+        return mul(draw(jet_exprs(depth - 1)), draw(jet_exprs(depth - 1)))
+    if kind == 2:  # a positive base: a jet, or a jet plus a constant
+        base = add(draw(JET_SYMBOLS), rat(draw(st.integers(0, 2))))
+        return powx(base, draw(EXPONENTS))
+    if kind == 3:
+        return exp(draw(jet_exprs(depth - 1)))
+    if kind == 4:
+        return log(add(ONE, powx(draw(JET_SYMBOLS), rat(2))))
+    if kind == 5:
+        return func("phi", draw(jet_exprs(depth - 1)))
+    return draw(jet_exprs(depth - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(jet_exprs(), st.sampled_from(["t", "x"]), st.integers(1, 3))
+def test_total_derivative_is_its_definition(e, z, max_order):
+    table = TestSecondDependent.table()
+    try:
+        want = _by_definition(e, z, table, max_order)
+    except OrderOverflowError as exc:
+        with pytest.raises(OrderOverflowError) as got:
+            total_derivative(e, z, table, max_order)
+        assert str(got.value) == str(exc)
+        return
+    assert total_derivative(e, z, table, max_order) == want

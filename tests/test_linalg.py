@@ -146,8 +146,9 @@ BIG = st.integers(10 ** 29, 10 ** 30 - 1).flatmap(
 def engine_matrices(draw, square=False):
     """Sparse integer or rational matrices up to 12x10 like the determining
     systems: mostly at most two nonzeros per row, some dense rows, a few
-    30-digit entries and, now and then, a row that combines two others.
-    Integer matrices hold Python ints, rational ones Fractions."""
+    30-digit entries and, now and then, a row that combines two others
+    and a staircase that one-entry rows clear in cascade.  Integer matrices
+    hold Python ints, rational ones Fractions."""
     nrows = draw(st.integers(1, 10) if square else st.integers(0, 12))
     ncols = nrows if square else draw(st.integers(1, 10))
     rational = draw(st.booleans())
@@ -172,6 +173,31 @@ def engine_matrices(draw, square=False):
         i, k = draw(st.permutations(range(len(rows))))[:2]
         a, b = entry(), entry()
         rows[i] = [a * x + b * y for x, y in zip(rows[i], rows[k])]
+    if rows and draw(st.integers(0, 3)) == 0:
+        # (a, b, 0), (0, c, d), (0, 0, e) in a drawn column order, and a
+        # row repeated up to a scale factor, so some columns are forced
+        # twice; a square matrix keeps its shape
+        def nonzero():
+            return entry() or (Fraction(1) if rational else 1)
+
+        order = draw(st.permutations(range(ncols)))
+        order = order[:draw(st.integers(1, min(len(order), len(rows))))]
+        stair = []
+        for k, j in enumerate(order):
+            row = [Fraction(0) if rational else 0] * ncols
+            row[j] = nonzero()
+            if k + 1 < len(order):
+                row[order[k + 1]] = nonzero()
+            stair.append(row)
+        if square:
+            rows[:len(stair)] = stair
+        else:
+            rows.extend(stair)
+        if len(rows) > 1 and draw(st.booleans()):
+            i, k = draw(st.permutations(range(len(rows))))[:2]
+            scale = nonzero()
+            rows[i] = [scale * v for v in rows[k]]
+        rows = draw(st.permutations(rows))
     return rows, ncols
 
 
@@ -265,6 +291,24 @@ def test_elimination_constructs_no_fraction(monkeypatch, rational):
     basis_vectors = nullspace(rows, len(basis))
     # the readout builds one Fraction per nonzero entry of the basis
     assert len(made) == sum(1 for v in basis_vectors for x in v if x)
+
+
+@pytest.mark.parametrize("rows", [
+    # a permuted diagonal: every row has one entry from the start
+    [[0, 0, 3, 0], [0, -2, 0, 0], [0, 0, 0, 5], [7, 0, 0, 0]],
+    # a staircase: each forced column leaves the row above one entry
+    [[2, 3, 0, 0], [0, 0, -1, 4], [0, 5, 7, 0], [0, 0, 0, 6]],
+])
+def test_one_entry_rows_need_no_row_update(monkeypatch, rows):
+    # the presolve takes a one-entry row as its column's reduced row and
+    # deletes the column from the other rows without arithmetic, so no
+    # row update (and no gcd) runs
+    calls = []
+    real_gcd = linalg.gcd
+    monkeypatch.setattr(linalg, "gcd",
+                        lambda *a: calls.append(a) or real_gcd(*a))
+    assert rref(rows) == (linalg.identity(4), [0, 1, 2, 3])
+    assert calls == []
 
 
 # the dense products that matmul and matvec replaced, kept as oracles
