@@ -19,7 +19,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from .dsl import parse
 from .expr import (
     Add, Expr, ExprError, Mul, Rat, SymbolTable, ZERO, ONE, _rat_root, add,
-    evaluate_exact, free_symbols, mul, rat, sample_assignment, substitute,
+    differentiate, evaluate_exact, free_symbols, mul, rat, sample_assignment,
+    substitute,
 )
 from .jets import VectorField
 from .linalg import (
@@ -70,16 +71,26 @@ class DependentBasisError(ExprError):
 # brackets of vector fields
 # ---------------------------------------------------------------------------
 
+_FIELD_VARS = ("t", "x", "u")
+
+
+def _partials(X: VectorField) -> Tuple[Tuple[Expr, ...], ...]:
+    """The partials by t, x and u of each coefficient of X."""
+    return tuple(tuple(differentiate(c, v) for v in _FIELD_VARS) for c in X)
+
+
+def _bracket(X: VectorField, dX, Y: VectorField, dY) -> VectorField:
+    """[X, Y] from the partials of both fields: component k is
+    X(Y_k) - Y(X_k), each application a sum over t, x and u."""
+    def apply(Z, d):
+        return add(mul(Z.xi_t, d[0]), mul(Z.xi_x, d[1]), mul(Z.eta, d[2]))
+    return VectorField(*[add(apply(X, dy), mul(-1, apply(Y, dx)))
+                         for dx, dy in zip(dX, dY)])
+
+
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Commutator [X, Y] of point fields."""
-    return VectorField(
-        add(X.apply_to(Y.xi_t), mul(-1, Y.apply_to(X.xi_t))),
-        add(X.apply_to(Y.xi_x), mul(-1, Y.apply_to(X.xi_x))),
-        add(X.apply_to(Y.eta), mul(-1, Y.apply_to(X.eta))),
-    )
-
-
-_FIELD_VARS = ("t", "x", "u")
+    return _bracket(X, _partials(X), Y, _partials(Y))
 
 
 def _coefficient_map(e: Expr) -> Dict[tuple, Tuple[Expr, Expr]]:
@@ -258,7 +269,10 @@ def structure_constants(basis: Sequence[VectorField],
     the span or whose membership cannot be decided."""
     n = len(basis)
     pairs = list(itertools.combinations(range(n), 2))
-    brackets = [bracket(basis[i], basis[j]) for i, j in pairs]
+    # each field's partials serve all of its n - 1 brackets
+    partials = [_partials(X) for X in basis]
+    brackets = [_bracket(basis[i], partials[i], basis[j], partials[j])
+                for i, j in pairs]
     _, columns = field_coordinates(list(basis) + brackets)
     if _rank_at_samples(columns[:n], parameters or set()) < n:
         raise DependentBasisError("basis fields are linearly dependent")

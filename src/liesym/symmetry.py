@@ -15,10 +15,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .expr import (
     Add, Expr, ExprError, Mul, Rat, Rational, ResourceLimitError, Sym,
-    SymbolTable, ZERO, ONE, ZeroVerdict, _base_exp, _coeff_monomial, add,
+    ZERO, ONE, ZeroVerdict, _base_exp, _coeff_monomial, add,
     free_symbols, is_zero, mul, powx, rat, substitute, sym,
 )
-from .jets import VectorField, jet, jet_name, prolong2
+from .jets import VectorField, jet_name, prolong2
 from .linalg import nullspace
 from .pde import EvolutionPDE
 
@@ -42,17 +42,13 @@ class SymmetryVerdict(NamedTuple):
         return self.verdict is Verdict.SYMMETRY
 
 
-def invariance_residual(pde: EvolutionPDE, X: VectorField, *,
-                        table: Optional[SymbolTable] = None) -> Expr:
+def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
     """pr(2)X(u_t - F) restricted to the solution manifold, canonical.
 
     For fields with x- or u-dependent xi_t the substitution u_tx -> D_x F
     introduces third-order jets; they are tracked internally.  The rhs
-    derivatives come from the PDE, which computes them once.  ``table``,
-    by default ``pde.table``, is the one the prolongation differentiates
-    with; it may declare jets of further functions of (t, x) in X.
-    """
-    pr = prolong2(X, pde.table if table is None else table)
+    derivatives come from the PDE, which computes them once."""
+    pr = prolong2(X, pde.table)
     F_t, F_x, F_u, F_ux, F_uxx = pde.partials
     applied = add(
         mul(X.xi_t, F_t),
@@ -90,13 +86,6 @@ def is_symmetry(pde: EvolutionPDE, X: VectorField,
 
 _T, _X, _U = sym("t"), sym("x"), sym("u")
 
-#: The generic function m(t, x) that stands for an ansatz monomial.  Its
-#: name is no DSL identifier, so no parsed table declares it.
-_AUX = "@m"
-#: the jets of m of order <= 2, by their orders (a, b) in t and x
-_AUX_JETS = {jet(a, n - a, _AUX): (a, n - a)
-             for n in range(3) for a in range(n + 1)}
-
 #: The four component shapes of an ansatz field with monomial m(t, x):
 #: xi_t = m, xi_x = m, eta = m*u and eta = m.
 _SHAPES = (
@@ -126,27 +115,43 @@ def _monomial_factors(mono: Expr) -> Tuple[Expr, ...]:
     return () if mono == ONE else (mono,)
 
 
-def _operator_terms(shape, pde: EvolutionPDE, table: SymbolTable,
-                    rests: Dict[tuple, int]) -> Dict[Tuple[int, int], list]:
-    """The residual of ``shape(m)`` as C00*m + C10*m_t + C01*m_x + C02*m_xx.
+#: the jets m, m_t, m_x, m_xx of an ansatz monomial m(t, x), by orders
+_M_JETS = ((0, 0), (1, 0), (0, 1), (0, 2))
 
-    m is the generic function ``_AUX``, prolonged with the jets ``table``
-    declares.  Q = eta - xi_t*u_t - xi_x*u_x enters only through D_t Q,
-    D_x Q and D_x^2 Q, so each term of the one residual holds exactly one
-    of these four jets of m, and its orders (a, b) name the C the term
-    belongs to.  Each C is split into terms (coefficient, t-exponent,
-    x-exponent, id of the remaining factors in ``rests``); an integral
-    coefficient is an int, so the matrix assembles integer entries."""
-    residual = invariance_residual(pde, shape(sym(_AUX)), table=table)
-    out: Dict[Tuple[int, int], list] = {}
-    for term in (residual.terms if isinstance(residual, Add)
-                 else (residual,)):
+
+def _operators(pde: EvolutionPDE) -> Tuple[Tuple[Expr, ...], ...]:
+    """(C00, C10, C01, C02) per shape of ``_SHAPES``: the residual of the
+    shape with monomial m is C00*m + C10*m_t + C01*m_x + C02*m_xx.
+
+    This is the closed form of the determining equations of u_t = F
+    (Olver 1993, section 2.4) in F, its partials F_t, F_x, F_u, F_p
+    (p = u_x), F_q (q = u_xx) and D_x F."""
+    F = pde.rhs
+    F_t, F_x, F_u, F_p, F_q = pde.partials
+    p, q = sym(jet_name(0, 1)), sym(jet_name(0, 2))
+    return (
+        (mul(-1, F_t), mul(-1, F),
+         add(mul(F, F_p), mul(2, F_q, pde.total_x)), mul(F, F_q)),
+        (mul(-1, F_x), mul(-1, p), add(mul(p, F_p), mul(2, q, F_q)),
+         mul(p, F_q)),
+        (add(F, mul(-1, _U, F_u), mul(-1, p, F_p), mul(-1, q, F_q)), _U,
+         add(mul(-1, _U, F_p), mul(-2, p, F_q)), mul(-1, _U, F_q)),
+        (mul(-1, F_u), ONE, mul(-1, F_p), mul(-1, F_q)),
+    )
+
+
+def _operator_terms(op: Expr, rests: Dict[tuple, int]) -> list:
+    """The terms of one C as (coefficient, t-exponent, x-exponent, id of the
+    remaining factors in ``rests``); an integral coefficient is an int, so
+    the matrix assembles integer entries."""
+    out = []
+    for term in (op.terms if isinstance(op, Add) else (op,)):
         if term.is_zero_literal:
             continue
         coeff, mono = _coeff_monomial(term)
         if coeff.denominator == 1:
             coeff = coeff.numerator
-        et, ex, ab, rest = 0, 0, None, []
+        et, ex, rest = 0, 0, []
         for f in _monomial_factors(mono):
             base, e = _base_exp(f)
             # integer exponents: the rhs is polynomial in t and x
@@ -154,12 +159,9 @@ def _operator_terms(shape, pde: EvolutionPDE, table: SymbolTable,
                 et = int(e.value)
             elif base == _X:
                 ex = int(e.value)
-            elif base in _AUX_JETS:
-                ab = _AUX_JETS[base]
             else:
                 rest.append(f)
-        out.setdefault(ab, []).append(
-            (coeff, et, ex, rests.setdefault(tuple(rest), len(rests))))
+        out.append((coeff, et, ex, rests.setdefault(tuple(rest), len(rests))))
     return out
 
 
@@ -167,25 +169,22 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
                         ) -> List[List[Rational]]:
     """One row per monomial of the residuals of the basis fields.
 
-    The residual of t^i x^j in shape c is assembled in exponent space:
-    each term (coefficient, e_t, e_x, rest) of C_c,ab adds
-    ff(i,a)*ff(j,b)*coefficient at t^(e_t+i-a) x^(e_x+j-b) rest, ff the
-    falling factorial, so a C that t^i x^j does not reach (C02 at
-    degree bound 1) adds nothing.  No Expr arithmetic runs per basis field.
-    Rows come in order of first occurrence; the nullspace does not depend
-    on it.  Empty positions hold the int 0, which elimination skips
-    fastest.  The jets of m are declared in a copy of ``pde.table``, since
-    the PDE caches its rhs derivatives against its own table."""
-    table = pde.table.copy()
-    for m, ab in _AUX_JETS.items():
-        table.jet(m.name, _AUX, ab)
+    The residual of t^i x^j in shape c is assembled in exponent space from
+    the closed-form operators of :func:`_operators`: each term
+    (coefficient, e_t, e_x, rest) of C_c,ab adds ff(i,a)*ff(j,b)*coefficient
+    at t^(e_t+i-a) x^(e_x+j-b) rest, ff the falling factorial, so a C that
+    t^i x^j does not reach (C02 at degree bound 1) adds nothing.  No Expr
+    arithmetic runs per basis field.  Rows come in order of first
+    occurrence; the nullspace does not depend on it.  Empty positions hold
+    the int 0, which elimination skips fastest."""
     rests: Dict[tuple, int] = {}
-    ops = [_operator_terms(shape, pde, table, rests) for shape in _SHAPES]
+    ops = [[(ab, _operator_terms(C, rests)) for ab, C in zip(_M_JETS, Cs)]
+           for Cs in _operators(pde)]
     n = len(basis)
     rows: Dict[tuple, List[Rational]] = {}
     for col, (c, i, j) in enumerate(basis):
         entries: Dict[tuple, Rational] = {}
-        for (a, b), terms in ops[c].items():
+        for (a, b), terms in ops[c]:
             f = perm(i, a) * perm(j, b)
             if not f:
                 continue
@@ -257,12 +256,11 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     the basis fields already span the system: collecting every monomial
     (in t, x, u and the jets) yields one exact linear equation per monomial.
     The residual of a basis field t^i x^j in one component is a linear
-    operator C00*m + C10*m_t + C01*m_x + C02*m_xx in its monomial m, so
-    the four C's of each component come from one residual of a generic
-    function m(t, x) (4 residuals in all) and every row is assembled in
-    exponent space
-    (:func:`_determining_matrix`).  A bound whose ansatz would have more
-    than ``MAX_ANSATZ_COLUMNS`` unknowns raises ``ResourceLimitError``
+    operator C00*m + C10*m_t + C01*m_x + C02*m_xx in its monomial m; the
+    C's have a closed form in the rhs and its partials, so no residual is
+    formed before re-verification and every row is assembled in exponent
+    space (:func:`_determining_matrix`).  A bound whose ansatz would have
+    more than ``MAX_ANSATZ_COLUMNS`` unknowns raises ``ResourceLimitError``
     before anything is assembled.  Returns a basis of the solution space;
     each generator component is one sum over its ansatz terms, and every
     returned field is re-verified by the invariance residual."""

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesym import algebra, linalg
+from liesym import algebra, jets, linalg
 from liesym.dsl import parse_vector_field
 from liesym.expr import ZERO, ONE, add, mul, powx, rat, sym
 from liesym.jets import VectorField, dcr_symbols
@@ -92,6 +92,31 @@ class TestStructureConstants:
         L = structure_constants([X1, X2, X3], parameters={"m", "p"})
         assert len(calls) == 1
         assert list(L.c[0][2]) == [m - 2 * p - 1, rat(-1), ZERO]
+
+    def test_each_first_partial_formed_once(self, monkeypatch):
+        # the brackets of n fields need only the 9n first partials of their
+        # coefficients, however many pairs there are
+        fields = find_symmetries(heat_equation(), 3).fields
+        calls = []
+        real = algebra.differentiate
+
+        def counted(e, name):
+            calls.append(name)
+            return real(e, name)
+
+        monkeypatch.setattr(algebra, "differentiate", counted)
+        monkeypatch.setattr(jets, "differentiate", counted)
+        assert not check_closure(fields).closed
+        assert 0 < len(calls) <= 9 * len(fields)
+
+    def test_brackets_match_the_operator_commutator(self):
+        # [X, Y]_k = X(Y_k) - Y(X_k), each field applied as an operator
+        fields = find_symmetries(heat_equation(), 3).fields
+        for X in fields:
+            for Y in fields:
+                assert bracket(X, Y) == VectorField(*[
+                    add(X.apply_to(b), mul(-1, Y.apply_to(a)))
+                    for a, b in zip(X, Y)])
 
     def test_first_pair_leaving_the_span_is_reported(self):
         # the heat equation's bound-2 generators: [e5, e9] = (x^3 + 6tx) Du

@@ -228,18 +228,79 @@ def test_operator_assembly_on_benchmark_sweep(text, bound):
 
 @pytest.mark.parametrize("text,bound", [(HEAT, 1), (HEAT, 3), (REACTION, 8)])
 def test_residuals_per_search(monkeypatch, text, bound):
-    # one residual of a generic function per component shape, then one per
-    # re-verified field, whatever the number of ansatz fields
+    # the operators come in closed form, so the search forms a residual
+    # only to re-verify each field it returns
     calls = []
     real = symmetry.invariance_residual
 
-    def counted(pde, X, **kw):
+    def counted(pde, X):
         calls.append(X)
-        return real(pde, X, **kw)
+        return real(pde, X)
 
     monkeypatch.setattr(symmetry, "invariance_residual", counted)
     found = find_symmetries(_pde(text), bound)
-    assert len(calls) <= 4 + len(found)
+    assert len(calls) == len(found)
+
+
+#: a generic function m(t, x) for the ansatz monomial, and its jets of order
+#: <= 2 by their orders (a, b) in t and x; "@m" is no DSL identifier
+_AUX = "@m"
+_AUX_JETS = {jet(a, n - a, _AUX): (a, n - a)
+             for n in range(3) for a in range(n + 1)}
+
+
+def _generic_operators(pde):
+    """(C00, C10, C01, C02) per ansatz shape, read off one invariance
+    residual of the shape with the generic monomial m: each residual term
+    holds one jet of m, whose orders name its C.  This is an independent
+    derivation (through the second prolongation) of the closed form in
+    symmetry._operators."""
+    table = pde.table.copy()
+    for mj, ab in _AUX_JETS.items():
+        table.jet(mj.name, _AUX, ab)
+    aux = EvolutionPDE(rhs=pde.rhs, table=table)
+    out = []
+    for shape in symmetry._SHAPES:
+        residual = invariance_residual(aux, shape(sym(_AUX)))
+        parts = {}
+        for term in (residual.terms if isinstance(residual, Add)
+                     else (residual,)):
+            if term.is_zero_literal:
+                continue
+            coeff, mono = _coeff_monomial(term)
+            factors = symmetry._monomial_factors(mono)
+            [mj] = [f for f in factors if f in _AUX_JETS]
+            rest = [f for f in factors if f is not mj]
+            parts.setdefault(_AUX_JETS[mj], []).append(mul(coeff, *rest))
+        assert set(parts) <= set(symmetry._M_JETS)
+        out.append(tuple(add(*parts.get(ab, ())) for ab in symmetry._M_JETS))
+    return out
+
+
+# an rhs term c*t^a*x^b*u_x or c*t^a*x^b*u_xx with a coefficient that
+# depends on t or x
+_coefficient_term = st.builds(
+    lambda c, a, b, pq: (c, a, b, Fraction(0)) + pq,
+    st.integers(-3, 3).filter(bool), st.integers(0, 2), st.integers(0, 2),
+    st.sampled_from([(1, 0), (0, 1)])).filter(lambda c: c[1] + c[2])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.one_of(_rhs_term, _coefficient_term), min_size=1,
+                max_size=3))
+def test_closed_form_operators_match_generic_residuals(terms):
+    rhs = add(*(mul(c, powx(t, rat(a)), powx(x, rat(b)), powx(u, rat(r)),
+                    powx(u_x, rat(p)), powx(jet(0, 2), rat(q)))
+                for c, a, b, r, p, q in terms))
+    pde = EvolutionPDE(rhs=rhs, table=dcr_symbols())
+    assert list(symmetry._operators(pde)) == _generic_operators(pde)
+
+
+@pytest.mark.parametrize("text", [REACTION, HEAT, "u_t = -3 + 1/3*u_x",
+                                  "u_t = u_x^2*u_xx + x*t^2*u"])
+def test_closed_form_operators_on_examples(text):
+    pde = _pde(text)
+    assert list(symmetry._operators(pde)) == _generic_operators(pde)
 
 
 @pytest.mark.parametrize("text", [HEAT, REACTION])
