@@ -18,9 +18,8 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dsl import parse
 from .expr import (
-    Add, Expr, ExprError, Mul, Rat, SymbolTable, ZERO, ONE, _rat_root, add,
-    differentiate, evaluate_exact, free_symbols, mul, rat, sample_assignment,
-    substitute,
+    Expr, ExprError, Rat, SymbolTable, ZERO, _rat_root, add, collect,
+    differentiate, free_symbols, mul, rat, substitute,
 )
 from .jets import VectorField
 from .linalg import (
@@ -56,9 +55,16 @@ def load_yaml(text: str):
 
 
 class NotClosedError(ExprError):
+    """The bracket of a pair leaves the span (``leftover`` is the bracket),
+    or whether it lies in the span cannot be decided (``leftover`` is the
+    reason, a str)."""
+
     def __init__(self, i: int, j: int, leftover):
+        pair = f"[e{i + 1}, e{j + 1}]"
         super().__init__(
-            f"bracket [e{i + 1}, e{j + 1}] leaves the span; leftover {leftover!r}")
+            f"cannot decide whether {pair} lies in the span: {leftover}"
+            if isinstance(leftover, str) else
+            f"bracket {pair} leaves the span; leftover {leftover!r}")
         self.pair = (i, j)
         self.leftover = leftover
 
@@ -93,33 +99,8 @@ def bracket(X: VectorField, Y: VectorField) -> VectorField:
     return _bracket(X, _partials(X), Y, _partials(Y))
 
 
-def _coefficient_map(e: Expr) -> Dict[tuple, Tuple[Expr, Expr]]:
-    """Split into {monomial-in-(t,x,u) -> parameter coefficient}."""
-    out: Dict[tuple, Tuple[Expr, Expr]] = {}
-    terms = e.terms if isinstance(e, Add) else (e,)
-    for term in terms:
-        if term.is_zero_literal:
-            continue
-        if isinstance(term, Mul):
-            coeff_parts: List[Expr] = [rat(term.coeff)]
-            mono_parts: List[Expr] = []
-            for f in term.factors:
-                if free_symbols(f) & set(_FIELD_VARS):
-                    mono_parts.append(f)
-                else:
-                    coeff_parts.append(f)
-            mono = mul(*mono_parts) if mono_parts else ONE
-            coeff = mul(*coeff_parts)
-        elif free_symbols(term) & set(_FIELD_VARS):
-            mono, coeff = term, ONE
-        else:
-            mono, coeff = ONE, term
-        k = mono.key()
-        if k in out:
-            out[k] = (mono, add(out[k][1], coeff))
-        else:
-            out[k] = (mono, coeff)
-    return {k: v for k, v in out.items() if not v[1].is_zero_literal}
+def _has_field_variable(f: Expr) -> bool:
+    return not free_symbols(f).isdisjoint(_FIELD_VARS)
 
 
 def field_coordinates(fields: Sequence[VectorField]
@@ -128,16 +109,9 @@ def field_coordinates(fields: Sequence[VectorField]
 
     Returns (row keys, columns), columns[k] being field k's coordinate
     vector."""
-    maps = []
-    keys: set = set()
-    for f in fields:
-        per = []
-        for slot, coef in enumerate((f.xi_t, f.xi_x, f.eta)):
-            cm = _coefficient_map(coef)
-            per.append(cm)
-            keys |= {(slot, k) for k in cm}
-        maps.append(per)
-    rows = sorted(keys)
+    maps = [[collect(coef, _has_field_variable) for coef in f] for f in fields]
+    rows = sorted({(slot, k) for per in maps
+                   for slot, cm in enumerate(per) for k in cm})
     columns = []
     for per in maps:
         col = []
@@ -146,23 +120,6 @@ def field_coordinates(fields: Sequence[VectorField]
             col.append(entry[1] if entry else ZERO)
         columns.append(col)
     return rows, columns
-
-
-def _rank_at_samples(columns: List[List[Expr]], parameters: set) -> int:
-    best = 0
-    names = set()
-    for col in columns:
-        for e in col:
-            names |= free_symbols(e)
-    for i in range(2):
-        assignment = sample_assignment(names, i, parameters=parameters or set(names))
-        try:
-            mat = [[evaluate_exact(col[r], assignment)
-                    for col in columns] for r in range(len(columns[0]))]
-        except (ZeroDivisionError, ExprError):
-            continue
-        best = max(best, rank(mat))
-    return best
 
 
 class LieAlgebra:
@@ -263,10 +220,12 @@ def structure_constants(basis: Sequence[VectorField],
 
     The constants solve one linear system, basis . C = [all brackets]: one
     coordinate map of the basis and the brackets, and one elimination with a
-    right-hand-side column per bracket.  Raises DependentBasisError when the
-    fields are linearly dependent (rank checked at exact sample points) and
-    NotClosedError for the first pair, in (i, j) order, whose bracket leaves
-    the span or whose membership cannot be decided."""
+    right-hand-side column per bracket.  The same elimination reads off the
+    rank of the basis.  Raises DependentBasisError only when it proves the
+    fields linearly dependent (a basis column gets no pivot and every row
+    without a pivot is literally zero on the basis columns), and
+    NotClosedError for the first pair, in (i, j) order, whose bracket
+    leaves the span or whose membership cannot be decided."""
     n = len(basis)
     pairs = list(itertools.combinations(range(n), 2))
     # each field's partials serve all of its n - 1 brackets
@@ -274,11 +233,11 @@ def structure_constants(basis: Sequence[VectorField],
     brackets = [_bracket(basis[i], partials[i], basis[j], partials[j])
                 for i, j in pairs]
     _, columns = field_coordinates(list(basis) + brackets)
-    if _rank_at_samples(columns[:n], parameters or set()) < n:
-        raise DependentBasisError("basis fields are linearly dependent")
     joint = list(zip(*columns))
-    solutions = solve_symbolic([r[:n] for r in joint], [r[n:] for r in joint],
-                               parameters=parameters)
+    solutions, basis_rank = solve_symbolic(
+        [r[:n] for r in joint], [r[n:] for r in joint], parameters=parameters)
+    if basis_rank is not None and basis_rank < n:
+        raise DependentBasisError("basis fields are linearly dependent")
     for (i, j), Z, sol in zip(pairs, brackets, solutions):
         if not isinstance(sol, list):
             raise NotClosedError(i, j, Z if sol is None else sol)

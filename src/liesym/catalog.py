@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from .dsl import parse, parse_vector_field, render
-from .expr import ExprError, Rat, SymbolTable
+from .expr import ExprError, SymbolTable
 from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
@@ -20,7 +20,7 @@ from .algebra import (
     check_closure, field_coordinates, identify, load_packaged, load_yaml,
     structure_constants,
 )
-from .linalg import rank
+from .linalg import solve_symbolic
 from .optimal import (DEFAULT_SEED, construct_optimal_system,
                       verify_candidate_system)
 from .reduction import ClosedFormSolution, verify_solution
@@ -337,18 +337,12 @@ def _check_case(case: CatalogCase, seed: int,
 
 
 def _in_span(fields: Sequence[VectorField], target: VectorField) -> bool:
-    rows, cols = field_coordinates(list(fields) + [target])
-    mat = []
-    for r in range(len(rows)):
-        row = []
-        for c in cols:
-            e = c[r]
-            if not isinstance(e, Rat):
-                return False
-            row.append(e.value)
-        mat.append(row)
-    without = [row[:-1] for row in mat]
-    return rank(without) == rank(mat)
+    """Whether the elimination of the fields' coordinates solves for the
+    target's."""
+    _, cols = field_coordinates(list(fields) + [target])
+    joint = list(zip(*cols))
+    [sol], _ = solve_symbolic([r[:-1] for r in joint], [r[-1:] for r in joint])
+    return isinstance(sol, list)
 
 
 def run_regression(catalog: Dict[str, CatalogCase],

@@ -23,7 +23,7 @@ from typing import List, Tuple
 from .expr import (
     Add, EULER, Expr, ExprError, Func, LogOfZeroError, MINUS_ONE, Mul, ONE,
     Pow, Rat, Sym, SymbolKind, SymbolTable, UndeclaredSymbolError, ZERO, add,
-    free_symbols, func, mul, powx, rat, sym,
+    collect, free_symbols, func, mul, powx, rat, sym,
 )
 from . import jets
 from .jets import VectorField
@@ -248,6 +248,10 @@ def parse_pde(text: str, table: SymbolTable) -> Expr:
 _FIELD_MARKERS = ("Dt", "Dx", "Du")
 
 
+def _is_marker(f: Expr) -> bool:
+    return isinstance(f, Sym) and f.name in _FIELD_MARKERS
+
+
 def parse_vector_field(text: str, table: SymbolTable) -> VectorField:
     """Parse ``coef*Dt + coef*Dx + coef*Du``."""
     extended = table.copy()
@@ -257,22 +261,11 @@ def parse_vector_field(text: str, table: SymbolTable) -> VectorField:
     if e.is_zero_literal:
         raise ParseError("the vector field is zero", 0)
     coefs = {m: ZERO for m in _FIELD_MARKERS}
-    terms = e.terms if isinstance(e, Add) else (e,)
-    for term in terms:
-        if isinstance(term, Mul):
-            coeff: Expr = Rat(term.coeff)
-            factors: Tuple[Expr, ...] = term.factors
-        else:
-            coeff = ONE
-            factors = (term,)
-        markers = [f for f in factors
-                   if isinstance(f, Sym) and f.name in _FIELD_MARKERS]
-        if len(markers) != 1:
+    for marker, coef in collect(e, _is_marker).values():
+        if not _is_marker(marker):
             raise ParseError(
                 "each vector-field term needs exactly one of Dt, Dx, Du", 0)
-        rest = [f for f in factors if f is not markers[0]]
-        coefs[markers[0].name] = add(coefs[markers[0].name],
-                                     mul(coeff, *rest))
+        coefs[marker.name] = coef
     field = VectorField(coefs["Dt"], coefs["Dx"], coefs["Du"])
     for coef in (field.xi_t, field.xi_x, field.eta):
         if free_symbols(coef) & set(_FIELD_MARKERS):

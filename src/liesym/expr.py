@@ -30,7 +30,8 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 Rational = Union[int, Fraction]
 
@@ -329,29 +330,45 @@ def _factorize(n: int) -> Iterator[Tuple[int, int]]:
         yield n, 1
 
 
-def _coeff_monomial(e: Expr) -> Tuple[Fraction, Expr]:
-    """Split a non-Add canonical expression into (coefficient, monomial)."""
-    if isinstance(e, Rat):
-        return e.value, ONE
-    if isinstance(e, Mul):
-        if len(e.factors) == 1:
-            return e.coeff, e.factors[0]
-        return e.coeff, Mul(_F1, e.factors)
-    return _F1, e
+def split_terms(e: Expr, keep: Callable[[Expr], bool]
+                ) -> List[Tuple[Fraction, Tuple[Expr, ...], Tuple[Expr, ...]]]:
+    """Each term of the canonical sum ``e`` (``e`` itself when it is no
+    sum) as (rational coefficient, the factors that satisfy ``keep``, the
+    other factors), both in canonical order.  Factors are Sym, Func and Pow
+    atoms; a rational term has none, and the literal zero has no terms."""
+    out = []
+    for t in (e.terms if isinstance(e, Add) else (e,)):
+        if isinstance(t, Rat):
+            if t.value:
+                out.append((t.value, (), ()))
+            continue
+        kept: List[Expr] = []
+        other: List[Expr] = []
+        for f in (t.factors if isinstance(t, Mul) else (t,)):
+            (kept if keep(f) else other).append(f)
+        out.append((t.coeff if isinstance(t, Mul) else _F1, tuple(kept),
+                    tuple(other)))
+    return out
 
 
-def _term_from(coeff: Fraction, mono: Expr) -> Expr:
-    """coeff * mono for a monomial of :func:`_coeff_monomial` (its own
-    coefficient is 1)."""
-    if coeff == 0:
-        return ZERO
-    if mono is ONE:
-        return Rat(coeff)
-    if isinstance(mono, Mul):
-        return Mul(coeff, mono.factors)
-    if coeff == 1:
-        return mono
-    return Mul(coeff, (mono,))
+def collect(e: Expr, keep: Callable[[Expr], bool]
+            ) -> Dict[tuple, Tuple[Expr, Expr]]:
+    """``e`` as a polynomial in the factors that satisfy ``keep``: monomial
+    key -> (monomial, coefficient) in order of first occurrence.  A term's
+    monomial is the product of its kept factors (1 when it has none), and
+    the coefficient of a monomial is the sum of the rest of its terms.
+    Terms of one monomial differ in their other factors, so no coefficient
+    is zero."""
+    parts: Dict[tuple, Tuple[Expr, List[Expr]]] = {}
+    for c, kept, other in split_terms(e, keep):
+        mono = _build_mul(_F1, kept)
+        parts.setdefault(mono.key(), (mono, []))[1].append(
+            _build_mul(c, other))
+    return {k: (mono, add(*cs)) for k, (mono, cs) in parts.items()}
+
+
+def _keep_all(f: Expr) -> bool:
+    return True
 
 
 def add(*xs) -> Expr:
@@ -407,16 +424,13 @@ def _base_exp(f: Expr) -> Tuple[Expr, Expr]:
 
 def _add_content(a: Add) -> Fraction:
     """Rational coefficient of the leading term (canonical order)."""
-    return _coeff_monomial(a.terms[0])[0]
+    return split_terms(a.terms[0], _keep_all)[0][0]
 
 
 def _scale_add(a: Add, k: Fraction) -> Expr:
     """k*a computed term by term (no re-entry into mul)."""
-    out = []
-    for t in a.terms:
-        c, mono = _coeff_monomial(t)
-        out.append(_term_from(c * k, mono))
-    return add(*out)
+    return add(*[_build_mul(c * k, fs)
+                 for c, fs, _ in split_terms(a, _keep_all)])
 
 
 _MAX_MUL_ROUNDS = 64
@@ -704,25 +718,19 @@ def _expand_product(x: Expr, y: Expr) -> Expr:
     return add(*[mul(a, b) for a in xt for b in yt])
 
 
+def _is_log(f: Expr) -> bool:
+    return isinstance(f, Func) and f.name == "log" and f.order == 0
+
+
 def _exp_of(e: Expr) -> Expr:
     """%e^e with c*log(b) exponent terms pulled out as b^c factors."""
     plain = []
     pulled = []
-    terms = e.terms if isinstance(e, Add) else (e,)
-    for t in terms:
-        c, mono = _coeff_monomial(t)
-        if isinstance(mono, Func) and mono.name == "log" and mono.order == 0:
-            pulled.append(powx(mono.arg, Rat(c)))
-            continue
-        if isinstance(mono, Mul):
-            logs = [f for f in mono.factors
-                    if isinstance(f, Func) and f.name == "log" and f.order == 0]
-            if len(logs) == 1:
-                lf = logs[0]
-                rest = _build_mul(c, [f for f in mono.factors if f is not lf])
-                pulled.append(powx(lf.arg, rest))
-                continue
-        plain.append(t)
+    for c, logs, rest in split_terms(e, _is_log):
+        if len(logs) == 1:
+            pulled.append(powx(logs[0].arg, _build_mul(c, rest)))
+        else:
+            plain.append(_build_mul(c, logs + rest))
     rest_exp = add(*plain)
     if rest_exp.is_zero_literal:
         core: Expr = ONE

@@ -32,7 +32,9 @@ matrix whose off-diagonal entries form a cycle returns None.
 
 ``solve_symbolic`` solves small systems with Expr entries for several
 right-hand sides in one elimination: the structure constants of a basis
-solve basis . C = [every bracket], one column per bracket.
+solve basis . C = [every bracket], one column per bracket, and the same
+elimination reads off the rank of the basis, or None when an undecided
+entry may hide a pivot.  Span membership is one right-hand side.
 """
 
 from __future__ import annotations
@@ -326,15 +328,20 @@ def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
 # ---------------------------------------------------------------------------
 
 def solve_symbolic(rows: List[List[Expr]], rhs: List[List[Expr]],
-                   parameters=None) -> List[Union[List[Expr], str, None]]:
+                   parameters=None
+                   ) -> Tuple[List[Union[List[Expr], str, None]], Optional[int]]:
     """Solve rows * X = rhs for Expr entries, one column of X per entry of
     each ``rhs[i]``, in one elimination.
 
     Pivots are chosen greedily: literal nonzero rationals first, then entries
-    whose nonzero-ness the randomized test certifies.  Returns one entry per
-    column: its solution, None when it is inconsistent, or the reason (a
-    str) why its consistency or the pivots cannot be certified, read off
-    the first row without a pivot that is not zero in that column."""
+    whose nonzero-ness the randomized test certifies.  Returns (solutions,
+    rank).  ``solutions`` has one entry per column: its solution, None when
+    it is inconsistent, or the reason (a str) why its consistency or the
+    pivots cannot be certified, read off the first row without a pivot that
+    is not zero in that column.  ``rank`` is the rank of ``rows``, the
+    number of pivots, when every row without a pivot is literally zero on
+    the columns of ``rows``; otherwise an entry the zero test could not
+    decide may hide a pivot, and ``rank`` is None."""
     ncols = len(rows[0]) if rows else 0
     m = [list(r) + list(b) for r, b in zip(rows, rhs)]
     nrows = len(m)
@@ -386,4 +393,4 @@ def solve_symbolic(rows: List[List[Expr]], rhs: List[List[Expr]],
                 x = "cannot decide consistency of symbolic system"
             break
         out.append(x)
-    return out
+    return out, (len(pivots) if all(r for _, r in free) else None)

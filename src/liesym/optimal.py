@@ -38,8 +38,8 @@ from typing import (
 
 from .dsl import render
 from .expr import (
-    EULER, Add, Expr, ExprError, Mul, Pow, Rat, ZERO, ONE, _coerce, add,
-    exp, log, mul, powx, rat, substitute, sym,
+    EULER, Add, Expr, ExprError, Pow, Rat, ZERO, ONE, _coerce, add,
+    exp, log, mul, powx, rat, split_terms, substitute, sym,
 )
 from .algebra import (
     CanonicalClass, Identification, LieAlgebra, _in_span_coords, _series,
@@ -144,12 +144,15 @@ def _sign(x) -> int:
         x = x.value
     if not isinstance(x, Expr):
         return (x > 0) - (x < 0)
-    coeff, factors = (x.coeff, x.factors) if isinstance(x, Mul) \
-        else (Fraction(1), (x,))
-    if all(isinstance(f, Pow) and (f.base == EULER or isinstance(f.base, Rat)
-                                   and f.base.value > 0) for f in factors):
+    (coeff, _, other), *more = split_terms(x, _is_positive_power)
+    if not more and not other:
         return 1 if coeff > 0 else -1
     raise ExprError(f"no exact sign for {render(x)}")
+
+
+def _is_positive_power(f: Expr) -> bool:
+    return isinstance(f, Pow) and (
+        f.base == EULER or isinstance(f.base, Rat) and f.base.value > 0)
 
 
 # admissible domain of a free parameter, by kind (exact values, see _sign)

@@ -19,12 +19,12 @@ checked as a canonical identity.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional
 
 from .expr import (
-    Add, EULER, Expr, ExprError, Func, Mul, Pow, Rat, ZERO, ONE, ZeroVerdict,
-    add, contains_func, differentiate, free_symbols, is_zero, log, mul, powx,
-    rat, substitute, sym,
+    EULER, Expr, ExprError, Func, Mul, Pow, Rat, ZERO, ONE, ZeroVerdict,
+    add, collect, contains_func, differentiate, free_symbols, is_zero, log,
+    mul, powx, rat, substitute, sym,
 )
 from .equivalence import _inverse_point_map
 from .jets import VectorField, jet_name
@@ -226,22 +226,6 @@ class ReductionAnsatz:
         self.certificate = certificate  # R - factor * (ode at omega), zero
 
 
-def _phi_split(term: Expr) -> Tuple[Expr, Expr]:
-    """Split a term into (coefficient in (t,x), phi-monomial)."""
-    if isinstance(term, Mul):
-        phi_parts: List[Expr] = []
-        rest: List[Expr] = [rat(term.coeff)]
-        for f in term.factors:
-            if _has_phi(f):
-                phi_parts.append(f)
-            else:
-                rest.append(f)
-        return mul(*rest), (mul(*phi_parts) if phi_parts else ONE)
-    if _has_phi(term):
-        return ONE, term
-    return term, ONE
-
-
 def _has_phi(e: Expr) -> bool:
     return contains_func(e, PHI)
 
@@ -264,25 +248,18 @@ def reduce_pde(pde: EvolutionPDE, X: VectorField) -> ReductionAnsatz:
         add(sym(jet_name(1, 0)), mul(-1, pde.rhs)),
         {"u": u_sub, jet_name(1, 0): u_t, jet_name(0, 1): u_x,
          jet_name(0, 2): u_xx})
-    # collect on phi-monomials
-    terms = residual.terms if isinstance(residual, Add) else (residual,)
-    groups: Dict[tuple, List[Expr]] = {}
-    monos: Dict[tuple, Expr] = {}
-    for term in terms:
-        coeff, mono = _phi_split(term)
-        groups.setdefault(mono.key(), []).append(coeff)
-        monos[mono.key()] = mono
-    if list(monos.values()) == [ONE]:
+    groups = collect(residual, _has_phi)
+    if [mono for mono, _ in groups.values()] == [ONE]:
         raise ReductionFailureError("substituted residual has no phi part",
                                     residual)
-    lead_key = max(k for k in groups if monos[k] != ONE)
-    factor = add(*groups[lead_key])
+    factor = groups[max(k for k, (mono, _) in groups.items()
+                        if mono != ONE)][1]
     if is_zero(factor) is ZeroVerdict.ZERO:
         raise ReductionFailureError("vanishing leading cofactor", residual)
     ode_terms: List[Expr] = []
     inv_factor = powx(factor, rat(-1))
-    for k, coeffs in groups.items():
-        h = mul(add(*coeffs), inv_factor)
+    for mono, coeff in groups.values():
+        h = mul(coeff, inv_factor)
         if free_symbols(h) & {"t", "x"}:
             hx = X.apply_to(h)
             if not hx.is_zero_literal:
@@ -292,7 +269,7 @@ def reduce_pde(pde: EvolutionPDE, X: VectorField) -> ReductionAnsatz:
             if "s" in free_symbols(h):
                 raise ReductionFailureError(
                     "cofactor ratio does not collapse to the invariant", h)
-        ode_terms.append(mul(h, _to_omega_symbol(monos[k])))
+        ode_terms.append(mul(h, _to_omega_symbol(mono)))
     ode = add(*ode_terms)
     # certificate: residual == factor * ode(omega)
     back = substitute(ode, {"w": omega})

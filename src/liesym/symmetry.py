@@ -14,9 +14,9 @@ from math import perm
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .expr import (
-    Add, Expr, ExprError, Mul, Rat, Rational, ResourceLimitError, Sym,
-    ZERO, ONE, ZeroVerdict, _base_exp, _coeff_monomial, add,
-    free_symbols, is_zero, mul, powx, rat, substitute, sym,
+    Expr, ExprError, Rat, Rational, ResourceLimitError, Sym,
+    ZERO, ONE, ZeroVerdict, _base_exp, add, free_symbols, is_zero, mul, powx,
+    rat, split_terms, substitute, sym,
 )
 from .jets import VectorField, jet_name, prolong2
 from .linalg import nullspace
@@ -109,12 +109,6 @@ def _basis_field(entry: Tuple[int, int, int]) -> VectorField:
     return _SHAPES[c](mul(powx(_T, rat(i)), powx(_X, rat(j))))
 
 
-def _monomial_factors(mono: Expr) -> Tuple[Expr, ...]:
-    if isinstance(mono, Mul):
-        return mono.factors
-    return () if mono == ONE else (mono,)
-
-
 #: the jets m, m_t, m_x, m_xx of an ansatz monomial m(t, x), by orders
 _M_JETS = ((0, 0), (1, 0), (0, 1), (0, 2))
 
@@ -145,24 +139,23 @@ def _operator_terms(op: Expr, rests: Dict[tuple, int]) -> list:
     remaining factors in ``rests``); an integral coefficient is an int, so
     the matrix assembles integer entries."""
     out = []
-    for term in (op.terms if isinstance(op, Add) else (op,)):
-        if term.is_zero_literal:
-            continue
-        coeff, mono = _coeff_monomial(term)
+    for coeff, tx, rest in split_terms(op, _in_t_or_x):
         if coeff.denominator == 1:
             coeff = coeff.numerator
-        et, ex, rest = 0, 0, []
-        for f in _monomial_factors(mono):
+        et = ex = 0
+        for f in tx:
             base, e = _base_exp(f)
             # integer exponents: the rhs is polynomial in t and x
             if base == _T:
                 et = int(e.value)
-            elif base == _X:
-                ex = int(e.value)
             else:
-                rest.append(f)
-        out.append((coeff, et, ex, rests.setdefault(tuple(rest), len(rests))))
+                ex = int(e.value)
+        out.append((coeff, et, ex, rests.setdefault(rest, len(rests))))
     return out
+
+
+def _in_t_or_x(f: Expr) -> bool:
+    return _base_exp(f)[0] in (_T, _X)
 
 
 def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
@@ -203,10 +196,8 @@ def _check_rhs_supported(pde: EvolutionPDE):
     """The ansatz needs rhs coefficients polynomial in (t, x) and power
     monomials in u at fixed rational exponents."""
     table = pde.table
-    terms = pde.rhs.terms if isinstance(pde.rhs, Add) else (pde.rhs,)
-    for term in terms:
-        _, mono = _coeff_monomial(term)
-        for f in _monomial_factors(mono):
+    for _, factors, _ in split_terms(pde.rhs, lambda f: True):
+        for f in factors:
             base, expo = _base_exp(f)
             if not isinstance(base, Sym):
                 raise UnsupportedCoefficientsError(

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from liesym import algebra, jets, linalg
 from liesym.dsl import parse_vector_field
-from liesym.expr import ZERO, ONE, add, mul, powx, rat, sym
+from liesym.expr import ZERO, ONE, add, mul, powx, rat, substitute, sym
 from liesym.jets import VectorField, dcr_symbols
 from liesym.algebra import (DependentBasisError, LieAlgebra, NotClosedError,
                             algebra_invariants, bracket,
@@ -78,8 +78,26 @@ class TestStructureConstants:
         assert rep.violations
 
     def test_dependent_basis(self):
-        with pytest.raises(DependentBasisError):
-            structure_constants([X1, X1.scale(rat(2))])
+        # dependence is claimed only where the elimination proves it
+        table = dcr_symbols()
+        table.parameter("m")
+
+        def fields(text, **bindings):
+            return [VectorField(*[substitute(c, bindings) for c in f])
+                    for f in (parse_vector_field(s, table)
+                              for s in text.split(";"))]
+
+        for basis in ([X1, X1.scale(rat(2))], fields("Dx; x*Dx; 2*x*Dx"),
+                      fields("Dx; (m-1)*Du", m=ONE)):
+            with pytest.raises(DependentBasisError):
+                structure_constants(basis)
+        # 2^(1/2) has no rational value at any sample, so no pivot is
+        # certified for Dt, but no row proves the fields dependent either
+        with pytest.raises(NotClosedError) as exc:
+            structure_constants(fields("Dx; 2^(1/2)*Dt"))
+        assert str(exc.value) == (
+            "cannot decide whether [e1, e2] lies in the span: cannot certify "
+            "pivots of symbolic system")
 
     def test_one_elimination_for_every_bracket(self, monkeypatch):
         calls = []

@@ -11,9 +11,9 @@ from liesym.dsl import render
 from liesym.expr import (
     EULER, ZERO, ONE, Add, Func, Mul, NonRationalValue, Pow, Rat, Sym,
     ZeroVerdict,
-    _int_nth_root, add, differentiate,
+    _int_nth_root, add, collect, differentiate,
     _stable_fraction, evaluate_exact, exp, free_symbols, func, is_zero, log,
-    mul, powx, rat, sample_assignment, simplify, substitute, sym,
+    mul, powx, rat, sample_assignment, simplify, split_terms, substitute, sym,
 )
 
 t, x, u, m, p = sym("t"), sym("x"), sym("u"), sym("m"), sym("p")
@@ -357,6 +357,39 @@ def test_radicals_multiply_to_rationals():
     assert mul(r2, r2) == rat(2)
     assert mul(r2, powx(rat(2), Fraction(-1, 2))) == ONE
     assert mul(powx(rat(2), m + Fraction(1, 2)), r2) == 2 * powx(rat(2), m)
+
+
+#: factor predicates for split_terms and collect: in one variable, in the
+#: field variables (what structure constants keep), a power atom, none
+keeps = st.one_of(
+    names.map(lambda n: lambda f: n in free_symbols(f)),
+    st.just(lambda f: bool(free_symbols(f) & {"t", "x", "u"})),
+    st.just(lambda f: isinstance(f, Pow)), st.just(lambda f: False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(poly_exprs(atoms=True), factors), keeps)
+def test_collect_rebuilds_the_sum(e, keep):
+    groups = collect(e, keep)
+    assert add(*(mul(mono, c) for mono, c in groups.values())) == e
+    monos = [mono for mono, _ in groups.values()]
+    assert len(set(monos)) == len(monos)
+    assert all(mono.key() == k for k, (mono, _) in groups.items())
+    assert not any(c.is_zero_literal for _, c in groups.values())
+    # split_terms partitions the factors of each term, read off its node
+    terms = [t for t in (e.terms if isinstance(e, Add) else (e,))
+             if not t.is_zero_literal]
+    split = split_terms(e, keep)
+    assert len(split) == len(terms)
+    for term, (c, kept, other) in zip(terms, split):
+        if isinstance(term, Rat):
+            assert (c, kept, other) == (term.value, (), ())
+            continue
+        coeff, fs = ((term.coeff, term.factors) if isinstance(term, Mul)
+                     else (Fraction(1), (term,)))
+        assert c == coeff
+        assert kept == tuple(f for f in fs if keep(f))
+        assert other == tuple(f for f in fs if not keep(f))
 
 
 @settings(max_examples=120, deadline=None)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from liesym import dsl
 from liesym.cli import main
-from liesym.expr import Add, _coeff_monomial
+from liesym.expr import split_terms
 from liesym.jets import dcr_symbols
 
 CASE_SECONDS = 2.0
@@ -55,17 +55,15 @@ def _search(text, bound, tmp_path, capsys):
 
 
 def _coordinates(generators):
-    """Each generator as {(component, monomial key): coefficient}."""
+    """Each generator as {(component, monomial factors): coefficient}."""
     table = dcr_symbols()
     out = []
     for text in generators:
         field = dsl.parse_vector_field(text, table)
         vec = {}
         for k, comp in enumerate(field):
-            for t in comp.terms if isinstance(comp, Add) else (comp,):
-                if not t.is_zero_literal:
-                    c, mono = _coeff_monomial(t)
-                    vec[(k, mono.key())] = c
+            for c, factors, _ in split_terms(comp, lambda f: True):
+                vec[(k, factors)] = c
         out.append(vec)
     return out
 

@@ -30,3 +30,24 @@ def test_linalg_imports_only_the_kernel():
 
 def test_reduction_does_not_import_optimal_systems():
     assert "liesym.optimal" not in _liesym_imports("reduction.py")
+
+
+def _terms_readers(filename: str) -> set:
+    """The top-level functions of a source file that read an attribute
+    ``terms``, with "<module>" for a read outside any function."""
+    out = set()
+    for top in ast.parse((PKG / filename).read_text()).body:
+        name = (top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+                else "<module>")
+        if any(isinstance(n, ast.Attribute) and n.attr == "terms"
+               for n in ast.walk(top)):
+            out.add(name)
+    return out
+
+
+def test_only_the_kernel_splits_sums():
+    # every monomial split goes through expr.split_terms / expr.collect;
+    # rendering a sum term by term is the one other reader of Add.terms
+    readers = {f.name: _terms_readers(f.name) for f in PKG.glob("*.py")
+               if f.name != "expr.py"}
+    assert {k: v for k, v in readers.items() if v} == {"dsl.py": {"render"}}

@@ -8,8 +8,7 @@ from hypothesis import given, settings, strategies as st
 from liesym import jets, symmetry
 from liesym import pde as pde_module
 from liesym.dsl import parse_pde
-from liesym.expr import (ZERO, ONE, Add, _coeff_monomial, add, mul, powx, rat,
-                         sym)
+from liesym.expr import (ZERO, ONE, Add, Mul, Rat, add, mul, powx, rat, sym)
 from liesym.jets import VectorField, dcr_symbols, jet
 from liesym.linalg import nullspace
 from liesym.pde import (DCRInstance, EvolutionPDE, build_dcr, heat_equation,
@@ -161,6 +160,16 @@ def _pde(text):
     return EvolutionPDE(rhs=parse_pde(text, table), table=table)
 
 
+def _coeff_factors(term):
+    """A canonical term's rational coefficient and factors, read off its
+    node, so the references below do not go through expr.split_terms."""
+    if isinstance(term, Rat):
+        return term.value, ()
+    if isinstance(term, Mul):
+        return term.coeff, term.factors
+    return Fraction(1), (term,)
+
+
 def _per_field_matrix(pde, basis):
     """The determining matrix from one residual per basis field: the
     reference for the operator-form assembly."""
@@ -170,8 +179,8 @@ def _per_field_matrix(pde, basis):
         for term in (r.terms if isinstance(r, Add) else (r,)):
             if term.is_zero_literal:
                 continue
-            coeff, mono = _coeff_monomial(term)
-            rows.setdefault(mono.key(), [Fraction(0)] * len(basis))[col] += coeff
+            coeff, factors = _coeff_factors(term)
+            rows.setdefault(factors, [Fraction(0)] * len(basis))[col] += coeff
     return list(rows.values())
 
 
@@ -267,8 +276,7 @@ def _generic_operators(pde):
                      else (residual,)):
             if term.is_zero_literal:
                 continue
-            coeff, mono = _coeff_monomial(term)
-            factors = symmetry._monomial_factors(mono)
+            coeff, factors = _coeff_factors(term)
             [mj] = [f for f in factors if f in _AUX_JETS]
             rest = [f for f in factors if f is not mj]
             parts.setdefault(_AUX_JETS[mj], []).append(mul(coeff, *rest))
