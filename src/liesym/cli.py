@@ -24,7 +24,8 @@ from . import dsl
 from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
-from .algebra import LieAlgebra, check_closure, identify, structure_constants
+from .algebra import (LieAlgebra, NotClosedError, check_closure, identify,
+                      structure_constants)
 from .optimal import (DEFAULT_SAMPLES, DEFAULT_SEED, PARAM_KINDS, ParamSpec,
                       SubalgebraRep, construct_optimal_system,
                       verify_candidate_system)
@@ -593,6 +594,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"undecided: {exc}", file=sys.stderr)
         return _verdict_exit("undecided")
     except ExprError as exc:
+        if isinstance(exc, NotClosedError) and isinstance(exc.leftover, str):
+            # whether a bracket lies in the span is undecided: no bad input
+            print(f"undecided: {exc}", file=sys.stderr)
+            return _verdict_exit("undecided")
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:

@@ -662,6 +662,16 @@ def _combine_prime_parts(parts: Sequence[Expr]) -> Expr:
 MAX_EXPANSION_TERMS = 100
 
 
+def check_expansion(n: int, k: int):
+    """Raise ResourceLimitError when an n-term sum to the power k could
+    expand past MAX_EXPANSION_TERMS."""
+    count = math.comb(n + k - 1, k)
+    if count > MAX_EXPANSION_TERMS:
+        raise ResourceLimitError(
+            f"expanding a {n}-term sum to the power {k} could give "
+            f"{count} terms, over the limit of {MAX_EXPANSION_TERMS}")
+
+
 def powx(base, exponent) -> Expr:
     """Canonical power."""
     b = _coerce(base)
@@ -694,12 +704,8 @@ def powx(base, exponent) -> Expr:
             nb = _scale_add(b, 1 / content)
             return mul(powx(Rat(content), e), powx(nb, e))
         if isinstance(e, Rat) and e.value.denominator == 1 and e.value > 1:
-            k, n = int(e.value), len(b.terms)
-            count = math.comb(n + k - 1, k)
-            if count > MAX_EXPANSION_TERMS:
-                raise ResourceLimitError(
-                    f"expanding a {n}-term sum to the power {k} could give "
-                    f"{count} terms, over the limit of {MAX_EXPANSION_TERMS}")
+            k = int(e.value)
+            check_expansion(len(b.terms), k)
             out: Expr = b
             for _ in range(k - 1):
                 out = _expand_product(out, b)
@@ -962,12 +968,16 @@ def is_zero(e, parameters: Optional[set] = None) -> ZeroVerdict:
     """Three-valued zero test.
 
     ZERO only for the literal canonical zero (sound by construction);
-    NONZERO when a deterministic exact-rational sample point evaluates to a
-    nonzero rational; UNDECIDED otherwise."""
+    NONZERO for a nonzero rational times powers of positive rationals,
+    which is never 0, and when a deterministic exact-rational sample point
+    evaluates to a nonzero rational; UNDECIDED otherwise."""
     e = _coerce(e)
     if e.is_zero_literal:
         return ZeroVerdict.ZERO
-    if isinstance(e, Rat):
+    factors = (e.factors if isinstance(e, Mul)
+               else () if isinstance(e, Rat) else (e,))
+    if all(isinstance(f, Pow) and isinstance(f.base, Rat) and f.base.value > 0
+           for f in factors):
         return ZeroVerdict.NONZERO
     names = free_symbols(e)
     if parameters is None:

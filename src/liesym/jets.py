@@ -10,8 +10,9 @@ explicitly allows it.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Tuple
 
+from . import poly
 from .expr import (
     Expr, ExprError, ONE, Sym, SymbolTable, add, derive, differentiate,
     free_symbols, mul, substitute, sym,
@@ -61,22 +62,15 @@ def dcr_symbols() -> SymbolTable:
     return table
 
 
-def total_derivative(e: Expr, direction: str, table: SymbolTable,
-                     max_order: int = 2) -> Expr:
-    """Total derivative D_t or D_x on a jet expression, in one walk.
-
-    D_z is the derivation that sends z to 1 and each jet to the jet of its
-    own dependent variable one order higher in z (:func:`expr.derive`).
-    ``max_order`` bounds the jets allowed in the *result*: a jet that would
-    pass it is sent to a placeholder symbol, and when a placeholder
-    survives in the result, :class:`OrderOverflowError` names the jet of
-    the first such variable in name order.
-    """
+def _jet_images(names, direction: str, table: SymbolTable, max_order: int):
+    """The images of ``names`` under D_z, and the placeholder symbols that
+    stand for jets past ``max_order``, each mapped to the name it came
+    from."""
     if direction not in ("t", "x"):
         raise ValueError("direction must be 't' or 'x'")
     images = {direction: ONE}
     overflow = {}
-    for name in free_symbols(e):
+    for name in names:
         entry = table.jet_index.get(name)
         if entry is None:
             continue
@@ -91,14 +85,53 @@ def total_derivative(e: Expr, direction: str, table: SymbolTable,
             overflow["#" + target] = name
             target = "#" + target
         images[name] = Sym(target)
+    return images, overflow
+
+
+def _check_overflow(overflow: dict, left: set, max_order: int):
+    if left:
+        first = min(left, key=overflow.get)
+        raise OrderOverflowError(
+            f"total derivative needs jet {first[1:]} beyond order {max_order}")
+
+
+def total_derivative(e: Expr, direction: str, table: SymbolTable,
+                     max_order: int = 2) -> Expr:
+    """Total derivative D_t or D_x on a jet expression, in one walk.
+
+    D_z is the derivation that sends z to 1 and each jet to the jet of its
+    own dependent variable one order higher in z (:func:`expr.derive`).
+    ``max_order`` bounds the jets allowed in the *result*: a jet that would
+    pass it is sent to a placeholder symbol, and when a placeholder
+    survives in the result, :class:`OrderOverflowError` names the jet of
+    the first such variable in name order.
+    """
+    images, overflow = _jet_images(free_symbols(e), direction, table,
+                                   max_order)
     out = derive(e, images)
     if overflow:
-        left = overflow.keys() & free_symbols(out)
-        if left:
-            first = min(left, key=overflow.get)
-            raise OrderOverflowError(
-                f"total derivative needs jet {first[1:]} "
-                f"beyond order {max_order}")
+        _check_overflow(overflow, overflow.keys() & free_symbols(out),
+                        max_order)
+    return out
+
+
+def poly_total_derivative(p: poly.Poly, direction: str, table: SymbolTable,
+                          max_order: int = 2) -> poly.Poly:
+    """:func:`total_derivative` on a polynomial (:func:`poly.derive`).  A
+    placeholder that survives in the dict is looked up in the kernel's form
+    of the result, so the error is raised exactly when the Expr version
+    raises it."""
+    images, overflow = _jet_images(poly.symbols(p), direction, table,
+                                   max_order)
+    if not p.coeffs:
+        return p
+    out = poly.derive(p, images)
+    # a placeholder is a generator that the derivation added
+    if (overflow and len(out.gens) > len(p.gens)
+            and overflow.keys() & poly.symbols(out)):
+        _check_overflow(
+            overflow, overflow.keys() & free_symbols(poly.from_poly(out)),
+            max_order)
     return out
 
 
@@ -157,27 +190,49 @@ class ProlongedField(NamedTuple):
     eta_xx: Expr
 
 
-def prolong2(field: VectorField, table: SymbolTable) -> ProlongedField:
-    """Second prolongation via the recursive total-derivative formulas.
+def poly_prolong2(xi_t: poly.Poly, xi_x: poly.Poly, eta: poly.Poly,
+                  table: SymbolTable
+                  ) -> Tuple[poly.Poly, poly.Poly, poly.Poly]:
+    """eta_t, eta_x and eta_xx of the second prolongation, by the
+    recursive total-derivative formulas.
 
     eta^J,z = D_z(eta^J) - u_{J,t} D_z(xi_t) - u_{J,x} D_z(xi_x); the mixed
     jet u_tx enters eta_xx whenever xi_t depends on x or u.  D_x xi_t and
     D_x xi_x serve both eta_x and eta_xx, so each of the seven distinct
     total derivatives is formed once.
     """
-    xi_t, xi_x, eta = field.xi_t, field.xi_x, field.eta
-
-    def d(e, z):
-        return total_derivative(e, z, table, max_order=2)
+    def d(p, z):
+        return poly_total_derivative(p, z, table, max_order=2)
 
     dx_xi_t, dx_xi_x = d(xi_t, "x"), d(xi_x, "x")
-    eta_t = add(d(eta, "t"),
-                mul(-1, jet(1, 0), d(xi_t, "t")),
-                mul(-1, jet(0, 1), d(xi_x, "t")))
-    eta_x = add(d(eta, "x"),
-                mul(-1, jet(1, 0), dx_xi_t),
-                mul(-1, jet(0, 1), dx_xi_x))
-    eta_xx = add(d(eta_x, "x"),
-                 mul(-1, jet(1, 1), dx_xi_t),
-                 mul(-1, jet(0, 2), dx_xi_x))
-    return ProlongedField(field, eta_t, eta_x, eta_xx)
+    eta_t = poly.add(d(eta, "t"),
+                     poly.mul(_MINUS_JET[1, 0], d(xi_t, "t")),
+                     poly.mul(_MINUS_JET[0, 1], d(xi_x, "t")))
+    eta_x = poly.add(d(eta, "x"),
+                     poly.mul(_MINUS_JET[1, 0], dx_xi_t),
+                     poly.mul(_MINUS_JET[0, 1], dx_xi_x))
+    eta_xx = poly.add(d(eta_x, "x"),
+                      poly.mul(_MINUS_JET[1, 1], dx_xi_t),
+                      poly.mul(_MINUS_JET[0, 2], dx_xi_x))
+    return eta_t, eta_x, eta_xx
+
+
+#: t, x, u and the jets of u that the prolongation of a field in (t, x, u)
+#: and the invariance residual reach: the first generators of every
+#: polynomial they form, so that most of their operands share one tuple
+RESIDUAL_GENERATORS = tuple(sym(n) for n in (
+    "t", "x", "u", jet_name(0, 1), jet_name(0, 2), jet_name(1, 0),
+    jet_name(1, 1)))
+
+#: -u_t, -u_x, -u_tx and -u_xx, by orders
+_MINUS_JET = {ab: poly.scale(poly.to_poly(jet(*ab), RESIDUAL_GENERATORS), -1)
+              for ab in ((1, 0), (0, 1), (1, 1), (0, 2))}
+
+
+def prolong2(field: VectorField, table: SymbolTable) -> ProlongedField:
+    """Second prolongation: the kernel's form of :func:`poly_prolong2`."""
+    xi_t = poly.to_poly(field.xi_t, RESIDUAL_GENERATORS)
+    xi_x = poly.to_poly(field.xi_x, xi_t.gens)
+    eta = poly.to_poly(field.eta, xi_x.gens)
+    return ProlongedField(field, *map(
+        poly.from_poly, poly_prolong2(xi_t, xi_x, eta, table)))

@@ -14,10 +14,10 @@ from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .expr import (
-    Expr, ExprError, Rat, SymbolTable, ZERO, ZeroVerdict, add, differentiate,
-    free_symbols, is_zero, mul, powx, rat, substitute, sym,
+    Expr, ExprError, ONE, Rat, SymbolTable, ZERO, ZeroVerdict, add,
+    differentiate, free_symbols, is_zero, mul, powx, rat, substitute, sym,
 )
-from . import jets
+from . import jets, poly
 from .dsl import parse, render
 from .jets import dcr_symbols, jet, jet_name
 
@@ -52,16 +52,20 @@ class EvolutionPDE:
         self.table = table
 
     @cached_property
-    def partials(self) -> Tuple[Expr, ...]:
-        """F_t, F_x, F_u, F_{u_x} and F_{u_xx}, the derivatives of the rhs
-        that the invariance residual needs; computed once per PDE."""
-        return tuple(differentiate(self.rhs, v)
-                     for v in ("t", "x", "u", jet_name(0, 1), jet_name(0, 2)))
+    def partials(self) -> Tuple[poly.Poly, ...]:
+        """F and its partials F_t, F_x, F_u, F_{u_x} and F_{u_xx}, which
+        the invariance residual needs, as polynomials over one tuple of
+        generators that starts with ``jets.RESIDUAL_GENERATORS``; computed
+        once per PDE."""
+        F = poly.to_poly(self.rhs, jets.RESIDUAL_GENERATORS)
+        return poly.align(F, *[poly.derive(F, {v: ONE}) for v in (
+            "t", "x", "u", jet_name(0, 1), jet_name(0, 2))])
 
     @cached_property
-    def total_x(self) -> Expr:
+    def total_x(self) -> poly.Poly:
         """D_x F, which may contain the third-order jet u_xxx."""
-        return jets.total_derivative(self.rhs, "x", self.table, max_order=3)
+        return jets.poly_total_derivative(self.partials[0], "x", self.table,
+                                          max_order=3)
 
 
 class DCRInstance(NamedTuple):

@@ -16,9 +16,10 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .expr import (
     Expr, ExprError, Rat, Rational, ResourceLimitError, Sym,
     ZERO, ONE, ZeroVerdict, _base_exp, add, free_symbols, is_zero, mul, powx,
-    rat, split_terms, substitute, sym,
+    rat, split_terms, sym,
 )
-from .jets import VectorField, jet_name, prolong2
+from . import poly
+from .jets import VectorField, jet_name, poly_prolong2
 from .linalg import nullspace
 from .pde import EvolutionPDE
 
@@ -45,23 +46,30 @@ class SymmetryVerdict(NamedTuple):
 def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
     """pr(2)X(u_t - F) restricted to the solution manifold, canonical.
 
-    For fields with x- or u-dependent xi_t the substitution u_tx -> D_x F
-    introduces third-order jets; they are tracked internally.  The rhs
-    derivatives come from the PDE, which computes them once."""
-    pr = prolong2(X, pde.table)
-    F_t, F_x, F_u, F_ux, F_uxx = pde.partials
-    applied = add(
-        mul(X.xi_t, F_t),
-        mul(X.xi_x, F_x),
-        mul(X.eta, F_u),
-        mul(pr.eta_x, F_ux),
-        mul(pr.eta_xx, F_uxx),
+    The whole computation runs on polynomials (:mod:`liesym.poly`) over
+    the generators of the rhs and of X: the prolongation, the products with
+    the rhs partials, which the PDE computes once, and the substitution
+    u_t -> F, u_tx -> D_x F.  For fields with x- or u-dependent xi_t the
+    latter introduces third-order jets.  An empty polynomial is the literal
+    0; any other residual is the kernel's form of the polynomial."""
+    F, F_t, F_x, F_u, F_ux, F_uxx = pde.partials
+    xi_t = poly.to_poly(X.xi_t, F.gens)
+    xi_x = poly.to_poly(X.xi_x, xi_t.gens)
+    eta = poly.to_poly(X.eta, xi_x.gens)
+    eta_t, eta_x, eta_xx = poly_prolong2(xi_t, xi_x, eta, pde.table)
+    applied = poly.add(
+        poly.mul(xi_t, F_t),
+        poly.mul(xi_x, F_x),
+        poly.mul(eta, F_u),
+        poly.mul(eta_x, F_ux),
+        poly.mul(eta_xx, F_uxx),
     )
-    residual = add(pr.eta_t, mul(-1, applied))
-    subs = {jet_name(1, 0): pde.rhs}
-    if jet_name(1, 1) in free_symbols(residual):
+    residual = poly.add(eta_t, poly.scale(applied, -1))
+    subs = {jet_name(1, 0): F}
+    if jet_name(1, 1) in poly.symbols(residual):
         subs[jet_name(1, 1)] = pde.total_x
-    return substitute(residual, subs)
+    residual = poly.substitute(residual, subs)
+    return poly.from_poly(residual) if residual.coeffs else ZERO
 
 
 def is_symmetry(pde: EvolutionPDE, X: VectorField,
@@ -85,6 +93,7 @@ def is_symmetry(pde: EvolutionPDE, X: VectorField,
 # ---------------------------------------------------------------------------
 
 _T, _X, _U = sym("t"), sym("x"), sym("u")
+_P, _Q = sym(jet_name(0, 1)), sym(jet_name(0, 2))
 
 #: The four component shapes of an ansatz field with monomial m(t, x):
 #: xi_t = m, xi_x = m, eta = m*u and eta = m.
@@ -113,49 +122,33 @@ def _basis_field(entry: Tuple[int, int, int]) -> VectorField:
 _M_JETS = ((0, 0), (1, 0), (0, 1), (0, 2))
 
 
-def _operators(pde: EvolutionPDE) -> Tuple[Tuple[Expr, ...], ...]:
+def _operators(pde: EvolutionPDE) -> Tuple[Tuple[poly.Poly, ...], ...]:
     """(C00, C10, C01, C02) per shape of ``_SHAPES``: the residual of the
-    shape with monomial m is C00*m + C10*m_t + C01*m_x + C02*m_xx.
+    shape with monomial m is C00*m + C10*m_t + C01*m_x + C02*m_xx.  All
+    sixteen are polynomials over one generator tuple that starts with t
+    and x.
 
     This is the closed form of the determining equations of u_t = F
     (Olver 1993, section 2.4) in F, its partials F_t, F_x, F_u, F_p
     (p = u_x), F_q (q = u_xx) and D_x F."""
-    F = pde.rhs
-    F_t, F_x, F_u, F_p, F_q = pde.partials
-    p, q = sym(jet_name(0, 1)), sym(jet_name(0, 2))
-    return (
-        (mul(-1, F_t), mul(-1, F),
-         add(mul(F, F_p), mul(2, F_q, pde.total_x)), mul(F, F_q)),
-        (mul(-1, F_x), mul(-1, p), add(mul(p, F_p), mul(2, q, F_q)),
+    F, F_t, F_x, F_u, F_p, F_q = pde.partials
+    u, p, q = (poly.to_poly(s, F.gens) for s in (_U, _P, _Q))
+    add, mul = poly.add, poly.mul
+
+    def neg(a, c=-1):
+        return poly.scale(a, c)
+
+    ops = (
+        (neg(F_t), neg(F),
+         add(mul(F, F_p), neg(mul(F_q, pde.total_x), 2)), mul(F, F_q)),
+        (neg(F_x), neg(p), add(mul(p, F_p), neg(mul(q, F_q), 2)),
          mul(p, F_q)),
-        (add(F, mul(-1, _U, F_u), mul(-1, p, F_p), mul(-1, q, F_q)), _U,
-         add(mul(-1, _U, F_p), mul(-2, p, F_q)), mul(-1, _U, F_q)),
-        (mul(-1, F_u), ONE, mul(-1, F_p), mul(-1, F_q)),
+        (add(F, neg(mul(u, F_u)), neg(mul(p, F_p)), neg(mul(q, F_q))), u,
+         add(neg(mul(u, F_p)), neg(mul(p, F_q), -2)), neg(mul(u, F_q))),
+        (neg(F_u), poly.to_poly(ONE), neg(F_p), neg(F_q)),
     )
-
-
-def _operator_terms(op: Expr, rests: Dict[tuple, int]) -> list:
-    """The terms of one C as (coefficient, t-exponent, x-exponent, id of the
-    remaining factors in ``rests``); an integral coefficient is an int, so
-    the matrix assembles integer entries."""
-    out = []
-    for coeff, tx, rest in split_terms(op, _in_t_or_x):
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
-        et = ex = 0
-        for f in tx:
-            base, e = _base_exp(f)
-            # integer exponents: the rhs is polynomial in t and x
-            if base == _T:
-                et = int(e.value)
-            else:
-                ex = int(e.value)
-        out.append((coeff, et, ex, rests.setdefault(rest, len(rests))))
-    return out
-
-
-def _in_t_or_x(f: Expr) -> bool:
-    return _base_exp(f)[0] in (_T, _X)
+    flat = iter(poly.align(*[C for Cs in ops for C in Cs]))
+    return tuple(tuple(next(flat) for _ in Cs) for Cs in ops)
 
 
 def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
@@ -163,7 +156,7 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
     """One row per monomial of the residuals of the basis fields.
 
     The residual of t^i x^j in shape c is assembled in exponent space from
-    the closed-form operators of :func:`_operators`: each term
+    the closed-form operators of :func:`_operators`: each monomial
     (coefficient, e_t, e_x, rest) of C_c,ab adds ff(i,a)*ff(j,b)*coefficient
     at t^(e_t+i-a) x^(e_x+j-b) rest, ff the falling factorial, so a C that
     t^i x^j does not reach (C02 at degree bound 1) adds nothing.  No Expr
@@ -171,7 +164,11 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
     occurrence; the nullspace does not depend on it.  Empty positions hold
     the int 0, which elimination skips fastest."""
     rests: Dict[tuple, int] = {}
-    ops = [[(ab, _operator_terms(C, rests)) for ab, C in zip(_M_JETS, Cs)]
+    # integer exponents on t and x: the rhs is polynomial in them
+    ops = [[(ab, [(c, int(k[0]), int(k[1]),
+                   rests.setdefault(k[2:], len(rests)))
+                  for k, c in C.coeffs.items()])
+            for ab, C in zip(_M_JETS, Cs)]
            for Cs in _operators(pde)]
     n = len(basis)
     rows: Dict[tuple, List[Rational]] = {}

@@ -91,13 +91,17 @@ class TestStructureConstants:
                       fields("Dx; (m-1)*Du", m=ONE)):
             with pytest.raises(DependentBasisError):
                 structure_constants(basis)
-        # 2^(1/2) has no rational value at any sample, so no pivot is
+        # m^(1/2) has no rational value at any sample, so no pivot is
         # certified for Dt, but no row proves the fields dependent either
         with pytest.raises(NotClosedError) as exc:
-            structure_constants(fields("Dx; 2^(1/2)*Dt"))
+            structure_constants(fields("Dx; m^(1/2)*Dt"))
         assert str(exc.value) == (
             "cannot decide whether [e1, e2] lies in the span: cannot certify "
             "pivots of symbolic system")
+        # a power of a positive rational is never 0: a certified pivot
+        assert structure_constants(
+            fields("Dx; 2^(1/2)*Dt")).rational_constants() == [
+                [[0, 0], [0, 0]], [[0, 0], [0, 0]]]
 
     def test_one_elimination_for_every_bracket(self, monkeypatch):
         calls = []

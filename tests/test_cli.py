@@ -338,6 +338,19 @@ def test_oversized_product_coefficient_is_undecided():
     assert proc.stderr.startswith("undecided: a product's coefficient")
 
 
+@pytest.mark.parametrize("algebra,code,err", [
+    # sampling cannot certify the pivot m^(1/2): membership is undecided
+    ("Dx; m^(1/2)*Dt", 2, "undecided: cannot decide whether [e1, e2]"),
+    # [Dx, x^3*Dx] = 3*x^2*Dx provably leaves the span
+    ("Dx; x*Dx; x^3*Dx", 3, "error: bracket [e1, e3] leaves the span"),
+    # a power of a positive rational is a certified pivot
+    ("Dx; 2^(1/2)*Dt", 0, ""),
+])
+def test_bracket_table_span_verdicts(capsys, algebra, code, err):
+    assert run(["bracket-table", "--algebra", algebra]) == code
+    assert capsys.readouterr().err.startswith(err)
+
+
 def test_oversized_ansatz_bound_is_undecided():
     # a bound-1000 ansatz has 2006004 unknowns; the search refuses it before
     # allocating one dense row per monomial of its determining system

@@ -174,6 +174,17 @@ class TestZeroTest:
                                          parameters, want):
         assert sample_assignment(names, index, seed, parameters) == want
 
+    def test_powers_of_positive_rationals_are_nonzero(self):
+        # no sample evaluates them to a rational, but they are never 0
+        r2 = powx(rat(2), Fraction(1, 2))
+        for e in (r2, 3 * r2, mul(r2, powx(rat(3), m)), -powx(rat(5), -m)):
+            assert is_zero(e) is ZeroVerdict.NONZERO
+        # a sum of radicals and a power of a symbol stay open
+        assert is_zero(r2 + powx(rat(3), Fraction(1, 2))) \
+            is ZeroVerdict.UNDECIDED
+        assert is_zero(powx(m, Fraction(1, 2)), parameters={"m"}) \
+            is ZeroVerdict.UNDECIDED
+
     def test_undecided_for_hidden_identity(self):
         # equal as functions but not in the rewrite system: stays undecided,
         # never NONZERO
@@ -316,14 +327,17 @@ def _vanishes_identically(diff) -> bool:
     occurs only in exponents that are affine in m.  Then diff is a sum of
     c_i*r_i^m over at most k distinct bases r_i, k its number of terms, and
     such a sum that vanishes at the k + 1 points m = 0, 1, ..., k has every
-    c_i = 0 (Vandermonde): a proof, not a sample."""
+    c_i = 0 (Vandermonde): a proof, not a sample.  The c_i are rational
+    functions of the other symbols, so each point is brought over one
+    denominator before it is compared with 0."""
     M = sympy.Symbol("m", positive=True)
     powers = [e for e in diff.atoms(sympy.Pow) if e.exp.has(M)]
     assert all(e.exp.is_polynomial(M) and sympy.degree(e.exp, M) <= 1
                for e in powers)
     assert not diff.subs({e: sympy.Dummy() for e in powers}).has(M)
     k = len(sympy.Add.make_args(diff))
-    return all(sympy.expand(diff.subs(M, n)) == 0 for n in range(k + 1))
+    return all(sympy.cancel(sympy.expand(diff.subs(M, n))) == 0
+               for n in range(k + 1))
 
 
 # a correct product whose difference with sympy's neither expand nor
@@ -337,9 +351,21 @@ _UNSIMPLIFIED_B = add(1, t, mul(2, t, _SQRT3), mul(_TWO_M, _THREE_M),
                       mul(2, _SQRT3, _TWO_M, _THREE_M), mul(2, _SQRT3))
 
 
+# a correct product whose difference neither expand nor simplify reduces
+# to 0, and which vanishes at each m only once its terms in (1 + w)^(-1)
+# are brought over one denominator
+_W = powx(1 + sym("w"), -1)
+_X = mul(powx(_TWO_M, 2), powx(_THREE_M, -2))
+_RATIONAL_A = add(1, mul(3, t), mul(_TWO_M, _THREE_M))
+_RATIONAL_B = add(t ** 2, mul(t, _X), mul(2, t, _X, _W), mul(t, _W),
+                  mul(2, _X, t ** 2), mul(_X, _W), mul(2, t ** 2, _W),
+                  mul(2, t ** 3))
+
+
 @settings(max_examples=100, deadline=None)
 @given(factors, factors)
 @example(_UNSIMPLIFIED_A, _UNSIMPLIFIED_B)
+@example(_RATIONAL_A, _RATIONAL_B)
 def test_mul_matches_sympy(a, b):
     diff = sympy.expand(_sympy(mul(a, b)) - _sympy(a) * _sympy(b))
     assert (diff == 0 or sympy.simplify(diff) == 0

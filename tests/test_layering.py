@@ -1,5 +1,6 @@
-"""Import layering: the exact linear algebra, exponential included, sits in
-the trusted core next to the kernel, below the search modules."""
+"""Import layering: the exact linear algebra, exponential included, and the
+polynomial layer sit in the trusted core next to the kernel, below the
+search modules."""
 
 import ast
 from pathlib import Path
@@ -26,6 +27,10 @@ def _liesym_imports(filename: str) -> set:
 
 def test_linalg_imports_only_the_kernel():
     assert _liesym_imports("linalg.py") == {"liesym.expr"}
+
+
+def test_poly_imports_only_the_kernel():
+    assert _liesym_imports("poly.py") == {"liesym.expr"}
 
 
 def test_reduction_does_not_import_optimal_systems():

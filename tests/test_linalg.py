@@ -392,15 +392,15 @@ def test_sparse_products_match_dense_on_exprs():
 
 
 def test_symbolic_solve_decides_each_column_at_its_first_failing_row():
-    # 2^(1/2) is not rational at any sample, so the zero test cannot decide
+    # m^(1/2) is not rational at any sample, so the zero test cannot decide
     # it; each column's entry comes from the first row without a pivot
     # that is not zero in that column; the rank is read off the pivots only
     # when every row without one is literally zero on the left
-    x, root2 = sym("x"), powx(rat(2), Fraction(1, 2))
+    x, root_m = sym("x"), powx(sym("m"), Fraction(1, 2))
     O, I = rat(0), rat(1)
-    assert solve_symbolic([[I], [O]], [[x, O, x], [O, x, root2]]) == ([
+    assert solve_symbolic([[I], [O]], [[x, O, x], [O, x, root_m]]) == ([
         [x], None, "cannot decide consistency of symbolic system"], 1)
-    assert solve_symbolic([[O], [root2]], [[O, x], [x, O]]) == ([
+    assert solve_symbolic([[O], [root_m]], [[O, x], [x, O]]) == ([
         "cannot certify pivots of symbolic system", None], None)
 
 

@@ -1,14 +1,17 @@
 """Invariance residuals, verdicts, and the determining-system search."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesym import jets, symmetry
-from liesym import pde as pde_module
+from liesym import expr as expr_module
+from liesym import jets, poly, symmetry
 from liesym.dsl import parse_pde
-from liesym.expr import (ZERO, ONE, Add, Mul, Rat, add, mul, powx, rat, sym)
+from liesym.expr import (ZERO, ONE, Add, Mul, Rat, ResourceLimitError, add,
+                         differentiate, evaluate_exact, exp, free_symbols,
+                         func, mul, powx, rat, substitute, sym)
 from liesym.jets import VectorField, dcr_symbols, jet
 from liesym.linalg import nullspace
 from liesym.pde import (DCRInstance, EvolutionPDE, build_dcr, heat_equation,
@@ -285,6 +288,10 @@ def _generic_operators(pde):
     return out
 
 
+def _closed_form_operators(pde):
+    return [tuple(map(poly.from_poly, Cs)) for Cs in symmetry._operators(pde)]
+
+
 # an rhs term c*t^a*x^b*u_x or c*t^a*x^b*u_xx with a coefficient that
 # depends on t or x
 _coefficient_term = st.builds(
@@ -301,38 +308,216 @@ def test_closed_form_operators_match_generic_residuals(terms):
                     powx(u_x, rat(p)), powx(jet(0, 2), rat(q)))
                 for c, a, b, r, p, q in terms))
     pde = EvolutionPDE(rhs=rhs, table=dcr_symbols())
-    assert list(symmetry._operators(pde)) == _generic_operators(pde)
+    assert _closed_form_operators(pde) == _generic_operators(pde)
 
 
 @pytest.mark.parametrize("text", [REACTION, HEAT, "u_t = -3 + 1/3*u_x",
                                   "u_t = u_x^2*u_xx + x*t^2*u"])
 def test_closed_form_operators_on_examples(text):
     pde = _pde(text)
-    assert list(symmetry._operators(pde)) == _generic_operators(pde)
+    assert _closed_form_operators(pde) == _generic_operators(pde)
 
 
 @pytest.mark.parametrize("text", [HEAT, REACTION])
 def test_rhs_derivatives_computed_once(monkeypatch, text):
     # the operator residuals, the re-verifications and later verdicts on
-    # the same PDE share one set of rhs derivatives
+    # the same PDE share one polynomial rhs and one set of its derivatives
     pde = _pde(text)
-    partials, totals = [], []
-    real_diff, real_total = pde_module.differentiate, jets.total_derivative
+    reads, derives, totals = [], [], []
+    real_to_poly, real_derive = poly.to_poly, poly.derive
+    real_total = jets.poly_total_derivative
 
-    def diff(e, v):
-        if e is pde.rhs:
-            partials.append(v)
-        return real_diff(e, v)
+    def of_rhs(p):
+        return any(p.coeffs is r.coeffs for r in reads)
 
-    def total(e, *args, **kw):
+    def to_poly(e, *args):
+        out = real_to_poly(e, *args)
         if e is pde.rhs:
+            reads.append(out)
+        return out
+
+    def derive(p, images):
+        if of_rhs(p):
+            derives.append(tuple(sorted(images)))
+        return real_derive(p, images)
+
+    def total(p, *args, **kw):
+        if of_rhs(p):
             totals.append(args)
-        return real_total(e, *args, **kw)
+        return real_total(p, *args, **kw)
 
-    monkeypatch.setattr(pde_module, "differentiate", diff)
-    monkeypatch.setattr(jets, "total_derivative", total)
+    monkeypatch.setattr(poly, "to_poly", to_poly)
+    monkeypatch.setattr(poly, "derive", derive)
+    monkeypatch.setattr(jets, "poly_total_derivative", total)
     found = find_symmetries(pde, 3)
     for f in found.fields:
         assert is_symmetry(pde, f).is_symmetry
-    assert sorted(partials) == sorted(["t", "x", "u", "u_x", "u_xx"])
+    assert len(reads) == 1
+    # five partials, and the derivation under the one D_x F
+    assert sorted(d for d in derives if len(d) == 1) == [
+        ("t",), ("u",), ("u_x",), ("u_xx",), ("x",)]
+    assert len(derives) == 6
     assert len(totals) == 1
+
+
+# ---------------------------------------------------------------------------
+# the polynomial residual against the kernel derivation it replaced
+# ---------------------------------------------------------------------------
+
+def _kernel_prolong2(field, table):
+    """The second prolongation on canonical trees, by the recursive
+    total-derivative formulas."""
+    xi_t, xi_x, eta = field.xi_t, field.xi_x, field.eta
+
+    def d(e, z):
+        return jets.total_derivative(e, z, table, max_order=2)
+
+    dx_xi_t, dx_xi_x = d(xi_t, "x"), d(xi_x, "x")
+    eta_t = add(d(eta, "t"),
+                mul(-1, jet(1, 0), d(xi_t, "t")),
+                mul(-1, jet(0, 1), d(xi_x, "t")))
+    eta_x = add(d(eta, "x"),
+                mul(-1, jet(1, 0), dx_xi_t),
+                mul(-1, jet(0, 1), dx_xi_x))
+    eta_xx = add(d(eta_x, "x"),
+                 mul(-1, jet(1, 1), dx_xi_t),
+                 mul(-1, jet(0, 2), dx_xi_x))
+    return eta_t, eta_x, eta_xx
+
+
+def _kernel_residual(pde, X):
+    """pr(2)X(u_t - F) on the solution manifold, on canonical trees: the
+    kernel's prolongation, products and substitution."""
+    eta_t, eta_x, eta_xx = _kernel_prolong2(X, pde.table)
+    F_t, F_x, F_u, F_ux, F_uxx = (differentiate(pde.rhs, v) for v in (
+        "t", "x", "u", "u_x", "u_xx"))
+    applied = add(mul(X.xi_t, F_t), mul(X.xi_x, F_x), mul(X.eta, F_u),
+                  mul(eta_x, F_ux), mul(eta_xx, F_uxx))
+    residual = add(eta_t, mul(-1, applied))
+    subs = {"u_t": pde.rhs}
+    if "u_tx" in free_symbols(residual):
+        subs["u_tx"] = jets.total_derivative(pde.rhs, "x", pde.table,
+                                             max_order=3)
+    return substitute(residual, subs)
+
+
+#: atoms of fields and rhs: symbolic exponents, exp, radicals, a power of
+#: a sum and an opaque function
+_ATOMS = st.sampled_from([
+    t, x, u, m, powx(u, m), powx(u, 1 - m), powx(u, m + Fraction(1, 2)),
+    powx(1 - m, -1), exp(-(m - 1) * t), exp(x), powx(rat(2), Fraction(1, 2)),
+    powx(rat(3), m), func("phi", u)])
+_RHS_ATOMS = st.one_of(_ATOMS, st.sampled_from([u_x, jet(0, 2)]))
+#: mostly nothing; sometimes a jet for xi_t, whose prolongation overflows
+_JET_TERM = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ZERO),
+                      st.sampled_from([u_x, jet(1, 0)]))
+
+
+@st.composite
+def _sums(draw, atoms, terms=3):
+    return add(*[mul(draw(st.integers(-3, 3).filter(bool)),
+                     *draw(st.lists(atoms, max_size=3)))
+                 for _ in range(draw(st.integers(1, terms)))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sums(_RHS_ATOMS, 4), _sums(_ATOMS), _sums(_ATOMS), _sums(_ATOMS),
+       _JET_TERM)
+def test_polynomial_residual_is_the_kernel_residual(rhs, xi_t, xi_x, eta,
+                                                     jet_term):
+    pde = EvolutionPDE(rhs=rhs, table=dcr_symbols())
+    X = VectorField(add(xi_t, jet_term), xi_x, eta)
+    try:
+        want = _kernel_residual(pde, X)
+    except (jets.OrderOverflowError, ResourceLimitError) as exc:
+        with pytest.raises(type(exc)) as got:
+            invariance_residual(pde, X)
+        assert str(got.value) == str(exc)
+        return
+    assert invariance_residual(pde, X).key() == want.key()
+
+
+#: fractional powers of one sum: the kernel merges them in a product but
+#: not across a sum it has already expanded, so its form of a residual in
+#: them depends on the order the residual is built in
+_SUM_POWERS = st.sampled_from([
+    t, x, u, m, powx(u, m), exp(x), func("phi", u),
+    powx(1 + u, Fraction(1, 2)), powx(1 + u, Fraction(-1, 2)),
+    powx(1 + u, Fraction(3, 2))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sums(_SUM_POWERS), _sums(_SUM_POWERS), _sums(_SUM_POWERS),
+       _sums(_SUM_POWERS))
+def test_polynomial_residual_in_powers_of_sums_has_the_kernel_value(
+        rhs, xi_t, xi_x, eta):
+    # at a point where 1 + u is a square, both forms are exact rationals
+    pde = EvolutionPDE(rhs=rhs, table=dcr_symbols())
+    X = VectorField(xi_t, xi_x, eta)
+    point = {"t": Fraction(2), "x": Fraction(5), "u": Fraction(3),
+             "m": Fraction(3), "u_x": Fraction(7), "u_xx": Fraction(-2),
+             "u_xxx": Fraction(11)}
+    assert (evaluate_exact(invariance_residual(pde, X), point)
+            == evaluate_exact(_kernel_residual(pde, X), point))
+
+
+@pytest.mark.parametrize("rhs,field", [
+    # symbolic exponents and exp(l): eq4's third and fourth generators
+    (build_dcr(DCRInstance.make(b1=b1)).rhs, third_generator()),
+    (build_dcr(DCRInstance.make(m=m, p=m - 1, b1=1, c1=1)).rhs,
+     VectorField(exp(-(m - 1) * t), ZERO, exp(-(m - 1) * t) * u)),
+    # a residual in (1-m)^(-1) and a radical
+    (mul(powx(u, m), jet(0, 2)),
+     VectorField(ZERO, powx(1 - m, -1) * x, powx(rat(2), Fraction(1, 2)) * u)),
+    # xi_t in u_x: D_x of eta_x needs u_xxx
+    (jet(0, 2), VectorField(u_x, ZERO, ZERO)),
+])
+def test_polynomial_residual_on_examples(rhs, field):
+    pde = EvolutionPDE(rhs=rhs, table=dcr_symbols())
+    try:
+        want = _kernel_residual(pde, field)
+    except jets.OrderOverflowError as exc:
+        with pytest.raises(jets.OrderOverflowError) as got:
+            invariance_residual(pde, field)
+        assert str(got.value) == str(exc)
+        return
+    assert invariance_residual(pde, field).key() == want.key()
+
+
+def test_reverification_makes_no_kernel_products(monkeypatch):
+    # re-verifying the bound-8 reaction search stays on the polynomial
+    # layer: no expr.mul runs inside invariance_residual, apart from the
+    # kernel form of a nonzero residual
+    state = {"inside": False, "from_poly": False, "muls": 0}
+    real_mul, real_residual = expr_module.mul, symmetry.invariance_residual
+    real_from_poly = poly.from_poly
+
+    def counted_mul(*xs):
+        if state["inside"] and not state["from_poly"]:
+            state["muls"] += 1
+        return real_mul(*xs)
+
+    def residual(pde, X):
+        state["inside"] = True
+        try:
+            return real_residual(pde, X)
+        finally:
+            state["inside"] = False
+
+    def from_poly(p):
+        state["from_poly"] = True
+        try:
+            return real_from_poly(p)
+        finally:
+            state["from_poly"] = False
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("liesym"):
+            for key, value in list(vars(mod).items()):
+                if value is real_mul:
+                    monkeypatch.setattr(mod, key, counted_mul)
+    monkeypatch.setattr(symmetry, "invariance_residual", residual)
+    monkeypatch.setattr(poly, "from_poly", from_poly)
+    found = find_symmetries(_pde(REACTION), 8)
+    assert len(found) == 2
+    assert state["muls"] == 0
