@@ -4,23 +4,28 @@ A :class:`Poly` is a dict from exponent tuple to rational coefficient over
 a tuple of generators, and a generator is a canonical atom of
 :mod:`liesym.expr`:
 
-* a power of a symbol whose exponent is q0 + q1*tau1 + ... + qk*tauk
-  (rational q's, tau's the non-rational terms of the canonical exponent)
-  is the exponent q0 on the symbol and qi on the generator symbol^taui,
-  so u^(m-1)*u and u^m meet in one monomial, as the kernel merges them;
-* every other atom (a ``Func``, an ``exp(l)``, a power of a sum, a numeric
-  radical) is a generator of its own.
+* a power of a symbol or of a sum whose exponent is q0 + q1*tau1 + ... +
+  qk*tauk (rational q's, tau's the non-rational terms of the canonical
+  exponent) is the exponent q0 on the symbol or sum and qi on the
+  generator base^taui, so u^(m-1)*u and u^m meet in one monomial, as the
+  kernel merges them, and so do (1+u)^(1/2)*(1+u)^(-1/2) and 1;
+* every other atom (a ``Func``, an ``exp(l)``, a numeric radical) is a
+  generator of its own.
 
-Exponents and coefficients are ints where integral and Fractions
-otherwise; a zero coefficient is never stored.  :func:`from_poly` rebuilds
-through the kernel's ``add`` and ``mul``, so the Expr of a polynomial is
-the kernel's canonical form, whatever merges (of radicals or of powers of
-one sum) the dict leaves to the kernel.  The arithmetic here consults the
+:func:`to_poly` stores exponents and coefficients as ints where integral
+and Fractions otherwise; arithmetic may leave an integral Fraction, which
+equals and hashes as its int.  A zero coefficient is never stored.
+:func:`from_poly` rebuilds through the kernel's ``add`` and ``mul``, so the
+Expr of a polynomial is the kernel's canonical form, whatever merges (of
+radicals, or a positive integer power of a sum that it expands) the dict
+leaves to the kernel.  Terms in powers of one sum that are equal only once
+the sum is expanded, such as (1+u)^(1/2) and (1+u)*(1+u)^(-1/2), are
+brought together by :func:`merge_sums`.  The arithmetic here consults the
 kernel only for what a dict cannot see: the derivative of a generator that
 is no symbol, and a substitution into such a generator or into a power
-that is no nonnegative integer.  Expanding a
-power of a sum counts against ``MAX_EXPANSION_TERMS`` and a product's
-coefficients against ``MAX_POWER_BITS``, as in the kernel.
+that is no nonnegative integer.  Expanding a power of a sum counts against
+``MAX_EXPANSION_TERMS`` and a product's coefficients against
+``MAX_POWER_BITS``, as in the kernel.
 """
 
 from __future__ import annotations
@@ -30,8 +35,9 @@ from operator import add as _plus
 from typing import Dict, List, Sequence, Tuple
 
 from .expr import (
-    EULER, MAX_POWER_BITS, Expr, Mul, Pow, Rat, Rational, ResourceLimitError,
-    Sym, check_expansion, free_symbols, powx, split_terms,
+    EULER, MAX_POWER_BITS, Add, Expr, Mul, Pow, Rat, Rational,
+    ResourceLimitError, Sym, check_expansion, free_symbols, powx,
+    split_terms,
 )
 from . import expr as _expr
 
@@ -58,7 +64,8 @@ def _q(v: Rational) -> Rational:
 
 def _powers(f: Expr):
     """The (generator, exponent) pairs of one canonical factor."""
-    if type(f) is Pow and type(f.base) is Sym and f.base.name != EULER.name:
+    if type(f) is Pow and (type(f.base) is Add or type(f.base) is Sym
+                           and f.base.name != EULER.name):
         base = f.base
         return [(Pow(base, kept[0] if len(kept) == 1 else Mul(_F1, kept))
                  if kept else base, _q(c))
@@ -321,3 +328,44 @@ def substitute(p: Poly, bindings: Dict[str, Poly]) -> Poly:
                 from_poly(Poly(gens, {key: 1})), exprs))]
         parts.append(mul(Poly(p.gens, rest), *factors))
     return add(*parts)
+
+
+def merge_sums(p: Poly) -> Poly:
+    """p with the powers of each sum S among its generators brought
+    together: a positive integer power of S is expanded, and the terms
+    whose exponent on S is fractional or a negative integer are written,
+    per class of exponents modulo 1, at the least exponent of their class
+    times the expanded integer power of S that makes up the rest.  So for
+    S = 1 + u the terms S^(1/2) and -S^(-1/2) - u*S^(-1/2) cancel.  Terms
+    free of S are left as they are: S^(-1) is a denominator, which this
+    layer does not clear."""
+    i = 0
+    while i < len(p.gens):
+        if type(p.gens[i]) is Add:
+            p = _merge_sum(p, i)
+        i += 1
+    return p
+
+
+def _merge_sum(p: Poly, i: int) -> Poly:
+    # per class modulo 1 of the exponents on S that stay: the least one
+    lows: Dict[Rational, Rational] = {}
+    for k in p.coeffs:
+        e = k[i]
+        if e < 0 or e % 1:
+            r = e % 1
+            if r not in lows or e < lows[r]:
+                lows[r] = e
+    # the terms at their class's least exponent, by the power of S left
+    groups: Dict[int, Terms] = {}
+    for k, c in p.coeffs.items():
+        e = k[i]
+        low = lows[e % 1] if e < 0 or e % 1 else 0
+        if low != e:
+            k = k[:i] + (low,) + k[i + 1:]
+        groups.setdefault(int(e - low), {})[k] = c
+    if groups.keys() <= {0}:
+        return p
+    s = to_poly(p.gens[i], p.gens)
+    return add(*[mul(Poly(p.gens, t), _power(s, n)) if n
+                 else Poly(p.gens, t) for n, t in groups.items()])

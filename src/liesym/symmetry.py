@@ -50,8 +50,10 @@ def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
     the generators of the rhs and of X: the prolongation, the products with
     the rhs partials, which the PDE computes once, and the substitution
     u_t -> F, u_tx -> D_x F.  For fields with x- or u-dependent xi_t the
-    latter introduces third-order jets.  An empty polynomial is the literal
-    0; any other residual is the kernel's form of the polynomial."""
+    latter introduces third-order jets.  A residual that is empty once
+    the powers of each sum in it are brought together
+    (:func:`poly.merge_sums`) is the literal 0; any other residual is the
+    kernel's form of the polynomial as formed."""
     F, F_t, F_x, F_u, F_ux, F_uxx = pde.partials
     xi_t = poly.to_poly(X.xi_t, F.gens)
     xi_x = poly.to_poly(X.xi_x, xi_t.gens)
@@ -69,7 +71,9 @@ def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
     if jet_name(1, 1) in poly.symbols(residual):
         subs[jet_name(1, 1)] = pde.total_x
     residual = poly.substitute(residual, subs)
-    return poly.from_poly(residual) if residual.coeffs else ZERO
+    if not poly.merge_sums(residual).coeffs:
+        return ZERO
+    return poly.from_poly(residual)
 
 
 def is_symmetry(pde: EvolutionPDE, X: VectorField,
@@ -133,19 +137,17 @@ def _operators(pde: EvolutionPDE) -> Tuple[Tuple[poly.Poly, ...], ...]:
     (p = u_x), F_q (q = u_xx) and D_x F."""
     F, F_t, F_x, F_u, F_p, F_q = pde.partials
     u, p, q = (poly.to_poly(s, F.gens) for s in (_U, _P, _Q))
-    add, mul = poly.add, poly.mul
-
-    def neg(a, c=-1):
-        return poly.scale(a, c)
-
+    add, mul, scale = poly.add, poly.mul, poly.scale
     ops = (
-        (neg(F_t), neg(F),
-         add(mul(F, F_p), neg(mul(F_q, pde.total_x), 2)), mul(F, F_q)),
-        (neg(F_x), neg(p), add(mul(p, F_p), neg(mul(q, F_q), 2)),
-         mul(p, F_q)),
-        (add(F, neg(mul(u, F_u)), neg(mul(p, F_p)), neg(mul(q, F_q))), u,
-         add(neg(mul(u, F_p)), neg(mul(p, F_q), -2)), neg(mul(u, F_q))),
-        (neg(F_u), poly.to_poly(ONE), neg(F_p), neg(F_q)),
+        (scale(F_t, -1), scale(F, -1),
+         add(mul(F, F_p), scale(mul(F_q, pde.total_x), 2)), mul(F, F_q)),
+        (scale(F_x, -1), scale(p, -1),
+         add(mul(p, F_p), scale(mul(q, F_q), 2)), mul(p, F_q)),
+        (add(F, scale(mul(u, F_u), -1), scale(mul(p, F_p), -1),
+             scale(mul(q, F_q), -1)), u,
+         add(scale(mul(u, F_p), -1), scale(mul(p, F_q), -2)),
+         scale(mul(u, F_q), -1)),
+        (scale(F_u, -1), poly.to_poly(ONE), scale(F_p, -1), scale(F_q, -1)),
     )
     flat = iter(poly.align(*[C for Cs in ops for C in Cs]))
     return tuple(tuple(next(flat) for _ in Cs) for Cs in ops)
@@ -164,8 +166,10 @@ def _determining_matrix(pde: EvolutionPDE, basis: List[Tuple[int, int, int]]
     occurrence; the nullspace does not depend on it.  Empty positions hold
     the int 0, which elimination skips fastest."""
     rests: Dict[tuple, int] = {}
-    # integer exponents on t and x: the rhs is polynomial in them
-    ops = [[(ab, [(c, int(k[0]), int(k[1]),
+    # integer exponents on t and x: the rhs is polynomial in them; an
+    # integral coefficient enters the matrix as an int
+    ops = [[(ab, [(c.numerator if c.denominator == 1 else c,
+                   int(k[0]), int(k[1]),
                    rests.setdefault(k[2:], len(rests)))
                   for k, c in C.coeffs.items()])
             for ab, C in zip(_M_JETS, Cs)]

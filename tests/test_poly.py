@@ -87,6 +87,57 @@ def test_symbolic_exponents_share_generators():
         (Fraction(1, 2), 0): 1}
 
 
+def test_powers_of_a_sum_share_a_generator():
+    s = expr.add(1, u)
+    half = poly.to_poly(powx(s, Fraction(1, 2)))
+    inverse_half = poly.to_poly(powx(s, Fraction(-1, 2)), half.gens)
+    assert half.gens == (s,) and inverse_half.gens == (s,)
+    assert poly.mul(half, inverse_half).coeffs == {(0,): 1}
+    # a positive integer power is expanded by from_poly, as by the kernel
+    assert _same(poly.from_poly(poly.mul(half, half)), s)
+
+
+def test_merge_sums_brings_powers_of_a_sum_together():
+    s = expr.add(1, u)
+
+    def merged(*terms):
+        return poly.merge_sums(poly.to_poly(expr.add(*terms))).coeffs
+
+    # (1+u)^(1/2) - (1+u)*(1+u)^(-1/2), as the kernel leaves it
+    assert merged(powx(s, Fraction(1, 2)),
+                  expr.mul(-1, powx(s, Fraction(-1, 2))),
+                  expr.mul(-1, u, powx(s, Fraction(-1, 2)))) == {}
+    # (1+u)*(1+u)^(-2) - (1+u)^(-1): negative integer powers meet too
+    assert merged(powx(s, -2), expr.mul(u, powx(s, -2)),
+                  expr.mul(-1, powx(s, -1))) == {}
+    # a term free of 1 + u is no power of it: (1+u)*(1+u)^(-1) - 1 stays
+    assert len(merged(powx(s, -1), expr.mul(u, powx(s, -1)), -1)) == 3
+
+
+_S = expr.add(1, u)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(
+    st.integers(-3, 3).filter(bool),
+    st.sampled_from([ONE, t, u, expr.mul(t, u)]),
+    st.sampled_from([Fraction(k, 2) for k in range(-5, 6)])), max_size=6))
+def test_merge_sums_keeps_the_value(terms):
+    p = poly.to_poly(expr.add(*[expr.mul(c, f, powx(_S, q))
+                                for c, f, q in terms]))
+    merged = poly.merge_sums(p)
+    # at u = 3, where 1 + u is a square, both are exact rationals
+    point = {"t": Fraction(2), "u": Fraction(3)}
+    assert (expr.evaluate_exact(poly.from_poly(merged), point)
+            == expr.evaluate_exact(poly.from_poly(p), point))
+    classes = {}
+    for k in merged.coeffs:
+        e = dict(zip(merged.gens, k)).get(_S, 0)
+        # no positive integer power of 1 + u, one exponent per class mod 1
+        assert not e or e % 1 or e < 0
+        assert not e or classes.setdefault(e % 1, e) == e
+
+
 def test_expansion_limit_holds():
     # a 14-term sum squared could give 105 terms, over the limit of 100
     s = expr.add(*[powx(x, rat(k)) for k in range(14)])

@@ -437,28 +437,46 @@ def test_polynomial_residual_is_the_kernel_residual(rhs, xi_t, xi_x, eta,
     assert invariance_residual(pde, X).key() == want.key()
 
 
-#: fractional powers of one sum: the kernel merges them in a product but
-#: not across a sum it has already expanded, so its form of a residual in
-#: them depends on the order the residual is built in
+#: powers of one sum: the kernel merges them in a product but not across
+#: a sum it has already expanded, so its form of a residual in them
+#: depends on the order the residual is built in
 _SUM_POWERS = st.sampled_from([
     t, x, u, m, powx(u, m), exp(x), func("phi", u),
     powx(1 + u, Fraction(1, 2)), powx(1 + u, Fraction(-1, 2)),
-    powx(1 + u, Fraction(3, 2))])
+    powx(1 + u, Fraction(3, 2)), powx(1 + u, -1)])
+#: a component that is the whole sum, which the kernel merges with the
+#: powers of that sum in a product
+_SUM_COMPONENTS = st.one_of(_sums(_SUM_POWERS),
+                            st.sampled_from([1 + u, 2 + 2 * u]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(_sums(_SUM_POWERS), _sums(_SUM_POWERS), _sums(_SUM_POWERS),
-       _sums(_SUM_POWERS))
+@settings(max_examples=60, deadline=None)
+@given(_sums(_SUM_POWERS), _SUM_COMPONENTS, _SUM_COMPONENTS,
+       _SUM_COMPONENTS)
 def test_polynomial_residual_in_powers_of_sums_has_the_kernel_value(
         rhs, xi_t, xi_x, eta):
     # at a point where 1 + u is a square, both forms are exact rationals
     pde = EvolutionPDE(rhs=rhs, table=dcr_symbols())
     X = VectorField(xi_t, xi_x, eta)
+    got, want = invariance_residual(pde, X), _kernel_residual(pde, X)
     point = {"t": Fraction(2), "x": Fraction(5), "u": Fraction(3),
              "m": Fraction(3), "u_x": Fraction(7), "u_xx": Fraction(-2),
              "u_xxx": Fraction(11)}
-    assert (evaluate_exact(invariance_residual(pde, X), point)
-            == evaluate_exact(_kernel_residual(pde, X), point))
+    assert evaluate_exact(got, point) == evaluate_exact(want, point)
+    # and the polynomial residual is empty exactly when the kernel's is 0
+    assert (got == ZERO) == (want == ZERO)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-1, 2),
+                               Fraction(-1, 3), Fraction(3, 2), -1, -2])
+def test_scaling_of_a_sum_power_diffusion_is_a_symmetry(q):
+    # u_t = (1+u)^q*u_xx has -q*t*Dt + (1+u)*Du; the residual has terms
+    # in (1+u)^q and in (1+u)*(1+u)^(q-1), which cancel only once the
+    # powers of 1 + u are brought together
+    pde = EvolutionPDE(rhs=mul(powx(1 + u, q), jet(0, 2)),
+                       table=dcr_symbols())
+    v = is_symmetry(pde, VectorField(mul(-q, t), ZERO, 1 + u))
+    assert v.verdict is Verdict.SYMMETRY and v.residual == ZERO
 
 
 @pytest.mark.parametrize("rhs,field", [
