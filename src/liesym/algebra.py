@@ -13,13 +13,15 @@ import functools
 import itertools
 import json
 from fractions import Fraction
+from itertools import compress
 from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .dsl import parse
+from . import poly
 from .expr import (
-    Expr, ExprError, Rat, SymbolTable, ZERO, _rat_root, add, collect,
-    differentiate, free_symbols, mul, rat, substitute,
+    Expr, ExprError, ONE, Rat, Sym, SymbolTable, ZERO, _rat_root, add,
+    free_symbols, mul, rat, substitute, sym,
 )
 from .jets import VectorField
 from .linalg import (
@@ -78,48 +80,68 @@ class DependentBasisError(ExprError):
 # ---------------------------------------------------------------------------
 
 _FIELD_VARS = ("t", "x", "u")
+_FIELD_GENS = tuple(map(sym, _FIELD_VARS))
+#: marks each component by its exponent; no declared name starts with "#"
+_MARK = Sym("#component")
+Components = Tuple[poly.Poly, poly.Poly, poly.Poly]  # xi_t, xi_x, eta
 
 
-def _partials(X: VectorField) -> Tuple[Tuple[Expr, ...], ...]:
-    """The partials by t, x and u of each coefficient of X."""
-    return tuple(tuple(differentiate(c, v) for v in _FIELD_VARS) for c in X)
+def components(fields: Sequence[VectorField]) -> List[Components]:
+    """The fields' coefficients over one generator tuple, t, x, u first."""
+    flat = poly.align(*[poly.to_poly(c, _FIELD_GENS)
+                        for X in fields for c in X])
+    return [flat[k:k + 3] for k in range(0, len(flat), 3)]
 
 
-def _bracket(X: VectorField, dX, Y: VectorField, dY) -> VectorField:
+def _partials(X: Components) -> Tuple[Tuple[poly.Poly, ...], ...]:
+    """The partials by t, x and u of each component of X."""
+    return tuple(tuple(poly.derive(c, {v: ONE}) for v in _FIELD_VARS)
+                 for c in X)
+
+
+def _bracket(X: Components, dX, Y: Components, dY) -> Components:
     """[X, Y] from the partials of both fields: component k is
     X(Y_k) - Y(X_k), each application a sum over t, x and u."""
     def apply(Z, d):
-        return add(mul(Z.xi_t, d[0]), mul(Z.xi_x, d[1]), mul(Z.eta, d[2]))
-    return VectorField(*[add(apply(X, dy), mul(-1, apply(Y, dx)))
-                         for dx, dy in zip(dX, dY)])
+        return poly.add(*map(poly.mul, Z, d))
+    return tuple(poly.add(apply(X, dy), poly.scale(apply(Y, dx), -1))
+                 for dx, dy in zip(dX, dY))
 
 
 def bracket(X: VectorField, Y: VectorField) -> VectorField:
     """Commutator [X, Y] of point fields."""
-    return _bracket(X, _partials(X), Y, _partials(Y))
+    X, Y = components([X, Y])
+    return VectorField(*map(poly.from_poly, _bracket(X, _partials(X), Y,
+                                                     _partials(Y))))
 
 
-def _has_field_variable(f: Expr) -> bool:
-    return not free_symbols(f).isdisjoint(_FIELD_VARS)
-
-
-def field_coordinates(fields: Sequence[VectorField]
-                      ) -> Tuple[List[tuple], List[List[Expr]]]:
-    """Exact coordinates of fields over the joint monomial support.
-
-    Returns (row keys, columns), columns[k] being field k's coordinate
-    vector."""
-    maps = [[collect(coef, _has_field_variable) for coef in f] for f in fields]
-    rows = sorted({(slot, k) for per in maps
-                   for slot, cm in enumerate(per) for k in cm})
-    columns = []
-    for per in maps:
-        col = []
-        for slot, k in rows:
-            entry = per[slot].get(k)
-            col.append(entry[1] if entry else ZERO)
-        columns.append(col)
-    return rows, columns
+def field_coordinates(fields: Sequence[Components]) -> List[List[Expr]]:
+    """Exact coordinates: columns[k] is field k's vector, with one row per
+    component and monomial in the generators that mention t, x or u, in the
+    kernel's order (on which symbolic pivots depend), and as entries
+    polynomials in the others.  Powers of a sum are first brought together
+    over all the fields (:func:`poly.merge_sums`, each component marked by
+    a power of ``_MARK``), so that distinct monomials are independent."""
+    flat = poly.align(*[c for X in fields for c in X])
+    p = poly.merge_sums(poly.Poly(flat[0].gens + (_MARK,), {
+        k + (i,): c for i, q in enumerate(flat) for k, c in q.coeffs.items()}))
+    keyed = [not free_symbols(g).isdisjoint(_FIELD_VARS) for g in p.gens]
+    params = [not f and g is not _MARK for f, g in zip(keyed, p.gens)]
+    mark = p.gens.index(_MARK)
+    # (component, keyed exponents) -> field -> parameter exponents -> coeff
+    rows: Dict[tuple, Dict[int, dict]] = {}
+    for k, c in p.coeffs.items():
+        field, comp = divmod(k[mark], 3)
+        rows.setdefault((comp, *compress(k, keyed)), {}).setdefault(
+            field, {})[tuple(compress(k, params))] = c
+    kgens, pgens = (tuple(compress(p.gens, s)) for s in (keyed, params))
+    columns = [[ZERO] * len(rows) for _ in fields]
+    for r, row in enumerate(sorted(rows, key=lambda r: (r[0], poly.from_poly(
+            poly.Poly(kgens, {r[1:]: 1})).key()))):
+        for field, terms in rows[row].items():
+            columns[field][r] = (poly.from_poly(poly.Poly(pgens, terms))
+                                 if pgens else rat(terms[()]))
+    return columns
 
 
 class LieAlgebra:
@@ -206,13 +228,6 @@ class LieAlgebra:
                                 f"Jacobi identity fails at ({i},{j},{k};{l}): "
                                 f"{total!r}")
 
-    def check_antisymmetry(self):
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    if not add(self.c[i][j][k], self.c[j][i][k]).is_zero_literal:
-                        raise ExprError("antisymmetry violated")
-
 
 def structure_constants(basis: Sequence[VectorField],
                         parameters: Optional[set] = None) -> LieAlgebra:
@@ -227,12 +242,15 @@ def structure_constants(basis: Sequence[VectorField],
     NotClosedError for the first pair, in (i, j) order, whose bracket
     leaves the span or whose membership cannot be decided."""
     n = len(basis)
+    if not n:
+        return LieAlgebra.from_constants(0, {})
     pairs = list(itertools.combinations(range(n), 2))
+    fields = components(basis)
     # each field's partials serve all of its n - 1 brackets
-    partials = [_partials(X) for X in basis]
-    brackets = [_bracket(basis[i], partials[i], basis[j], partials[j])
+    partials = [_partials(X) for X in fields]
+    brackets = [_bracket(fields[i], partials[i], fields[j], partials[j])
                 for i, j in pairs]
-    _, columns = field_coordinates(list(basis) + brackets)
+    columns = field_coordinates(fields + brackets)
     joint = list(zip(*columns))
     solutions, basis_rank = solve_symbolic(
         [r[:n] for r in joint], [r[n:] for r in joint], parameters=parameters)
@@ -240,7 +258,8 @@ def structure_constants(basis: Sequence[VectorField],
         raise DependentBasisError("basis fields are linearly dependent")
     for (i, j), Z, sol in zip(pairs, brackets, solutions):
         if not isinstance(sol, list):
-            raise NotClosedError(i, j, Z if sol is None else sol)
+            raise NotClosedError(i, j, sol if isinstance(sol, str) else
+                                 VectorField(*map(poly.from_poly, Z)))
     return LieAlgebra.from_constants(n, dict(zip(pairs, solutions)), basis)
 
 

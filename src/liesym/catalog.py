@@ -17,8 +17,8 @@ from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
 from .algebra import (
-    check_closure, field_coordinates, identify, load_packaged, load_yaml,
-    structure_constants,
+    check_closure, components, field_coordinates, identify, load_packaged,
+    load_yaml, structure_constants,
 )
 from .linalg import solve_symbolic
 from .optimal import (DEFAULT_SEED, construct_optimal_system,
@@ -339,7 +339,7 @@ def _check_case(case: CatalogCase, seed: int,
 def _in_span(fields: Sequence[VectorField], target: VectorField) -> bool:
     """Whether the elimination of the fields' coordinates solves for the
     target's."""
-    _, cols = field_coordinates(list(fields) + [target])
+    cols = field_coordinates(components([*fields, target]))
     joint = list(zip(*cols))
     [sol], _ = solve_symbolic([r[:-1] for r in joint], [r[-1:] for r in joint])
     return isinstance(sol, list)

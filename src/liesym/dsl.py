@@ -22,10 +22,10 @@ from typing import List, Tuple
 
 from .expr import (
     Add, EULER, Expr, ExprError, Func, LogOfZeroError, MINUS_ONE, Mul, ONE,
-    Pow, Rat, Sym, SymbolKind, SymbolTable, UndeclaredSymbolError, ZERO, add,
-    collect, free_symbols, func, mul, powx, rat, sym,
+    Pow, Rat, Sym, SymbolKind, SymbolTable, UndeclaredSymbolError, add,
+    free_symbols, func, mul, powx, rat, sym,
 )
-from . import jets
+from . import jets, poly
 from .jets import VectorField
 
 
@@ -248,25 +248,25 @@ def parse_pde(text: str, table: SymbolTable) -> Expr:
 _FIELD_MARKERS = ("Dt", "Dx", "Du")
 
 
-def _is_marker(f: Expr) -> bool:
-    return isinstance(f, Sym) and f.name in _FIELD_MARKERS
-
-
 def parse_vector_field(text: str, table: SymbolTable) -> VectorField:
-    """Parse ``coef*Dt + coef*Dx + coef*Du``."""
+    """Parse ``coef*Dt + coef*Dx + coef*Du``: each term holds exactly one
+    marker to the power 1, and its coefficient is the rest of the term."""
     extended = table.copy()
     for marker in _FIELD_MARKERS:
         extended.variable(marker)
     e = parse(text, extended)
     if e.is_zero_literal:
         raise ParseError("the vector field is zero", 0)
-    coefs = {m: ZERO for m in _FIELD_MARKERS}
-    for marker, coef in collect(e, _is_marker).values():
-        if not _is_marker(marker):
+    p = poly.to_poly(e, tuple(map(sym, _FIELD_MARKERS)))
+    coefs: Tuple[dict, dict, dict] = ({}, {}, {})
+    for k, c in p.coeffs.items():
+        if k[:3].count(1) != 1:
             raise ParseError(
                 "each vector-field term needs exactly one of Dt, Dx, Du", 0)
-        coefs[marker.name] = coef
-    field = VectorField(coefs["Dt"], coefs["Dx"], coefs["Du"])
+        i = k.index(1)
+        coefs[i][k[:i] + (0,) + k[i + 1:]] = c
+    field = VectorField(*[poly.from_poly(poly.Poly(p.gens, terms))
+                          for terms in coefs])
     for coef in (field.xi_t, field.xi_x, field.eta):
         if free_symbols(coef) & set(_FIELD_MARKERS):
             raise ParseError("vector-field coefficients must be linear in "

@@ -351,22 +351,6 @@ def split_terms(e: Expr, keep: Callable[[Expr], bool]
     return out
 
 
-def collect(e: Expr, keep: Callable[[Expr], bool]
-            ) -> Dict[tuple, Tuple[Expr, Expr]]:
-    """``e`` as a polynomial in the factors that satisfy ``keep``: monomial
-    key -> (monomial, coefficient) in order of first occurrence.  A term's
-    monomial is the product of its kept factors (1 when it has none), and
-    the coefficient of a monomial is the sum of the rest of its terms.
-    Terms of one monomial differ in their other factors, so no coefficient
-    is zero."""
-    parts: Dict[tuple, Tuple[Expr, List[Expr]]] = {}
-    for c, kept, other in split_terms(e, keep):
-        mono = _build_mul(_F1, kept)
-        parts.setdefault(mono.key(), (mono, []))[1].append(
-            _build_mul(c, other))
-    return {k: (mono, add(*cs)) for k, (mono, cs) in parts.items()}
-
-
 def _keep_all(f: Expr) -> bool:
     return True
 

@@ -153,19 +153,6 @@ class VectorField(NamedTuple):
                         f"vector field coefficient depends on jet {name}")
         return self
 
-    def is_zero(self) -> bool:
-        return (self.xi_t.is_zero_literal and self.xi_x.is_zero_literal
-                and self.eta.is_zero_literal)
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(add(self.xi_t, other.xi_t),
-                           add(self.xi_x, other.xi_x),
-                           add(self.eta, other.eta))
-
-    def scale(self, c) -> "VectorField":
-        return VectorField(mul(c, self.xi_t), mul(c, self.xi_x),
-                           mul(c, self.eta))
-
     def substitute(self, bindings) -> "VectorField":
         """The field with bindings (name -> Expr) substituted into each
         coefficient."""

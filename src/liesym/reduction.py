@@ -21,9 +21,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional
 
+from . import poly
 from .expr import (
     EULER, Expr, ExprError, Func, Mul, Pow, Rat, ZERO, ONE, ZeroVerdict,
-    add, collect, contains_func, differentiate, free_symbols, is_zero, log,
+    add, contains_func, differentiate, free_symbols, is_zero, log,
     mul, powx, rat, substitute, sym,
 )
 from .equivalence import _inverse_point_map
@@ -226,8 +227,17 @@ class ReductionAnsatz:
         self.certificate = certificate  # R - factor * (ode at omega), zero
 
 
-def _has_phi(e: Expr) -> bool:
-    return contains_func(e, PHI)
+def _phi_monomials(e: Expr) -> list:
+    """(monomial, coefficient) of e in the generators that mention phi."""
+    p = poly.to_poly(e)
+    phi = [contains_func(g, PHI) for g in p.gens]
+    groups: Dict[tuple, dict] = {}
+    for k, c in p.coeffs.items():
+        groups.setdefault(tuple(q if f else 0 for q, f in zip(k, phi)), {})[
+            tuple(0 if f else q for q, f in zip(k, phi))] = c
+    return [(poly.from_poly(poly.Poly(p.gens, {mono: 1})),
+             poly.from_poly(poly.Poly(p.gens, terms)))
+            for mono, terms in groups.items()]
 
 
 def reduce_pde(pde: EvolutionPDE, X: VectorField) -> ReductionAnsatz:
@@ -248,17 +258,17 @@ def reduce_pde(pde: EvolutionPDE, X: VectorField) -> ReductionAnsatz:
         add(sym(jet_name(1, 0)), mul(-1, pde.rhs)),
         {"u": u_sub, jet_name(1, 0): u_t, jet_name(0, 1): u_x,
          jet_name(0, 2): u_xx})
-    groups = collect(residual, _has_phi)
-    if [mono for mono, _ in groups.values()] == [ONE]:
+    groups = _phi_monomials(residual)
+    if [mono for mono, _ in groups] == [ONE]:
         raise ReductionFailureError("substituted residual has no phi part",
                                     residual)
-    factor = groups[max(k for k, (mono, _) in groups.items()
-                        if mono != ONE)][1]
+    factor = max((g for g in groups if g[0] != ONE),
+                 key=lambda g: g[0].key())[1]
     if is_zero(factor) is ZeroVerdict.ZERO:
         raise ReductionFailureError("vanishing leading cofactor", residual)
     ode_terms: List[Expr] = []
     inv_factor = powx(factor, rat(-1))
-    for mono, coeff in groups.values():
+    for mono, coeff in groups:
         h = mul(coeff, inv_factor)
         if free_symbols(h) & {"t", "x"}:
             hx = X.apply_to(h)

@@ -15,8 +15,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .expr import (
     Expr, ExprError, Rat, Rational, ResourceLimitError, Sym,
-    ZERO, ONE, ZeroVerdict, _base_exp, add, free_symbols, is_zero, mul, powx,
-    rat, split_terms, sym,
+    ZERO, ONE, ZeroVerdict, _base_exp, free_symbols, is_zero, split_terms,
+    sym,
 )
 from . import poly
 from .jets import VectorField, jet_name, poly_prolong2
@@ -44,20 +44,21 @@ class SymmetryVerdict(NamedTuple):
 
 
 def invariance_residual(pde: EvolutionPDE, X: VectorField) -> Expr:
-    """pr(2)X(u_t - F) restricted to the solution manifold, canonical.
+    """pr(2)X(u_t - F) restricted to the solution manifold, canonical."""
+    return _residual(pde, *(poly.to_poly(c, pde.partials[0].gens) for c in X))
 
-    The whole computation runs on polynomials (:mod:`liesym.poly`) over
-    the generators of the rhs and of X: the prolongation, the products with
-    the rhs partials, which the PDE computes once, and the substitution
-    u_t -> F, u_tx -> D_x F.  For fields with x- or u-dependent xi_t the
-    latter introduces third-order jets.  A residual that is empty once
-    the powers of each sum in it are brought together
-    (:func:`poly.merge_sums`) is the literal 0; any other residual is the
-    kernel's form of the polynomial as formed."""
+
+def _residual(pde: EvolutionPDE, xi_t: poly.Poly, xi_x: poly.Poly,
+              eta: poly.Poly) -> Expr:
+    """The invariance residual of the field with these coefficients.  The
+    whole computation runs on polynomials (:mod:`liesym.poly`): the
+    prolongation, the products with the rhs partials, which the PDE
+    computes once, and the substitution u_t -> F, u_tx -> D_x F.  For
+    fields with x- or u-dependent xi_t the latter introduces third-order
+    jets.  A residual that is empty once the powers of each sum in it are
+    brought together (:func:`poly.merge_sums`) is the literal 0; any other
+    residual is the kernel's form of the polynomial as formed."""
     F, F_t, F_x, F_u, F_ux, F_uxx = pde.partials
-    xi_t = poly.to_poly(X.xi_t, F.gens)
-    xi_x = poly.to_poly(X.xi_x, xi_t.gens)
-    eta = poly.to_poly(X.eta, xi_x.gens)
     eta_t, eta_x, eta_xx = poly_prolong2(xi_t, xi_x, eta, pde.table)
     applied = poly.add(
         poly.mul(xi_t, F_t),
@@ -96,17 +97,9 @@ def is_symmetry(pde: EvolutionPDE, X: VectorField,
 # determining equations under the polynomial ansatz
 # ---------------------------------------------------------------------------
 
-_T, _X, _U = sym("t"), sym("x"), sym("u")
-_P, _Q = sym(jet_name(0, 1)), sym(jet_name(0, 2))
-
-#: The four component shapes of an ansatz field with monomial m(t, x):
-#: xi_t = m, xi_x = m, eta = m*u and eta = m.
-_SHAPES = (
-    lambda m: VectorField(m, ZERO, ZERO),
-    lambda m: VectorField(ZERO, m, ZERO),
-    lambda m: VectorField(ZERO, ZERO, mul(m, _U)),
-    lambda m: VectorField(ZERO, ZERO, m),
-)
+#: The four component shapes of an ansatz field with monomial m(t, x), as
+#: (component, exponent on u): xi_t = m, xi_x = m, eta = m*u and eta = m.
+_SHAPES = ((0, 0), (1, 0), (2, 1), (2, 0))
 
 
 def _ansatz_basis(bound: int) -> List[Tuple[int, int, int]]:
@@ -117,9 +110,14 @@ def _ansatz_basis(bound: int) -> List[Tuple[int, int, int]]:
             for i in range(bound + 1) for j in range(bound + 1 - i)]
 
 
-def _basis_field(entry: Tuple[int, int, int]) -> VectorField:
-    c, i, j = entry
-    return _SHAPES[c](mul(powx(_T, rat(i)), powx(_X, rat(j))))
+def _ansatz_field(terms, gens) -> Tuple[poly.Poly, ...]:
+    """xi_t, xi_x, eta over ``gens`` (t, x, u first) of sum c*e over (e, c)."""
+    comps: Tuple[Dict[tuple, Rational], ...] = ({}, {}, {})
+    rest = (0,) * (len(gens) - 3)
+    for (s, i, j), c in terms:
+        comp, k = _SHAPES[s]
+        comps[comp][(i, j, k, *rest)] = c
+    return tuple(poly.Poly(gens, t) for t in comps)
 
 
 #: the jets m, m_t, m_x, m_xx of an ansatz monomial m(t, x), by orders
@@ -136,7 +134,8 @@ def _operators(pde: EvolutionPDE) -> Tuple[Tuple[poly.Poly, ...], ...]:
     (Olver 1993, section 2.4) in F, its partials F_t, F_x, F_u, F_p
     (p = u_x), F_q (q = u_xx) and D_x F."""
     F, F_t, F_x, F_u, F_p, F_q = pde.partials
-    u, p, q = (poly.to_poly(s, F.gens) for s in (_U, _P, _Q))
+    u, p, q = (poly.to_poly(sym(n), F.gens)
+               for n in ("u", jet_name(0, 1), jet_name(0, 2)))
     add, mul, scale = poly.add, poly.mul, poly.scale
     ops = (
         (scale(F_t, -1), scale(F, -1),
@@ -269,14 +268,14 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     fields = []
     verified = []
     for vec in solutions:
-        terms = [_SHAPES[s](mul(rat(c), powx(_T, rat(i)), powx(_X, rat(j))))
-                 for c, (s, i, j) in zip(vec, basis) if c]
-        f = VectorField(*[add(*comp) for comp in zip(*terms)])
-        verdict = is_symmetry(pde, f)
-        if not verdict.is_symmetry:
+        polys = _ansatz_field(((e, c) for e, c in zip(basis, vec) if c),
+                              pde.partials[0].gens)
+        # the zero test answers ZERO for the literal 0 only
+        residual = _residual(pde, *polys)
+        if not residual.is_zero_literal:
             raise RuntimeError(
                 "determining-system solution failed re-verification; "
-                f"residual {verdict.residual!r}")
-        fields.append(f)
-        verified.append(verdict)
+                f"residual {residual!r}")
+        fields.append(VectorField(*map(poly.from_poly, polys)))
+        verified.append(SymmetryVerdict(Verdict.SYMMETRY, residual))
     return FindResult(fields=fields, verified=verified)

@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from liesym.expr import (Rat, ZERO, ONE, exp, func, rat, substitute, sym)
+from liesym.expr import (Rat, ZERO, ONE, add, exp, func, mul, rat, substitute,
+                         sym)
 from liesym.jets import VectorField
 from liesym.pde import DCRInstance, build_dcr, heat_equation, power_diffusion
 from liesym.symmetry import find_symmetries, invariance_residual, is_symmetry
@@ -70,10 +71,9 @@ def test_c01_symmetry_verification():
             cs = [rat(rng.randint(-5, 5)) for _ in range(3)]
             if all(c.is_zero_literal for c in cs):
                 continue
-            Z = VectorField(ZERO, ZERO, ZERO)
-            for c, f in zip(cs, fields):
-                Z = Z + f.scale(c)
-            combos.append(Z)
+            combos.append(VectorField(*[
+                add(*[mul(c, f[k]) for c, f in zip(cs, fields)])
+                for k in range(3)]))
         for field in fields + combos:
             start = time.time()
             residual = invariance_residual(pde, field)
@@ -201,9 +201,11 @@ def test_c05_structure_constants():
     ok = ok and all(e.is_zero_literal for e in L.c[0][1])
     try:
         L.check_jacobi()
-        L.check_antisymmetry()
     except Exception:
         ok = False
+    n = range(L.dim)
+    ok = ok and all(add(L.c[i][j][k], L.c[j][i][k]).is_zero_literal
+                    for i in n for j in n for k in n)
     report("5 (structure constants)", ok)
     assert ok
 

@@ -11,7 +11,7 @@ from liesym.dsl import render
 from liesym.expr import (
     EULER, ZERO, ONE, Add, Func, Mul, NonRationalValue, Pow, Rat, Sym,
     ZeroVerdict,
-    _int_nth_root, add, collect, differentiate,
+    _int_nth_root, add, differentiate,
     _stable_fraction, evaluate_exact, exp, free_symbols, func, is_zero, log,
     mul, powx, rat, sample_assignment, simplify, split_terms, substitute, sym,
 )
@@ -385,8 +385,8 @@ def test_radicals_multiply_to_rationals():
     assert mul(powx(rat(2), m + Fraction(1, 2)), r2) == 2 * powx(rat(2), m)
 
 
-#: factor predicates for split_terms and collect: in one variable, in the
-#: field variables (what structure constants keep), a power atom, none
+#: factor predicates for split_terms: in one variable, in the field
+#: variables, a power atom, none
 keeps = st.one_of(
     names.map(lambda n: lambda f: n in free_symbols(f)),
     st.just(lambda f: bool(free_symbols(f) & {"t", "x", "u"})),
@@ -395,13 +395,7 @@ keeps = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(poly_exprs(atoms=True), factors), keeps)
-def test_collect_rebuilds_the_sum(e, keep):
-    groups = collect(e, keep)
-    assert add(*(mul(mono, c) for mono, c in groups.values())) == e
-    monos = [mono for mono, _ in groups.values()]
-    assert len(set(monos)) == len(monos)
-    assert all(mono.key() == k for k, (mono, _) in groups.items())
-    assert not any(c.is_zero_literal for _, c in groups.values())
+def test_split_terms_partitions_each_term(e, keep):
     # split_terms partitions the factors of each term, read off its node
     terms = [t for t in (e.terms if isinstance(e, Add) else (e,))
              if not t.is_zero_literal]

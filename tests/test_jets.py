@@ -90,7 +90,8 @@ def test_prolongation_linearity(a1, a2, b1, b2, c1, c2, ra, rb):
     X = VectorField(a1 * t + a2, b1 * x + b2, c1 * u)
     Y = VectorField(b2 * t, a1 * x + c2, c2 * u)
     a, b = rat(ra), rat(rb)
-    left = prolong2(X.scale(a) + Y.scale(b), TABLE)
+    left = prolong2(VectorField(*[add(a * f, b * g) for f, g in zip(X, Y)]),
+                    TABLE)
     px, py = prolong2(X, TABLE), prolong2(Y, TABLE)
     assert left.eta_t == a * px.eta_t + b * py.eta_t
     assert left.eta_x == a * px.eta_x + b * py.eta_x

@@ -51,8 +51,9 @@ def _terms_readers(filename: str) -> set:
 
 
 def test_only_the_kernel_splits_sums():
-    # every monomial split goes through expr.split_terms / expr.collect;
-    # rendering a sum term by term is the one other reader of Add.terms
+    # every monomial split goes through expr.split_terms, directly or
+    # through poly.to_poly; rendering a sum term by term is the one other
+    # reader of Add.terms
     readers = {f.name: _terms_readers(f.name) for f in PKG.glob("*.py")
                if f.name != "expr.py"}
     assert {k: v for k, v in readers.items() if v} == {"dsl.py": {"render"}}
