@@ -122,9 +122,7 @@ def field_coordinates(fields: Sequence[Components]) -> List[List[Expr]]:
     polynomials in the others.  Powers of a sum are first brought together
     over all the fields (:func:`poly.merge_sums`, each component marked by
     a power of ``_MARK``), so that distinct monomials are independent."""
-    flat = poly.align(*[c for X in fields for c in X])
-    p = poly.merge_sums(poly.Poly(flat[0].gens + (_MARK,), {
-        k + (i,): c for i, q in enumerate(flat) for k, c in q.coeffs.items()}))
+    p = poly.merge_sums(poly.mark([c for X in fields for c in X], _MARK))
     keyed = [not free_symbols(g).isdisjoint(_FIELD_VARS) for g in p.gens]
     params = [not f and g is not _MARK for f, g in zip(keyed, p.gens)]
     mark = p.gens.index(_MARK)

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 verified/constructed, 1 refuted, 2 undecided (also when a
-canonical form or a symmetry-search ansatz would pass a size limit), 3 usage
-error, 4 internal fault (an unexpected exception, reported on one stderr
-line).
+canonical form or a symmetry-search ansatz would pass a size limit, and for
+a search whose generators do not close: not-closed), 3 usage error, 4
+internal fault (an unexpected exception, reported on one stderr line).
 Expressions use the input DSL; PDEs and algebras can also be drawn from the
 case catalog with ``case:<id>``.  The audit seed comes from --seed or the
 LIESYM_SEED environment variable.
@@ -150,6 +150,8 @@ def _parse_instance(spec: str, table: SymbolTable) -> DCRInstance:
             raise UsageError(f"unknown instance parameter {name!r} "
                              f"(expected {', '.join(values)})")
         values[name] = dsl.parse(value, table)
+    if values["m"].is_zero_literal:     # u^0 diffuses nothing
+        raise UsageError("diffusion exponent m must be nonzero")
     return DCRInstance(**values)
 
 
@@ -241,19 +243,20 @@ def cmd_find_symmetries(args) -> Report:
     pde = _resolve_pde(args, params)[0]
     result = find_symmetries(pde, bound=args.bound)
     closure = check_closure(result.fields) if len(result) > 1 else None
+    closed = closure.closed if closure else True
     rep = Report("find-symmetries",
                  inputs={"pde": dsl.render(pde.rhs), "bound": args.bound,
                          "params": params},
-                 verdict="constructed",
+                 verdict="constructed" if closed else "not-closed",
                  certificates={
                      "count": len(result),
                      "generators": [dsl.render_field(f) for f in result.fields],
-                     "closed": closure.closed if closure else True,
+                     "closed": closed,
                  })
     rep.add(f"found {len(result)} generators:")
     for f in result.fields:
         rep.add(f"  {dsl.render_field(f)}")
-    if closure is not None and not closure.closed:
+    if not closed:
         rep.add(f"bracket closure violations: {closure.violations}")
     return rep
 

@@ -153,6 +153,14 @@ def align(*ps: Poly) -> Tuple[Poly, ...]:
     return tuple(Poly(gens, t) for t in terms)
 
 
+def mark(ps: Sequence[Poly], marker: Expr) -> Poly:
+    """The sum of ps[i]*marker^i over the generators of ``ps``, aligned,
+    then ``marker``, which none of ``ps`` may hold."""
+    gens, terms = _align(ps)
+    return Poly(gens + (marker,), {
+        k + (i,): c for i, t in enumerate(terms) for k, c in t.items()})
+
+
 def _nonzero(terms: Terms) -> Terms:
     if 0 in terms.values():
         return {k: c for k, c in terms.items() if c}

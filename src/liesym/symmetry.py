@@ -4,7 +4,8 @@ The invariance criterion for u_t = F: apply the second prolongation of
 X = xi_t d/dt + xi_x d/dx + eta d/du to (u_t - F), then restrict to the
 solution manifold by substituting u_t -> F and u_tx -> D_x F.  X is a
 symmetry iff the residual vanishes identically in the remaining jet
-coordinates.
+coordinates.  A search re-verifies all its generators in one residual, of
+the field whose k-th power of a marker holds generator k.
 """
 
 from __future__ import annotations
@@ -233,6 +234,11 @@ class FindResult:
         return len(self.fields)
 
 
+#: Marks generator k of a search by its k-th power; no declared name starts
+#: with "#", so no symbol table holds it.
+_GENERATOR = Sym("#generator")
+
+
 #: Most unknowns (ansatz columns) a search may have.  Each monomial of the
 #: determining system gets a dense row this long, so peak memory grows
 #: about as bound^3.5: 146 MB at bound 30 (1984 columns), the largest
@@ -253,8 +259,9 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     space (:func:`_determining_matrix`).  A bound whose ansatz would have
     more than ``MAX_ANSATZ_COLUMNS`` unknowns raises ``ResourceLimitError``
     before anything is assembled.  Returns a basis of the solution space;
-    each generator component is one sum over its ansatz terms, and every
-    returned field is re-verified by the invariance residual."""
+    each generator component is one sum over its ansatz terms.  All are
+    re-verified in one invariance residual, of the field marked by
+    ``_GENERATOR`` (:func:`poly.mark`)."""
     if bound < 1:
         raise ValueError("ansatz degree bound must be >= 1")
     ncols = len(_SHAPES) * (bound + 1) * (bound + 2) // 2
@@ -264,18 +271,21 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
             f"limit of {MAX_ANSATZ_COLUMNS}")
     _check_rhs_supported(pde)
     basis = _ansatz_basis(bound)
-    solutions = nullspace(_determining_matrix(pde, basis), len(basis))
-    fields = []
-    verified = []
-    for vec in solutions:
-        polys = _ansatz_field(((e, c) for e, c in zip(basis, vec) if c),
-                              pde.partials[0].gens)
-        # the zero test answers ZERO for the literal 0 only
-        residual = _residual(pde, *polys)
-        if not residual.is_zero_literal:
-            raise RuntimeError(
-                "determining-system solution failed re-verification; "
-                f"residual {residual!r}")
-        fields.append(VectorField(*map(poly.from_poly, polys)))
-        verified.append(SymmetryVerdict(Verdict.SYMMETRY, residual))
-    return FindResult(fields=fields, verified=verified)
+    polys = [_ansatz_field(((e, c) for e, c in zip(basis, vec) if c),
+                           pde.partials[0].gens)
+             for vec in nullspace(_determining_matrix(pde, basis), len(basis))]
+    # the residual is linear in the field: its _GENERATOR^k coefficient is
+    # generator k's; the zero test answers ZERO for the literal 0 only
+    residual = _residual(pde, *(poly.mark(c, _GENERATOR)
+                                for c in zip(*polys))) if polys else ZERO
+    if not residual.is_zero_literal:
+        marked = poly.to_poly(residual, (_GENERATOR,))
+        k = min(e[0] for e in marked.coeffs)
+        own = poly.Poly(marked.gens[1:], {
+            e[1:]: c for e, c in marked.coeffs.items() if e[0] == k})
+        raise RuntimeError(
+            "determining-system solution failed re-verification; "
+            f"residual {poly.from_poly(own)!r}")
+    return FindResult(
+        fields=[VectorField(*map(poly.from_poly, p)) for p in polys],
+        verified=[SymmetryVerdict(Verdict.SYMMETRY, residual)] * len(polys))

@@ -129,6 +129,18 @@ class TestExitCodes:
         assert code == 3
         assert message in capsys.readouterr().err
 
+    def test_unclosed_search_is_not_constructed(self, tmp_path, capsys):
+        # the heat equation's nine bound-2 generators do not close, so the
+        # search proved less than "constructed": its own verdict, exit 2
+        out = tmp_path / "find.json"
+        assert run(["find-symmetries", "--pde", "u_t = D(u,x,2)",
+                    "--out", str(out)]) == 2
+        assert "bracket closure violations" in capsys.readouterr().out
+        doc = json.loads(out.read_text())
+        assert doc["verdict"] == "not-closed"
+        assert doc["certificates"]["count"] == 9
+        assert doc["certificates"]["closed"] is False
+
     def test_identify(self, capsys):
         assert run(["identify", "--algebra", "case:eq5",
                     "--params", "m=2,p=3"]) == 0
@@ -171,6 +183,14 @@ class TestExitCodes:
         (["regress", "--cases", "nope"], "unknown case id 'nope'"),
         (["bracket-table", "--algebra", ";"], "names no vector field"),
         (["identify", "--algebra", " ; ; "], "names no vector field"),
+        # u^0 diffuses nothing: no member of the family, whatever the
+        # command (drift removal used to construct one)
+        (["normalize", "--instance", "m=0,b0=3", "--drift"],
+         "diffusion exponent m must be nonzero"),
+        (["normalize", "--instance", "m=(0),p=1,b0=3", "--target", "b0"],
+         "diffusion exponent m must be nonzero"),
+        (["equiv", "--a", "m=0,p=1", "--b", "m=2,p=1"],
+         "diffusion exponent m must be nonzero"),
     ])
     def test_bad_input_is_usage_error(self, argv, message, capsys):
         # exit 1 would read as "refuted"; bad input is a usage error
@@ -264,7 +284,8 @@ class TestReports:
 
 def test_closed_stdout_pipe(tmp_path):
     # the reader is gone before the first line is printed: --out is still
-    # written, and the exit code is the verdict's, not a traceback's 1
+    # written, and the exit code is the verdict's (the heat equation's nine
+    # bound-2 generators do not close: not-closed, 2), not a traceback's 1
     env = dict(os.environ, PYTHONPATH=str(SRC))
     argv = [sys.executable, "-m", "liesym.cli", "find-symmetries",
             "--pde", "u_t = D(u,x,2)"]
@@ -278,7 +299,7 @@ def test_closed_stdout_pipe(tmp_path):
                               stderr=subprocess.PIPE, text=True, timeout=60)
     finally:
         os.close(write_end)
-    assert proc.returncode == whole.returncode == 0
+    assert proc.returncode == whole.returncode == 2
     assert proc.stderr == ""
     assert ((tmp_path / "cut.json").read_bytes()
             == (tmp_path / "whole.json").read_bytes())

@@ -3,12 +3,13 @@
 The fuzzer draws u_t = a sum of c*D(u^k,x,n), c*u^k and c*u_x terms, with
 k in {-2, ..., 3, 1/2, -1/3}, n in {1, 2} and small rational c, and a bound
 b in {1, 2, 3}, and runs ``main(argv)`` in process at b and at b + 1.  Each
-call must end with exit code 0 (constructed), 2 (undecided) or 3 (usage
-error: an rhs outside the ansatz), with no traceback and no internal
-fault, and both calls together must take under CASE_SECONDS.  The ansatz
-spaces are nested, so every generator found at b must lie in the span of
-those found at b + 1; sympy decides that by the rank of their coefficient
-vectors.
+call must end with exit code 0 (constructed), 2 (not-closed: generators
+whose brackets leave their span, or undecided) or 3 (usage error: an rhs
+outside the ansatz), with no traceback and no internal fault, and both
+calls together must take under CASE_SECONDS.  The ansatz spaces are
+nested, so every generator found at b must lie in the span of those found
+at b + 1, closed or not; sympy decides that by the rank of their
+coefficient vectors.
 """
 
 import json
@@ -37,9 +38,10 @@ pde = st.lists(term, min_size=1, max_size=3).map(
 
 
 def _search(text, bound, tmp_path, capsys):
-    """Exit code, generators and seconds of one in-process find-symmetries
-    call."""
+    """Generators (None when no search document was written) and seconds
+    of one in-process find-symmetries call."""
     out = tmp_path / "find.json"
+    out.unlink(missing_ok=True)
     argv = ["find-symmetries", "--pde", text, "--bound", str(bound),
             "--out", str(out)]
     start = time.perf_counter()
@@ -48,10 +50,14 @@ def _search(text, bound, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err and "internal fault" not in err, (argv, err)
-    if code:
-        return code, [], elapsed
+    if not out.exists():
+        assert code, argv
+        return None, elapsed
     report = json.loads(out.read_text())
-    return code, report["certificates"]["generators"], elapsed
+    assert (report["verdict"], code) in (
+        ("constructed", 0), ("not-closed", 2)), (argv, report["verdict"])
+    assert report["certificates"]["closed"] == (code == 0), argv
+    return report["certificates"]["generators"], elapsed
 
 
 def _coordinates(generators):
@@ -79,10 +85,10 @@ def test_find_symmetries_fuzz(tmp_path, capsys):
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(pde, st.integers(1, 3))
     def case(text, bound):
-        code, low, low_s = _search(text, bound, tmp_path, capsys)
-        high_code, high, high_s = _search(text, bound + 1, tmp_path, capsys)
+        low, low_s = _search(text, bound, tmp_path, capsys)
+        high, high_s = _search(text, bound + 1, tmp_path, capsys)
         assert low_s + high_s < CASE_SECONDS, (text, bound, low_s, high_s)
-        if code or high_code:
+        if low is None or high is None:
             return
         small, large = _coordinates(low), _coordinates(high)
         keys = list({k for v in small + large for k in v})

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from liesym import expr as expr_module
 from liesym import jets, poly, symmetry
 from liesym.dsl import parse_pde
-from liesym.expr import (ZERO, ONE, Add, Mul, Rat, ResourceLimitError, add,
-                         differentiate, evaluate_exact, exp, free_symbols,
-                         func, mul, powx, rat, substitute, sym)
+from liesym.expr import (ZERO, ONE, Add, Mul, Pow, Rat, ResourceLimitError,
+                         add, differentiate, evaluate_exact, exp,
+                         free_symbols, func, mul, powx, rat, substitute, sym)
 from liesym.jets import VectorField, dcr_symbols, jet
 from liesym.linalg import nullspace
 from liesym.pde import (DCRInstance, EvolutionPDE, build_dcr, heat_equation,
@@ -244,7 +244,7 @@ def test_operator_assembly_on_benchmark_sweep(text, bound):
 @pytest.mark.parametrize("text,bound", [(HEAT, 1), (HEAT, 3), (REACTION, 8)])
 def test_residuals_per_search(monkeypatch, text, bound):
     # the operators come in closed form, so the search forms a residual
-    # only to re-verify each field it returns
+    # only to re-verify the fields it returns, all of them in one
     calls = []
     real = symmetry._residual
 
@@ -254,7 +254,100 @@ def test_residuals_per_search(monkeypatch, text, bound):
 
     monkeypatch.setattr(symmetry, "_residual", counted)
     found = find_symmetries(_pde(text), bound)
-    assert len(calls) == len(found)
+    assert len(found) >= 1
+    assert len(calls) == 1
+
+
+def _split_marked(residual):
+    """A residual marked by symmetry._GENERATOR as {k: the coefficient of
+    its k-th power}, read off the canonical terms."""
+    out = {}
+    for term in (residual.terms if isinstance(residual, Add)
+                 else (residual,)):
+        if term.is_zero_literal:
+            continue
+        coeff, factors = _coeff_factors(term)
+        k = 0
+        rest = []
+        for f in factors:
+            base, e = (f.base, f.exponent) if isinstance(f, Pow) else (f, ONE)
+            if base == symmetry._GENERATOR:
+                k = int(e.value)
+            else:
+                rest.append(f)
+        out.setdefault(k, []).append(mul(coeff, *rest))
+    return {k: add(*ts) for k, ts in out.items()}
+
+
+#: an ansatz vector: (basis index, coefficient) pairs
+_ANSATZ_TERMS = st.lists(st.tuples(st.integers(0, 10 ** 6),
+                                   st.fractions(-3, 3, max_denominator=3)),
+                         max_size=5)
+
+
+def _check_marked_slices(pde, bound, vectors):
+    basis = symmetry._ansatz_basis(bound)
+    polys = [symmetry._ansatz_field(
+        [(basis[i % len(basis)], c) for i, c in vec if c],
+        pde.partials[0].gens) for vec in vectors]
+    marked = symmetry._residual(pde, *(
+        poly.mark(c, symmetry._GENERATOR) for c in zip(*polys)))
+    slices = _split_marked(marked)
+    for k, p in enumerate(polys):
+        assert slices.get(k, ZERO) == symmetry._residual(pde, *p), k
+    assert slices.keys() <= set(range(len(polys)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(REACTION, b) for b in (2, 4)]
+                       + [(HEAT, b) for b in (2, 3)]),
+       st.lists(_ANSATZ_TERMS, min_size=1, max_size=4))
+def test_marked_residual_slices_on_the_sweep(case, vectors):
+    # generator k's own residual is the coefficient of the marker's k-th
+    # power, for any ansatz vectors, not only the solutions
+    _check_marked_slices(_pde(case[0]), case[1], vectors)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(_rhs_term, min_size=1, max_size=3), st.integers(1, 3),
+       st.lists(_ANSATZ_TERMS, min_size=1, max_size=4))
+def test_marked_residual_slices_on_fuzzed_rhs(terms, bound, vectors):
+    rhs = add(*(mul(c, powx(t, rat(a)), powx(x, rat(b)), powx(u, rat(r)),
+                    powx(u_x, rat(p)), powx(jet(0, 2), rat(q)))
+                for c, a, b, r, p, q in terms))
+    _check_marked_slices(EvolutionPDE(rhs=rhs, table=dcr_symbols()), bound,
+                         vectors)
+
+
+@pytest.mark.parametrize("text,bound,which", [
+    (HEAT, 2, (0,)), (HEAT, 2, (8,)), (REACTION, 4, (1,)), (HEAT, 3, (6, 2))])
+def test_perturbed_solution_fails_with_its_own_residual(
+        monkeypatch, text, bound, which):
+    # one entry of a nullspace vector off by one: the search names that
+    # generator's residual (the first such generator's, when several are
+    # off), and no marker
+    pde = _pde(text)
+    basis = symmetry._ansatz_basis(bound)
+    entry = basis.index((0, 1, 0))      # xi_t = t: no symmetry of either
+    seen = {}
+
+    def perturbed(rows, ncols):
+        vecs = [list(v) for v in nullspace(rows, ncols)]
+        for k in which:
+            vecs[k][entry] += k + 1
+            seen[k] = vecs[k]
+        return vecs
+
+    monkeypatch.setattr(symmetry, "nullspace", perturbed)
+    with pytest.raises(RuntimeError) as err:
+        find_symmetries(pde, bound)
+    own = symmetry._residual(pde, *symmetry._ansatz_field(
+        [(e, c) for e, c in zip(basis, seen[min(which)]) if c],
+        pde.partials[0].gens))
+    assert not own.is_zero_literal
+    assert str(err.value) == ("determining-system solution failed "
+                              f"re-verification; residual {own!r}")
+    assert "#" not in str(err.value)
 
 
 #: a generic function m(t, x) for the ansatz monomial, and its jets of order
