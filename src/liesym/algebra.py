@@ -13,7 +13,6 @@ import functools
 import itertools
 import json
 from fractions import Fraction
-from itertools import compress
 from importlib import resources
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -122,23 +121,23 @@ def field_coordinates(fields: Sequence[Components]) -> List[List[Expr]]:
     polynomials in the others.  Powers of a sum are first brought together
     over all the fields (:func:`poly.merge_sums`, each component marked by
     a power of ``_MARK``), so that distinct monomials are independent."""
-    p = poly.merge_sums(poly.mark([c for X in fields for c in X], _MARK))
-    keyed = [not free_symbols(g).isdisjoint(_FIELD_VARS) for g in p.gens]
-    params = [not f and g is not _MARK for f, g in zip(keyed, p.gens)]
-    mark = p.gens.index(_MARK)
-    # (component, keyed exponents) -> field -> parameter exponents -> coeff
-    rows: Dict[tuple, Dict[int, dict]] = {}
-    for k, c in p.coeffs.items():
+    gens, parts = poly.collect(
+        poly.merge_sums(poly.mark([c for X in fields for c in X], _MARK)),
+        lambda g: g is _MARK or not free_symbols(g).isdisjoint(_FIELD_VARS))
+    # merge_sums may place generators after _MARK
+    mark = gens.index(_MARK)
+    # (component, keyed exponents) -> field -> coefficient
+    rows: Dict[tuple, Dict[int, poly.Poly]] = {}
+    for k, c in parts.items():
         field, comp = divmod(k[mark], 3)
-        rows.setdefault((comp, *compress(k, keyed)), {}).setdefault(
-            field, {})[tuple(compress(k, params))] = c
-    kgens, pgens = (tuple(compress(p.gens, s)) for s in (keyed, params))
+        rows.setdefault((comp, *k[:mark], *k[mark + 1:]), {})[field] = c
+    keyed = gens[:mark] + gens[mark + 1:]
     columns = [[ZERO] * len(rows) for _ in fields]
     for r, row in enumerate(sorted(rows, key=lambda r: (r[0], poly.from_poly(
-            poly.Poly(kgens, {r[1:]: 1})).key()))):
-        for field, terms in rows[row].items():
-            columns[field][r] = (poly.from_poly(poly.Poly(pgens, terms))
-                                 if pgens else rat(terms[()]))
+            poly.Poly(keyed, {r[1:]: 1})).key()))):
+        for field, c in rows[row].items():
+            columns[field][r] = (poly.from_poly(c) if c.gens
+                                 else rat(c.coeffs[()]))
     return columns
 
 
@@ -227,8 +226,7 @@ class LieAlgebra:
                                 f"{total!r}")
 
 
-def structure_constants(basis: Sequence[VectorField],
-                        parameters: Optional[set] = None) -> LieAlgebra:
+def structure_constants(basis: Sequence[VectorField]) -> LieAlgebra:
     """Expand every pairwise bracket in the given basis.
 
     The constants solve one linear system, basis . C = [all brackets]: one
@@ -251,7 +249,7 @@ def structure_constants(basis: Sequence[VectorField],
     columns = field_coordinates(fields + brackets)
     joint = list(zip(*columns))
     solutions, basis_rank = solve_symbolic(
-        [r[:n] for r in joint], [r[n:] for r in joint], parameters=parameters)
+        [r[:n] for r in joint], [r[n:] for r in joint])
     if basis_rank is not None and basis_rank < n:
         raise DependentBasisError("basis fields are linearly dependent")
     for (i, j), Z, sol in zip(pairs, brackets, solutions):
@@ -356,52 +354,24 @@ def killing_form(L: LieAlgebra) -> Matrix:
     return K
 
 
-def _signature(K: Matrix) -> Tuple[int, int]:
-    """(positive, negative) inertia of a symmetric rational matrix, by
-    exact congruence diagonalization."""
+def _inertia(K: Matrix) -> Tuple[int, int, int]:
+    """(positive, negative, rank) of a symmetric rational matrix, read off
+    its characteristic polynomial (Faddeev-LeVerrier).  Every root is real,
+    so Descartes' rule of signs is exact: the positive roots are the sign
+    changes of the coefficients, and the rank is n minus the multiplicity
+    of the root 0."""
     n = len(K)
-    m = [row[:] for row in K]
-    pos = neg = 0
-    idx = list(range(n))
-    for step in range(n):
-        piv = None
-        for i in range(step, n):
-            if m[i][i] != 0:
-                piv = i
-                break
-        if piv is None:
-            found = False
-            for i in range(step, n):
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        for k in range(n):
-                            m[i][k] += m[j][k]
-                        for k in range(n):
-                            m[k][i] += m[k][j]
-                        piv = i
-                        found = True
-                        break
-                if found:
-                    break
-            if piv is None:
-                break
-        if piv != step:
-            m[step], m[piv] = m[piv], m[step]
-            for row in m:
-                row[step], row[piv] = row[piv], row[step]
-        d = m[step][step]
-        if d > 0:
-            pos += 1
-        elif d < 0:
-            neg += 1
-        for i in range(step + 1, n):
-            if m[i][step] != 0:
-                f = m[i][step] / d
-                for k in range(n):
-                    m[i][k] -= f * m[step][k]
-                for k in range(n):
-                    m[k][i] -= f * m[k][step]
-    return pos, neg
+    coeffs = [Fraction(1)]  # of lambda^n, lambda^(n-1), ..., 1
+    KM = K  # K times M_k, with M_1 the identity
+    for k in range(1, n + 1):
+        c = -sum(KM[i][i] for i in range(n)) / k
+        coeffs.append(c)
+        KM = matmul(K, [[v + c if i == j else v for j, v in enumerate(row)]
+                        for i, row in enumerate(KM)])
+    signs = [c > 0 for c in coeffs if c]
+    rank = max(i for i, c in enumerate(coeffs) if c)
+    pos = sum(a != b for a, b in zip(signs, signs[1:]))
+    return pos, rank - pos, rank
 
 
 class AlgebraInvariants(NamedTuple):
@@ -429,15 +399,14 @@ def _invariants(L: LieAlgebra, derived: List[List[List[Fraction]]],
     derived_dims = [len(term) for term in derived]
     # [L', L'] is the second derived term; an abelian L stops at L' = 0
     derived_ab = len(derived) == 1 or not derived[1]
-    K = killing_form(L)
-    pos, neg = _signature(K)
+    pos, neg, killing_rank = _inertia(killing_form(L))
     if derived_dims[0] == 0:
         derived_dims = []
     return AlgebraInvariants(
         dim=L.dim,
         derived_dims=tuple(derived_dims),
         center_dim=len(z),
-        killing_rank=rank(K),
+        killing_rank=killing_rank,
         killing_signature=(pos, neg),
         derived_abelian=derived_ab,
     )

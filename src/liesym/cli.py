@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from .expr import (ExprError, LogOfZeroError, ResourceLimitError, SymbolTable,
-                   rat, substitute, sym)
+                   free_symbols, rat, substitute, sym)
 from . import dsl
 from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
@@ -85,6 +85,16 @@ def _bind(bindings, parsed):
         if isinstance(parsed, VectorField):
             return parsed.substitute(bindings)
         return substitute(parsed, bindings)
+
+
+def _solution(text: str, table: SymbolTable, bindings) -> ClosedFormSolution:
+    """A --sol text, with the --params values substituted: the solution
+    u(t, x) itself, so it may name neither u nor a derivative of u."""
+    e = _bind(bindings, dsl.parse(text, table))
+    named = sorted(n for n in free_symbols(e) if n in table.jet_index)
+    if named:
+        raise UsageError(f"--sol defines u, so it may not name {named[0]}")
+    return ClosedFormSolution(e)
 
 
 def _table_with(params: Dict[str, str]) -> SymbolTable:
@@ -419,7 +429,7 @@ def cmd_reduce(args) -> Report:
 def cmd_verify_solution(args) -> Report:
     params = _parse_params(args.params)
     pde, table, bindings = _resolve_pde(args, params)
-    sol = ClosedFormSolution(_bind(bindings, dsl.parse(args.sol, table)))
+    sol = _solution(args.sol, table, bindings)
     v = verify_solution(pde, sol)
     rep = Report("verify-solution",
                  inputs={"pde": dsl.render(pde.rhs), "sol": args.sol},
@@ -432,7 +442,7 @@ def cmd_verify_solution(args) -> Report:
 def cmd_transform_solution(args) -> Report:
     params = _parse_params(args.params)
     pde, table, bindings = _resolve_pde(args, params)
-    sol = ClosedFormSolution(_bind(bindings, dsl.parse(args.sol, table)))
+    sol = _solution(args.sol, table, bindings)
     field = _bind(bindings, dsl.parse_vector_field(args.field, table))
     eps = _bind(bindings, dsl.parse(args.epsilon, table))
     out = transform_solution(sol, field, eps)

@@ -22,8 +22,8 @@ from typing import List, Tuple
 
 from .expr import (
     Add, EULER, Expr, ExprError, Func, LogOfZeroError, MINUS_ONE, Mul, ONE,
-    Pow, Rat, Sym, SymbolKind, SymbolTable, UndeclaredSymbolError, add,
-    free_symbols, func, mul, powx, rat, sym,
+    Pow, Rat, Sym, SymbolKind, SymbolTable, UndeclaredSymbolError, ZERO,
+    add, free_symbols, func, mul, powx, rat, sym,
 )
 from . import jets, poly
 from .jets import VectorField
@@ -257,20 +257,16 @@ def parse_vector_field(text: str, table: SymbolTable) -> VectorField:
     e = parse(text, extended)
     if e.is_zero_literal:
         raise ParseError("the vector field is zero", 0)
-    p = poly.to_poly(e, tuple(map(sym, _FIELD_MARKERS)))
-    coefs: Tuple[dict, dict, dict] = ({}, {}, {})
-    for k, c in p.coeffs.items():
-        if k[:3].count(1) != 1:
-            raise ParseError(
-                "each vector-field term needs exactly one of Dt, Dx, Du", 0)
-        i = k.index(1)
-        coefs[i][k[:i] + (0,) + k[i + 1:]] = c
-    field = VectorField(*[poly.from_poly(poly.Poly(p.gens, terms))
-                          for terms in coefs])
-    for coef in (field.xi_t, field.xi_x, field.eta):
-        if free_symbols(coef) & set(_FIELD_MARKERS):
-            raise ParseError("vector-field coefficients must be linear in "
-                             "Dt, Dx, Du", 0)
+    gens, parts = poly.collect(
+        poly.to_poly(e, tuple(map(sym, _FIELD_MARKERS))),
+        lambda g: not free_symbols(g).isdisjoint(_FIELD_MARKERS))
+    # Dt, Dx, Du lead ``gens``; the other picked generators hold a marker
+    units = [tuple(int(i == j) for j in range(len(gens))) for i in range(3)]
+    if not parts.keys() <= set(units):
+        raise ParseError("each vector-field term must be linear in exactly "
+                         "one of Dt, Dx, Du", 0)
+    field = VectorField(*[poly.from_poly(parts[k]) if k in parts else ZERO
+                          for k in units])
     return field.validate(table)
 
 

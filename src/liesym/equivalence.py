@@ -23,8 +23,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expr import (
-    Expr, ExprError, Rat, ONE, ZeroVerdict, add, is_zero, mul, powx, rat,
-    substitute, sym,
+    Expr, ExprError, Rat, ONE, add, mul, powx, rat, substitute, sym,
 )
 from .expr import _factorize  # exact prime factorization of small ints
 from .dsl import render
@@ -60,7 +59,7 @@ class EquivalenceTransformation:
     def __init__(self, k0: Expr, k1: Expr, k2: Expr, g: Expr, d0: Expr,
                  d1: Expr, d2: Expr):
         for name, v in (("k0", k0), ("k1", k1), ("k2", k2)):
-            if is_zero(v) is ZeroVerdict.ZERO:
+            if v.is_zero_literal:
                 raise NonInvertibleError(f"{name} must be nonzero")
         self.k0, self.k1, self.k2 = k0, k1, k2
         self.g, self.d0, self.d1, self.d2 = g, d0, d1, d2

@@ -327,8 +327,7 @@ def exact_expm(M: Matrix, eps: Expr) -> Optional[List[List[Expr]]]:
 # symbolic-entry solving (small systems; pivots need a decidable nonzero)
 # ---------------------------------------------------------------------------
 
-def solve_symbolic(rows: List[List[Expr]], rhs: List[List[Expr]],
-                   parameters=None
+def solve_symbolic(rows: List[List[Expr]], rhs: List[List[Expr]]
                    ) -> Tuple[List[Union[List[Expr], str, None]], Optional[int]]:
     """Solve rows * X = rhs for Expr entries, one column of X per entry of
     each ``rhs[i]``, in one elimination.
@@ -355,7 +354,7 @@ def solve_symbolic(rows: List[List[Expr]], rhs: List[List[Expr]],
             entry = m[i][c]
             if entry.is_zero_literal:
                 continue
-            v = is_zero(entry, parameters=parameters)
+            v = is_zero(entry)
             if v is ZeroVerdict.NONZERO:
                 if isinstance(entry, Rat):
                     cand = i
@@ -387,7 +386,7 @@ def solve_symbolic(rows: List[List[Expr]], rhs: List[List[Expr]],
                 x = "cannot certify pivots of symbolic system"
             elif row[k].is_zero_literal:
                 continue
-            elif is_zero(row[k], parameters=parameters) is ZeroVerdict.NONZERO:
+            elif is_zero(row[k]) is ZeroVerdict.NONZERO:
                 x = None
             else:
                 x = "cannot decide consistency of symbolic system"

@@ -67,16 +67,14 @@ def ad_matrix_rational(L: LieAlgebra, i: int) -> Matrix:
     return ad_matrix(L, identity(L.dim)[i])
 
 
-def adjoint_matrix(L: LieAlgebra, i: int,
-                   eps: Union[Expr, Fraction, None] = None
+def adjoint_matrix(L: LieAlgebra, i: int, eps: Union[Expr, Fraction]
                    ) -> List[List[Expr]]:
-    """Ad(exp(eps ad e_i)) as exact expressions in eps (a symbol by
-    default), for an ad e_i that is triangular in some order of the basis,
-    so that its spectrum is its rational diagonal.  On the encoded classes
-    every other generator is a rotation, with no such closed form in eps:
-    its steps are rotation steps (_rotate)."""
-    exact = exact_expm(ad_matrix_rational(L, i),
-                       sym("eps") if eps is None else _coerce(eps))
+    """Ad(exp(eps ad e_i)) as exact expressions in eps, for an ad e_i that
+    is triangular in some order of the basis, so that its spectrum is its
+    rational diagonal.  On the encoded classes every other generator is a
+    rotation, with no such closed form in eps: its steps are rotation steps
+    (_rotate)."""
+    exact = exact_expm(ad_matrix_rational(L, i), _coerce(eps))
     if exact is None:
         raise ExprError(f"ad e{i + 1} is not triangular in any order of the "
                         "basis: a rotation generator, whose group elements "

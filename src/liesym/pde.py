@@ -14,8 +14,8 @@ from functools import cached_property
 from typing import Dict, NamedTuple, Optional, Tuple, Union
 
 from .expr import (
-    Expr, ExprError, ONE, Rat, SymbolTable, ZERO, ZeroVerdict, add,
-    differentiate, free_symbols, is_zero, mul, powx, rat, substitute, sym,
+    Expr, ExprError, ONE, Rat, SymbolTable, ZERO, add, differentiate,
+    free_symbols, mul, powx, rat, substitute, sym,
 )
 from . import jets, poly
 from .dsl import parse, render
@@ -128,7 +128,7 @@ class DCRFamilyMember:
     __slots__ = ("A", "B", "C")
 
     def __init__(self, A: Expr, B: Expr, C: Expr):
-        if is_zero(A) is ZeroVerdict.ZERO:
+        if A.is_zero_literal:
             raise NotInFamilyError("diffusion coefficient A(u) vanishes")
         self.A, self.B, self.C = A, B, C
 
@@ -186,20 +186,25 @@ def _u_only(e: Expr, table: SymbolTable, what: str) -> Expr:
 
 
 def to_family(pde: EvolutionPDE) -> DCRFamilyMember:
-    """Match the rhs against A(u) u_xx + A'(u) u_x^2 + B(u) u_x + C(u)."""
-    table = pde.table
-    ux, uxx = jet_name(0, 1), jet_name(0, 2)
-    A = _u_only(differentiate(pde.rhs, uxx), table, "A(u)")
-    if is_zero(A) is ZeroVerdict.ZERO:
-        raise NotInFamilyError("no u_xx term (A = 0)")
-    Aprime = differentiate(A, "u")
-    r1 = add(pde.rhs, mul(-1, A, sym(uxx)), mul(-1, Aprime, powx(sym(ux), 2)))
-    B = _u_only(differentiate(r1, ux), table, "B(u)")
-    C = _u_only(substitute(r1, {ux: ZERO}), table, "C(u)")
-    residual = add(r1, mul(-1, B, sym(ux)), mul(-1, C))
-    if not residual.is_zero_literal:
+    """Match the rhs against A(u) u_xx + A'(u) u_x^2 + B(u) u_x + C(u):
+    over the generators that mention u_xx or u_x, the rhs holds only the
+    monomials u_xx, u_x^2, u_x and 1, and the coefficient of u_x^2 is A'."""
+    names = (jet_name(0, 2), jet_name(0, 1))
+    gens, parts = poly.collect(
+        poly.to_poly(pde.rhs, tuple(map(sym, names))),
+        lambda g: not free_symbols(g).isdisjoint(names))
+    rest = (0,) * (len(gens) - 2)
+    keys = [k + rest for k in ((1, 0), (0, 2), (0, 1), (0, 0))]
+    if not parts.keys() <= set(keys):
         raise NotInFamilyError(
-            f"rhs does not reduce to the family; residual {residual!r}")
+            "rhs is not A(u)*u_xx + A'(u)*u_x^2 + B(u)*u_x + C(u)")
+    A, D, B, C = (
+        _u_only(poly.from_poly(parts[k]), pde.table, what) if k in parts
+        else ZERO for k, what in zip(keys, ("A(u)", "A'(u)", "B(u)", "C(u)")))
+    if A.is_zero_literal:
+        raise NotInFamilyError("no u_xx term (A = 0)")
+    if not add(D, mul(-1, differentiate(A, "u"))).is_zero_literal:
+        raise NotInFamilyError(f"the coefficient {D!r} of u_x^2 is not A'(u)")
     return DCRFamilyMember(A=A, B=B, C=C)
 
 
@@ -213,18 +218,14 @@ class SpecialCaseFlags(NamedTuple):
     degenerate_p: bool             # p = 0
 
 
-def _literal_zero(e: Expr) -> bool:
-    return is_zero(e) is ZeroVerdict.ZERO
-
-
 def special_case_flags(inst: DCRInstance) -> SpecialCaseFlags:
     return SpecialCaseFlags(
         special_power_reaction=(
-            _literal_zero(add(inst.p, 1, mul(-1, inst.m)))
-            and _literal_zero(inst.c0)),
-        drift_removable=not _literal_zero(inst.b0),
+            add(inst.p, 1, mul(-1, inst.m)).is_zero_literal
+            and inst.c0.is_zero_literal),
+        drift_removable=not inst.b0.is_zero_literal,
         pure_convection_diffusion=(
-            _literal_zero(inst.c0) and _literal_zero(inst.c1)),
-        linear_diffusion=_literal_zero(add(inst.m, -1)),
-        degenerate_p=_literal_zero(inst.p),
+            inst.c0.is_zero_literal and inst.c1.is_zero_literal),
+        linear_diffusion=add(inst.m, -1).is_zero_literal,
+        degenerate_p=inst.p.is_zero_literal,
     )

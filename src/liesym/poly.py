@@ -31,8 +31,9 @@ that is no nonnegative integer.  Expanding a power of a sum counts against
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import add as _plus
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .expr import (
     EULER, MAX_POWER_BITS, Add, Expr, Mul, Pow, Rat, Rational,
@@ -159,6 +160,22 @@ def mark(ps: Sequence[Poly], marker: Expr) -> Poly:
     gens, terms = _align(ps)
     return Poly(gens + (marker,), {
         k + (i,): c for i, t in enumerate(terms) for k, c in t.items()})
+
+
+def collect(p: Poly, pick: Callable[[Expr], bool]
+            ) -> Tuple[Tuple[Expr, ...], Dict[tuple, Poly]]:
+    """The generators of p that ``pick`` selects, and p as a dict from
+    their exponent tuple to its coefficient, a polynomial over the other
+    generators; both generator tuples keep the order of ``p.gens``."""
+    picked = [bool(pick(g)) for g in p.gens]
+    others = [not f for f in picked]
+    groups: Dict[tuple, Terms] = {}
+    for k, c in p.coeffs.items():
+        groups.setdefault(tuple(compress(k, picked)), {})[
+            tuple(compress(k, others))] = c
+    rest = tuple(compress(p.gens, others))
+    return tuple(compress(p.gens, picked)), {
+        k: Poly(rest, t) for k, t in groups.items()}
 
 
 def _nonzero(terms: Terms) -> Terms:

@@ -90,33 +90,32 @@ def _vanishes(e: Expr, what: str) -> bool:
         f"cannot decide whether {what} vanishes: {e!r}")
 
 
+_TXU = ("t", "x", "u")
+
+#: per coefficient, its allowed monomials as exponents on (t, x, u), and
+#: the message for any other
+_AFFINE = (
+    (((0, 0, 0), (1, 0, 0)), "xi_t must be affine in t"),
+    (((0, 0, 0), (1, 0, 0), (0, 1, 0)), "xi_x must be affine in (t, x)"),
+    (((0, 0, 1),), "eta must be c*u with constant c"),
+)
+
+
 def affine_data(X: VectorField) -> AffineGenerator:
-    """Extract (a0, a1, b0, b1, b2, c); reject anything outside the class."""
-    t, x, u = "t", "x", "u"
-    for coef, allowed in ((X.xi_t, {t}), (X.xi_x, {t, x}), (X.eta, {u})):
-        got = free_symbols(coef) & {t, x, u}
-        if not got <= allowed:
-            raise UnsupportedGeneratorError(
-                f"coefficient {coef!r} depends on {sorted(got - allowed)}")
-    a1 = differentiate(X.xi_t, t)
-    if not differentiate(a1, t).is_zero_literal:
-        raise UnsupportedGeneratorError("xi_t must be affine in t")
-    a0 = substitute(X.xi_t, {t: ZERO})
-    b1 = differentiate(X.xi_x, t)
-    b2 = differentiate(X.xi_x, x)
-    if not (differentiate(b1, t).is_zero_literal
-            and differentiate(b1, x).is_zero_literal
-            and differentiate(b2, t).is_zero_literal
-            and differentiate(b2, x).is_zero_literal):
-        raise UnsupportedGeneratorError("xi_x must be affine in (t, x)")
-    b0 = substitute(X.xi_x, {t: ZERO, x: ZERO})
-    # c is checked first: eta at u = 0 can be a pole (eta = u^(-1))
-    c = differentiate(X.eta, u)
-    if free_symbols(c) & {"t", "x", "u"}:
-        raise UnsupportedGeneratorError("eta must be c*u with constant c")
-    if not add(X.eta, mul(-1, c, sym(u))).is_zero_literal:
-        raise UnsupportedGeneratorError("eta must be c*u")
-    return AffineGenerator(a0=a0, a1=a1, b0=b0, b1=b1, b2=b2, c=c)
+    """Extract (a0, a1, b0, b1, b2, c); reject anything outside the class.
+    Each coefficient is read over the generators that mention t, x or u
+    (t, x and u first), and each of its monomials must be an allowed one."""
+    data = []
+    for coef, (allowed, what) in zip(X, _AFFINE):
+        gens, parts = poly.collect(
+            poly.to_poly(coef, tuple(map(sym, _TXU))),
+            lambda g: not free_symbols(g).isdisjoint(_TXU))
+        keys = [k + (0,) * (len(gens) - 3) for k in allowed]
+        if not parts.keys() <= set(keys):
+            raise UnsupportedGeneratorError(f"{what}, got {coef!r}")
+        data += [poly.from_poly(parts[k]) if k in parts else ZERO
+                 for k in keys]
+    return AffineGenerator(*data)
 
 
 class Invariants(NamedTuple):
@@ -229,15 +228,10 @@ class ReductionAnsatz:
 
 def _phi_monomials(e: Expr) -> list:
     """(monomial, coefficient) of e in the generators that mention phi."""
-    p = poly.to_poly(e)
-    phi = [contains_func(g, PHI) for g in p.gens]
-    groups: Dict[tuple, dict] = {}
-    for k, c in p.coeffs.items():
-        groups.setdefault(tuple(q if f else 0 for q, f in zip(k, phi)), {})[
-            tuple(0 if f else q for q, f in zip(k, phi))] = c
-    return [(poly.from_poly(poly.Poly(p.gens, {mono: 1})),
-             poly.from_poly(poly.Poly(p.gens, terms)))
-            for mono, terms in groups.items()]
+    gens, parts = poly.collect(poly.to_poly(e),
+                               lambda g: contains_func(g, PHI))
+    return [(poly.from_poly(poly.Poly(gens, {mono: 1})),
+             poly.from_poly(coeff)) for mono, coeff in parts.items()]
 
 
 def reduce_pde(pde: EvolutionPDE, X: VectorField) -> ReductionAnsatz:
@@ -264,7 +258,7 @@ def reduce_pde(pde: EvolutionPDE, X: VectorField) -> ReductionAnsatz:
                                     residual)
     factor = max((g for g in groups if g[0] != ONE),
                  key=lambda g: g[0].key())[1]
-    if is_zero(factor) is ZeroVerdict.ZERO:
+    if factor.is_zero_literal:
         raise ReductionFailureError("vanishing leading cofactor", residual)
     ode_terms: List[Expr] = []
     inv_factor = powx(factor, rat(-1))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from math import perm
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .expr import (
     Expr, ExprError, Rat, Rational, ResourceLimitError, Sym,
@@ -78,14 +78,12 @@ def _residual(pde: EvolutionPDE, xi_t: poly.Poly, xi_x: poly.Poly,
     return poly.from_poly(residual)
 
 
-def is_symmetry(pde: EvolutionPDE, X: VectorField,
-                parameters: Optional[set] = None) -> SymmetryVerdict:
+def is_symmetry(pde: EvolutionPDE, X: VectorField) -> SymmetryVerdict:
     """Wrap the residual with the three-valued zero test."""
     residual = invariance_residual(pde, X)
-    if parameters is None:
-        parameters = pde.table.parameters | {
-            n for n in free_symbols(residual)
-            if pde.table.jet_index.get(n) is None and n not in ("t", "x")}
+    parameters = pde.table.parameters | {
+        n for n in free_symbols(residual)
+        if pde.table.jet_index.get(n) is None and n not in ("t", "x")}
     v = is_zero(residual, parameters=parameters)
     if v is ZeroVerdict.ZERO:
         return SymmetryVerdict(Verdict.SYMMETRY, residual)
@@ -279,13 +277,11 @@ def find_symmetries(pde: EvolutionPDE, bound: int = 2) -> FindResult:
     residual = _residual(pde, *(poly.mark(c, _GENERATOR)
                                 for c in zip(*polys))) if polys else ZERO
     if not residual.is_zero_literal:
-        marked = poly.to_poly(residual, (_GENERATOR,))
-        k = min(e[0] for e in marked.coeffs)
-        own = poly.Poly(marked.gens[1:], {
-            e[1:]: c for e, c in marked.coeffs.items() if e[0] == k})
+        _, parts = poly.collect(poly.to_poly(residual, (_GENERATOR,)),
+                                lambda g: g == _GENERATOR)
         raise RuntimeError(
             "determining-system solution failed re-verification; "
-            f"residual {poly.from_poly(own)!r}")
+            f"residual {poly.from_poly(parts[min(parts)])!r}")
     return FindResult(
         fields=[VectorField(*map(poly.from_poly, p)) for p in polys],
         verified=[SymmetryVerdict(Verdict.SYMMETRY, residual)] * len(polys))

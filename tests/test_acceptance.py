@@ -194,8 +194,7 @@ def test_c04_c1_normalization():
 # -- criterion 5: structure constants of the bracket-table basis --------------
 
 def test_c05_structure_constants():
-    L = structure_constants([X1, X2, printed_third_generator()],
-                            parameters={"m", "p"})
+    L = structure_constants([X1, X2, printed_third_generator()])
     ok = list(L.c[0][2]) == [m - 2 * p - 1, rat(-1), ZERO]
     ok = ok and list(L.c[1][2]) == [ZERO, m - p - 1, ZERO]
     ok = ok and all(e.is_zero_literal for e in L.c[0][1])

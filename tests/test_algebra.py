@@ -73,7 +73,7 @@ class TestBracket:
 
 class TestStructureConstants:
     def test_symbolic_eq5_table(self):
-        L = structure_constants([X1, X2, X3], parameters={"m", "p"})
+        L = structure_constants([X1, X2, X3])
         # [X1,X3] = (m-2p-1) X1 - X2, [X2,X3] = (m-p-1) X2, [X1,X2] = 0
         assert list(L.c[0][2]) == [m - 2 * p - 1, rat(-1), ZERO]
         assert list(L.c[1][2]) == [ZERO, m - p - 1, ZERO]
@@ -132,7 +132,7 @@ class TestStructureConstants:
             return linalg.solve_symbolic(*args, **kw)
 
         monkeypatch.setattr(algebra, "solve_symbolic", counted)
-        L = structure_constants([X1, X2, X3], parameters={"m", "p"})
+        L = structure_constants([X1, X2, X3])
         assert len(calls) == 1
         assert list(L.c[0][2]) == [m - 2 * p - 1, rat(-1), ZERO]
 
@@ -229,6 +229,18 @@ def test_bracket_table_on_powers_of_a_sum(text, code, printed):
              + os.environ.get("PYTHONPATH", "")})
     assert proc.returncode == code, proc.stderr
     assert printed in proc.stdout + proc.stderr
+
+
+def test_coordinates_when_merging_a_sum_adds_a_generator():
+    # bringing (u + exp(x))^(3/2) down to (u + exp(x))^(1/2) expands
+    # u + exp(x), which places the generator exp(x) after the component
+    # marker; the rows are still keyed by the marker's exponent
+    fields = [parse_vector_field(text, dcr_symbols()) for text in (
+        "(u+exp(x))^(1/2)*Du", "(u+exp(x))^(3/2)*Du + Dx", "Dt")]
+    columns = algebra.field_coordinates(algebra.components(fields))
+    assert [list(map(repr, c)) for c in columns] == [
+        ["0", "0", "1", "0", "0"], ["0", "1", "0", "1", "1"],
+        ["1", "0", "0", "0", "0"]]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +382,7 @@ class TestIdentify:
         assert "dimension" in ident.reason
 
     def test_symbolic_requires_instantiation(self):
-        L = structure_constants([X1, X2, X3], parameters={"m", "p"})
+        L = structure_constants([X1, X2, X3])
         assert identify(L).status == "unidentified"
 
 

@@ -71,6 +71,13 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_vector_field("t*Dt + u", TABLE)
 
+    @pytest.mark.parametrize("text", ["Dt^2*Dx", "Dt*Dx", "Dt^(1/2)",
+                                      "exp(Dt)", "x*Dt^2"])
+    def test_vector_field_terms_are_linear_in_one_marker(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_vector_field(text, TABLE)
+        assert "linear in exactly one of Dt, Dx, Du" in str(err.value)
+
     def test_field_round_trip(self):
         text = "-t*Dt - t*Dx + u*Du"
         f = parse_vector_field(text, TABLE)

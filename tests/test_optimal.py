@@ -125,7 +125,7 @@ class TestAdjointMatrix:
         L = cls.algebra
         assert exact_expm(ad_matrix_rational(L, 0), sym("eps")) is None
         with pytest.raises(ExprError):
-            adjoint_matrix(L, 0)
+            adjoint_matrix(L, 0, sym("eps"))
         turn = Step("rot", 0, turn=(rat(F(3, 5)), rat(F(4, 5))))
         assert turn.describe() == "exp(atan2(4/5, 3/5)*ad e1)"
         assert apply_word(cls, None, [turn], frac_vec(0, 1, 0)) == \

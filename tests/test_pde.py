@@ -73,6 +73,19 @@ class TestToFamily:
         with pytest.raises(NotInFamilyError):
             to_family(pde2)
 
+    @pytest.mark.parametrize("rhs,message", [
+        (u_xx * u_x, "rhs is not A(u)*u_xx + A'(u)*u_x^2"),
+        (u_xx + powx(1 + u_x, rat(Fraction(1, 2))), "rhs is not A(u)*u_xx"),
+        (u * u_xx + 2 * u_x ** 2, "the coefficient 2 of u_x^2 is not A'(u)"),
+        (u_x + u, "no u_xx term (A = 0)"),
+        (u_xx + sym("x") * u_x, "B(u) depends on x"),
+        (u_xx + sym("t"), "C(u) depends on t"),
+    ])
+    def test_out_of_family_messages(self, rhs, message):
+        with pytest.raises(NotInFamilyError) as err:
+            to_family(EvolutionPDE(rhs=rhs, table=dcr_symbols()))
+        assert message in str(err.value)
+
 
 class TestFlags:
     def test_special_case(self):

@@ -191,3 +191,45 @@ def test_sympy_poly_agrees(a, b, name):
     assert _dict(poly.mul(pa, pb)) == _sympy_dict(A * B)
     assert _dict(poly.derive(pa, {name: ONE})) == _sympy_dict(
         A.diff(_SYMPY_GENS[_GENS.index(sym(name))]))
+
+
+# -- collect ----------------------------------------------------------------
+
+_NAMES = st.sets(st.sampled_from(["t", "x", "u", "m", "w"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_exprs(atoms=True), _NAMES)
+def test_collect_rebuilds_p(e, names):
+    p = poly.to_poly(e)
+
+    def pick(g):
+        return not expr.free_symbols(g).isdisjoint(names)
+
+    gens, parts = poly.collect(p, pick)
+    assert gens == tuple(g for g in p.gens if pick(g))
+    rebuilt = poly.add(poly.to_poly(expr.ZERO, p.gens), *[
+        poly.mul(poly.Poly(gens, {k: 1}), c) for k, c in parts.items()])
+    assert _dict_over(rebuilt, p.gens) == p.coeffs
+    for c in parts.values():
+        assert c.coeffs and not any(map(pick, c.gens))
+
+
+def _dict_over(p, gens):
+    [q] = poly.align(poly.to_poly(ONE, gens), p)[1:]
+    assert q.gens == gens
+    return q.coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_exprs(), st.sets(st.sampled_from(["t", "x", "u"]), min_size=1))
+def test_collect_agrees_with_sympy(e, names):
+    picked = sorted(names)
+    gens, parts = poly.collect(poly.to_poly(e), lambda g: g.name in names)
+    got = {tuple(dict(zip(gens, k)).get(sym(n), 0) for n in picked):
+           sympy.sympify(render(poly.from_poly(c)))
+           for k, c in parts.items()}
+    want = sympy.Poly(sympy.sympify(render(e)),
+                      *sympy.symbols(picked)).as_dict()
+    assert got.keys() == {k for k, c in want.items() if c}
+    assert all(sympy.expand(got[k] - want[k]) == 0 for k in got)

@@ -10,12 +10,33 @@ from liesym.jets import VectorField
 from liesym.pde import DCRInstance, build_dcr, heat_equation
 from liesym.reduction import (ClosedFormSolution, DegenerateGeneratorError,
                               NotASymmetryError, UnsupportedGeneratorError,
-                              generator_invariants, reduce_pde,
+                              affine_data, generator_invariants, reduce_pde,
                               transform_solution, transform_solution_et,
                               verify_solution)
 from liesym.equivalence import invert_et, remove_drift
 
 t, x, u, w = sym("t"), sym("x"), sym("u"), sym("w")
+
+
+class TestAffineData:
+    def test_coefficients(self):
+        m = sym("m")
+        data = affine_data(VectorField(2 + 3 * t, 1 - t + 5 * x, m * u))
+        assert data == (rat(2), rat(3), ONE, rat(-1), rat(5), m)
+
+    @pytest.mark.parametrize("field,message", [
+        (VectorField(ONE, ZERO, u + 1), "eta must be c*u with constant c"),
+        (VectorField(ONE, ZERO, powx(u, rat(-1))),
+         "eta must be c*u with constant c"),
+        (VectorField(t ** 2, ZERO, ZERO), "xi_t must be affine in t"),
+        (VectorField(x, ZERO, ZERO), "xi_t must be affine in t"),
+        (VectorField(ZERO, exp(t), ZERO), "xi_x must be affine in (t, x)"),
+        (VectorField(ZERO, t * x, u), "xi_x must be affine in (t, x)"),
+    ])
+    def test_outside_the_class(self, field, message):
+        with pytest.raises(UnsupportedGeneratorError) as err:
+            affine_data(field)
+        assert message in str(err.value)
 
 
 class TestInvariants:
