@@ -25,7 +25,7 @@ from .expr import (
 from .jets import VectorField
 from .linalg import (
     Matrix, identity, inverse, matmul, matvec, nullspace, rank, rref, solve,
-    solve_symbolic,
+    solve_symbolic, sparse_rows,
 )
 
 
@@ -340,7 +340,7 @@ def _series(L: LieAlgebra) -> List[List[List[Fraction]]]:
 def center(L: LieAlgebra) -> List[List[Fraction]]:
     """Vectors v with [e_i, v] = 0 for every basis vector e_i."""
     rows = [row for e in identity(L.dim) for row in ad_matrix(L, e)]
-    return nullspace(rows, L.dim)
+    return nullspace(sparse_rows(rows), L.dim)
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
@@ -966,7 +966,7 @@ def _identify_2a2(L: LieAlgebra, derived: List[List[Fraction]],
 
 def _eigvec2(M: Matrix, lam: Fraction) -> List[Fraction]:
     rows = [[M[0][0] - lam, M[0][1]], [M[1][0], M[1][1] - lam]]
-    vecs = nullspace(rows, 2)
+    vecs = nullspace(sparse_rows(rows), 2)
     return vecs[0]
 
 

@@ -3,15 +3,18 @@ small systems whose entries are symbolic expressions.
 
 Exact elimination is sparse and fraction-free (Bareiss 1968): it runs on
 Python ints alone.  The determining systems of the symmetry search have
-hundreds of integer rows with under two nonzeros each, so ``_eliminate``
-stores each row as a dict column -> int (its nonzeros read with
-``itertools.compress``), drops all-zero rows and clears a rational row's
-denominators on entry.  A presolve runs first (Andersen and Andersen
-1995): a one-entry row is its column's reduced row, so that column is
-deleted from every other row with no arithmetic, and a row left with one
-entry goes through the same step; about half the rows of a determining
-system leave this way.  A column -> rows index finds the rows to
-eliminate, pivots are taken column by column (the shortest
+hundreds of integer rows with under two nonzeros each, so the engine takes
+sparse rows, one list of (column, value) pairs per row with distinct
+columns and no zero value, which is how the search assembles them;
+``_eliminate`` makes each row a dict column -> int, drops empty rows and
+clears a rational row's denominators on entry.  ``nullspace`` takes sparse
+rows; ``rref``, ``rank``, ``solve`` and ``inverse`` take dense rows and
+read their nonzeros with ``sparse_rows``.  A presolve runs first (Andersen
+and Andersen 1995): a one-entry row is its column's reduced row, so that
+column is deleted from every other row with no arithmetic, and a row left
+with one entry goes through the same step; about half the rows of a
+determining system leave this way.  A column -> rows index finds the rows
+to eliminate, pivots are taken column by column (the shortest
 candidate row, ties broken by row index; see ``_choose_pivot``), a row
 update row <- a*row - b*pivot row uses the cofactors a, b of the pivot and
 the eliminated entry over their gcd, and each updated row is divided by
@@ -41,10 +44,10 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from itertools import compress
 from fractions import Fraction
 from math import factorial, gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from .expr import (
     EULER, Expr, Rat, Rational, ZERO, ZeroVerdict, add, is_zero, mul, powx,
@@ -52,9 +55,18 @@ from .expr import (
 )
 
 Matrix = List[List[Fraction]]
+#: a row as (column, value) pairs: distinct columns, no zero value
+Pairs = Iterable[Tuple[int, Rational]]
 SparseRow = Dict[int, int]
 
 _ZERO = Fraction(0)
+
+
+def sparse_rows(rows: Sequence[Sequence[Rational]]
+                ) -> List[List[Tuple[int, Rational]]]:
+    """Dense rows as sparse ones: each row's nonzeros as (column, value)
+    pairs in column order."""
+    return [[(j, v) for j, v in enumerate(r) if v] for r in rows]
 
 
 def _choose_pivot(candidates: Set[int], rows: Dict[int, SparseRow]) -> int:
@@ -63,16 +75,16 @@ def _choose_pivot(candidates: Set[int], rows: Dict[int, SparseRow]) -> int:
     return min(candidates, key=lambda i: (len(rows[i]), i))
 
 
-def _eliminate(rows: Matrix) -> Dict[int, SparseRow]:
-    """Sparse fraction-free Gauss-Jordan elimination over Z; returns pivot
-    column -> its reduced row, an integer multiple of the reduced row
-    echelon form's row (the multiple is its entry at the pivot), zero in
-    every other pivot column."""
+def _eliminate(rows: Iterable[Pairs]) -> Dict[int, SparseRow]:
+    """Sparse fraction-free Gauss-Jordan elimination over Z of sparse rows;
+    returns pivot column -> its reduced row, an integer multiple of the
+    reduced row echelon form's row (the multiple is its entry at the
+    pivot), zero in every other pivot column."""
     sparse: Dict[int, SparseRow] = {}
     by_col: Dict[int, Set[int]] = {}
     singles: List[int] = []
     for i, r in enumerate(rows):
-        row = dict(zip(compress(range(len(r)), r), filter(None, r)))
+        row = dict(r)
         if not row:
             continue
         for v in row.values():
@@ -152,7 +164,7 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
     if not rows:
         return [], []
     ncols = len(rows[0])
-    reduced = _eliminate(rows)
+    reduced = _eliminate(sparse_rows(rows))
     pivots = sorted(reduced)
     out: Matrix = []
     for c in pivots:
@@ -167,14 +179,14 @@ def rref(rows: Matrix) -> Tuple[Matrix, List[int]]:
 
 def rank(rows: Matrix) -> int:
     """Rank of an exact matrix."""
-    return len(_eliminate(rows))
+    return len(_eliminate(sparse_rows(rows)))
 
 
-def nullspace(rows: Matrix, ncols: int) -> List[List[Fraction]]:
-    """Basis of the right nullspace, scaled to primitive integer vectors:
-    one vector per free column, read off the pivot rows in integers (the
-    free column's entry is the lcm of the pivots of the rows that hold
-    it)."""
+def nullspace(rows: Iterable[Pairs], ncols: int) -> List[List[Fraction]]:
+    """Basis of the right nullspace of sparse rows with columns below
+    ``ncols``, scaled to primitive integer vectors: one vector per free
+    column, read off the pivot rows in integers (the free column's entry is
+    the lcm of the pivots of the rows that hold it)."""
     reduced = _eliminate(rows)
     free: Dict[int, list] = {c: [] for c in range(ncols) if c not in reduced}
     for pc, prow in reduced.items():
@@ -213,7 +225,8 @@ def solve(rows: Matrix, rhs: Sequence[Fraction]) -> Optional[List[Fraction]]:
     if not rows:
         return [] if all(b == 0 for b in rhs) else None
     ncols = len(rows[0])
-    reduced = _eliminate([list(r) + [b] for r, b in zip(rows, rhs)])
+    reduced = _eliminate(sparse_rows([list(r) + [b]
+                                      for r, b in zip(rows, rhs)]))
     if ncols in reduced:
         return None
     x = [_ZERO] * ncols
@@ -251,7 +264,8 @@ def identity(n: int) -> Matrix:
 
 def inverse(a: Matrix) -> Optional[Matrix]:
     n = len(a)
-    reduced = _eliminate([list(a[i]) + identity(n)[i] for i in range(n)])
+    reduced = _eliminate(sparse_rows([list(a[i]) + identity(n)[i]
+                                      for i in range(n)]))
     if any(c not in reduced for c in range(n)):
         return None
     return [[Fraction(reduced[c].get(n + j, 0), reduced[c][c])
@@ -285,7 +299,7 @@ def _eigen_chains(M: Tuple[Tuple[Fraction, ...], ...]):
         Bp = identity(n)
         for _ in range(mu):
             Bp = matmul(B, Bp)
-        for v in nullspace(Bp, n):
+        for v in nullspace(sparse_rows(Bp), n):
             # exp(eps M) v = e^(lam eps) * sum_k eps^k/k! B^k v
             chain = [v]
             w = v

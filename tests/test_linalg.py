@@ -13,7 +13,8 @@ from liesym.algebra import canonical_class_by_name
 from liesym.dsl import parse_pde, render
 from liesym.expr import ZERO, powx, rat, sym
 from liesym.linalg import (_primitive, exact_expm, inverse, matmul, matvec,
-                           nullspace, rank, rref, solve, solve_symbolic)
+                           nullspace, rank, rref, solve, solve_symbolic,
+                           sparse_rows)
 from liesym.jets import dcr_symbols
 from liesym.optimal import ad_matrix_rational
 from liesym.pde import EvolutionPDE
@@ -82,7 +83,7 @@ def test_rref_matches_sympy(rows):
 @given(matrices(), st.integers(0, 8))
 def test_nullspace_annihilates_rows(rows, extra):
     ncols = ncols_of(rows) if rows else extra
-    basis = nullspace(rows, ncols)
+    basis = nullspace(sparse_rows(rows), ncols)
     assert len(basis) == ncols - rank(rows)
     for v in basis:
         assert len(v) == ncols
@@ -216,8 +217,8 @@ def test_engine_matches_sympy(case):
     rows, ncols = case
     A = to_sympy([[Fraction(v) for v in r] for r in rows], ncols)
     assert rank(rows) == A.rank()
-    assert nullspace(rows, ncols) == [primitive_sympy(v)
-                                      for v in A.nullspace()]
+    assert nullspace(sparse_rows(rows), ncols) == [primitive_sympy(v)
+                                                   for v in A.nullspace()]
     if rows:
         S, spivots = A.rref()
         assert rref(rows) == (from_sympy(S), list(spivots))
@@ -280,10 +281,10 @@ def test_elimination_constructs_no_fraction(monkeypatch, rational):
                        table=table)
     basis = _ansatz_basis(4)
     rows = _determining_matrix(pde, basis)
-    assert all(type(v) is int for r in rows for v in r)
+    assert all(type(v) is int for r in rows for _, v in r)
     if rational:
-        rows = [[Fraction(v, 7) + Fraction(10 ** 30, 3) if v else v
-                 for v in r] for r in rows]
+        rows = [[(j, Fraction(v, 7) + Fraction(10 ** 30, 3)) for j, v in r]
+                for r in rows]
     made = _count_fractions(monkeypatch)
     reduced = linalg._eliminate(rows)
     assert made == []
@@ -291,6 +292,53 @@ def test_elimination_constructs_no_fraction(monkeypatch, rational):
     basis_vectors = nullspace(rows, len(basis))
     # the readout builds one Fraction per nonzero entry of the basis
     assert len(made) == sum(1 for v in basis_vectors for x in v if x)
+
+
+@st.composite
+def sparse_input(draw):
+    """Sparse rows as nullspace takes them, with the edge cases of the
+    form: empty rows, rows whose only column is the last one, rows of
+    Fractions whose denominators all differ, and rows mixing ints, 30-digit
+    ints and Fractions."""
+    ncols = draw(st.integers(1, 8))
+    nonzero = st.integers(-9, 9).filter(bool)
+
+    def row():
+        kind = draw(st.sampled_from(["empty", "last", "fractions", "mixed"]))
+        if kind == "empty":
+            return []
+        if kind == "last":
+            return [(ncols - 1, draw(st.one_of(nonzero, BIG)))]
+        cols = sorted(draw(st.sets(st.integers(0, ncols - 1), min_size=1,
+                                   max_size=3)))
+        if kind == "fractions":
+            dens = draw(st.lists(st.integers(2, 12), min_size=len(cols),
+                                 max_size=len(cols), unique=True))
+            # d and d + 1 are coprime, so each denominator stays as drawn
+            return [(j, Fraction(draw(st.sampled_from([1, -1, d + 1, -d - 1])),
+                                 d)) for j, d in zip(cols, dens)]
+        value = st.one_of(nonzero, BIG, st.builds(Fraction, nonzero,
+                                                  st.integers(1, 12)))
+        return [(j, draw(value)) for j in cols]
+
+    return [row() for _ in range(draw(st.integers(0, 10)))], ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_input())
+def test_sparse_rows_match_sympy(case):
+    rows, ncols = case
+    dense = [[Fraction(0)] * ncols for _ in rows]
+    for d, r in zip(dense, rows):
+        for j, v in r:
+            d[j] = Fraction(v)
+    assert nullspace(rows, ncols) == [primitive_sympy(v) for v in
+                                      to_sympy(dense, ncols).nullspace()]
+    with pytest.MonkeyPatch.context() as mp:
+        made = _count_fractions(mp)
+        reduced = linalg._eliminate(rows)
+    assert made == []
+    assert all(type(v) is int for r in reduced.values() for v in r.values())
 
 
 @pytest.mark.parametrize("rows", [

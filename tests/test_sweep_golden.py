@@ -14,7 +14,7 @@ from pathlib import Path
 
 from liesym import dsl
 from liesym.jets import dcr_symbols
-from liesym.linalg import rank
+from liesym.linalg import nullspace
 from liesym.pde import EvolutionPDE
 from liesym.symmetry import _ansatz_basis, _determining_matrix, find_symmetries
 
@@ -39,7 +39,7 @@ def sweep_document() -> str:
             "rows": len(matrix),
             "cols": len(basis),
             "nnz": sum(1 for r in matrix for v in r if v),
-            "rank": rank(matrix),
+            "rank": len(basis) - len(nullspace(matrix, len(basis))),
         })
     return json.dumps(runs, indent=2) + "\n"
 
