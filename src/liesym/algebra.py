@@ -143,7 +143,9 @@ def field_coordinates(fields: Sequence[Components]) -> List[List[Expr]]:
 
 class LieAlgebra:
     """Ordered basis with exact structure constants
-    [e_i, e_j] = sum_k c[i][j][k] e_k."""
+    [e_i, e_j] = sum_k c[i][j][k] e_k.  A rational algebra also keeps them
+    sparse, as the (k, c[i][j][k]) with c[i][j][k] != 0 of each pair, and
+    its kernels loop over those entries only."""
 
     def __init__(self, dim: int,
                  c: Tuple[Tuple[Tuple[Expr, ...], ...], ...],
@@ -194,6 +196,11 @@ class LieAlgebra:
         return [[[e.value if isinstance(e, Rat) else Fraction(0) for e in row]
                  for row in plane] for plane in self.c]
 
+    @functools.cached_property
+    def _sparse(self) -> List[List[List[Tuple[int, Fraction]]]]:
+        return [[[(k, x) for k, x in enumerate(row) if x] for row in plane]
+                for plane in self._rational]
+
     def instantiate(self, bindings: Dict[str, "Expr | int | Fraction"]
                     ) -> "LieAlgebra":
         b = {k: (v if isinstance(v, Expr) else rat(v))
@@ -207,23 +214,22 @@ class LieAlgebra:
 
     def check_jacobi(self):
         """Jacobi identity as canonical-form zero, including parametric
-        constants."""
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    for l in range(n):
-                        total = ZERO
-                        for m in range(n):
-                            total = add(
-                                total,
-                                mul(self.c[i][j][m], self.c[m][k][l]),
-                                mul(self.c[j][k][m], self.c[m][i][l]),
-                                mul(self.c[k][i][m], self.c[m][j][l]))
-                        if not total.is_zero_literal:
-                            raise ExprError(
-                                f"Jacobi identity fails at ({i},{j},{k};{l}): "
-                                f"{total!r}")
+        constants; products with a zero-literal constant are skipped."""
+        n, c = self.dim, self.c
+        for i, j, k in itertools.combinations(range(n), 3):
+            terms: List[List[Expr]] = [[] for _ in range(n)]
+            for a, b, d in ((i, j, k), (j, k, i), (k, i, j)):
+                for m, x in enumerate(c[a][b]):
+                    if not x.is_zero_literal:
+                        for l, y in enumerate(c[m][d]):
+                            if not y.is_zero_literal:
+                                terms[l].append(mul(x, y))
+            for l, row in enumerate(terms):
+                total = add(*row)
+                if not total.is_zero_literal:
+                    raise ExprError(
+                        f"Jacobi identity fails at ({i},{j},{k};{l}): "
+                        f"{total!r}")
 
 
 def structure_constants(basis: Sequence[VectorField]) -> LieAlgebra:
@@ -293,24 +299,25 @@ def _span_rows(vectors: List[List[Fraction]]) -> List[List[Fraction]]:
 def _bracket_rational(L: LieAlgebra, v: Sequence[Fraction],
                       w: Sequence[Fraction]) -> List[Fraction]:
     """[v, w] for coordinate vectors over the basis of a rational algebra."""
-    c = L.rational_constants()
-    n = L.dim
-    out = [Fraction(0)] * n
-    for i in range(n):
-        if v[i] == 0:
-            continue
-        for j in range(n):
-            if w[j] == 0:
-                continue
-            for k in range(n):
-                out[k] += v[i] * w[j] * c[i][j][k]
+    out = [Fraction(0)] * L.dim
+    for vi, row in zip(v, L._sparse):
+        if vi:
+            for wj, pair in zip(w, row):
+                if wj:
+                    for k, x in pair:
+                        out[k] += vi * wj * x
     return out
 
 
 def ad_matrix(L: LieAlgebra, v: Sequence[Fraction]) -> Matrix:
     """Matrix of ad v on the basis: column j holds [v, e_j]."""
-    cols = [_bracket_rational(L, v, e) for e in identity(L.dim)]
-    return [list(row) for row in zip(*cols)]
+    M = [[Fraction(0)] * L.dim for _ in range(L.dim)]
+    for vi, row in zip(v, L._sparse):
+        if vi:
+            for j, pair in enumerate(row):
+                for k, x in pair:
+                    M[k][j] += vi * x
+    return M
 
 
 def _subspace_brackets(L: LieAlgebra, a: List[List[Fraction]],
@@ -344,13 +351,14 @@ def center(L: LieAlgebra) -> List[List[Fraction]]:
 
 
 def killing_form(L: LieAlgebra) -> Matrix:
-    n = L.dim
-    ad = [ad_matrix(L, e) for e in identity(n)]
+    """K_ij = tr(ad e_i ad e_j) = sum over k, l of c[i][l][k] c[j][k][l],
+    read straight off the sparse constants."""
+    n, c = L.dim, L.rational_constants()
     K = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            prod = matmul(ad[i], ad[j])
-            K[i][j] = sum((prod[k][k] for k in range(n)), Fraction(0))
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        K[i][j] = K[j][i] = sum((x * c[j][k][l] for l, pair in
+                                 enumerate(L._sparse[i]) for k, x in pair),
+                                Fraction(0))
     return K
 
 

@@ -3,10 +3,13 @@ optimal systems for the encoded low-dimensional classes.
 
 Strategy: an algebra is first identified (witness basis change to canonical
 coordinates); in canonical coordinates every encoded class has an exact
-classifier mapping a nonzero coefficient vector to its class representative
-together with a witness word of adjoint steps.  Conjugacy of two vectors is
-then signature equality, confirmed by applying the composed word exactly,
-and the optimal system is the classifier's image.
+classifier mapping a nonzero coefficient vector to its class representative.
+The line classifiers read integer coordinates, a positive multiple of the
+canonical ones, and only their ratios and signs.  The witness word of
+adjoint steps is built on demand: only are_conjugate asks for it, so the
+audits classify without building one.  Conjugacy of two vectors is then
+signature equality, confirmed by applying the composed word exactly, and
+the optimal system is the classifier's image.
 
 The conjugacy quotient is the connected adjoint group, the line reflection
 v -> -v, and the per-class discrete automorphisms declared in the catalog
@@ -30,10 +33,13 @@ word, applied exactly, makes every 2x2 minor of (A v, w) the literal zero.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 from fractions import Fraction
 from typing import (
-    Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+    Union,
 )
 
 from .dsl import render
@@ -62,11 +68,6 @@ class UnsupportedClassError(ExprError):
 # some order of the basis, rotation steps for the others
 # ---------------------------------------------------------------------------
 
-def ad_matrix_rational(L: LieAlgebra, i: int) -> Matrix:
-    """Matrix of ad e_i."""
-    return ad_matrix(L, identity(L.dim)[i])
-
-
 def adjoint_matrix(L: LieAlgebra, i: int, eps: Union[Expr, Fraction]
                    ) -> List[List[Expr]]:
     """Ad(exp(eps ad e_i)) as exact expressions in eps, for an ad e_i that
@@ -74,7 +75,7 @@ def adjoint_matrix(L: LieAlgebra, i: int, eps: Union[Expr, Fraction]
     rational diagonal.  On the encoded classes every other generator is a
     rotation, with no such closed form in eps: its steps are rotation steps
     (_rotate)."""
-    exact = exact_expm(ad_matrix_rational(L, i), _coerce(eps))
+    exact = exact_expm(ad_matrix(L, identity(L.dim)[i]), _coerce(eps))
     if exact is None:
         raise ExprError(f"ad e{i + 1} is not triangular in any order of the "
                         "basis: a rotation generator, whose group elements "
@@ -117,7 +118,8 @@ def apply_word(cls: CanonicalClass, a: Optional[Fraction],
         if s.kind == "aut":
             x = matvec(cls.discrete_maps()[s.name], x)
         elif s.kind == "rot":
-            x = _rotate(ad_matrix_rational(alg, s.index), s.turn, x)
+            x = _rotate(ad_matrix(alg, identity(alg.dim)[s.index]), s.turn,
+                        x)
         else:
             x = matvec(adjoint_matrix(alg, s.index, s.epsilon), x)
     return x
@@ -265,7 +267,7 @@ class ConjugacyWitness(NamedTuple):
 class Signature(NamedTuple):
     rep_id: str
     params: Dict[str, object]   # exact: see the module docstring
-    steps: List[Step]
+    word: Callable[[], List[Step]]   # builds the witness word on demand
 
     def matches(self, other: "Signature") -> bool:
         return self.rep_id == other.rep_id and self.params == other.params
@@ -321,17 +323,13 @@ def _aut_step(name: str) -> Step:
     return Step("aut", name=name)
 
 
-def _sig(rep_id: str, params=None, steps=None) -> Signature:
-    return Signature(rep_id, params or {}, steps or [])
+def _sig(rep_id: str, params=None, word=None) -> Signature:
+    return Signature(rep_id, params or {}, word or list)
 
 
-def _zflip(steps: List[Step], c) -> int:
-    """Append the central flip v -> -v to steps when c < 0; returns the
-    sign (+1 or -1) that makes c positive."""
-    if _sign(c) < 0:
-        steps.append(_aut_step("Z-flip"))
-        return -1
-    return 1
+def _flip(c) -> List[Step]:
+    """The central flip v -> -v when c < 0, else no step."""
+    return [_aut_step("Z-flip")] if _sign(c) < 0 else []
 
 
 def _first_nonzero(v: Sequence[Fraction]) -> int:
@@ -343,8 +341,11 @@ def _first_nonzero(v: Sequence[Fraction]) -> int:
 
 class Strategy:
     """Exact one-dimensional subalgebra classification for one canonical
-    class.  classify() maps any nonzero rational coefficient vector to the
-    signature of its class representative with a witness word."""
+    class.  classify() maps any nonzero coefficient vector, int or rational,
+    to the signature of its class representative; it reads only ratios and
+    signs, so a positive multiple of the vector has the same signature.
+    vector_classify() reads the vector itself.  The witness word is built
+    only when the signature's word() is called."""
 
     name = ""
     invariant = ""   # names the invariant behind the signature parameters
@@ -395,7 +396,8 @@ class AbelianStrategy(Strategy):
 
     def classify(self, v):
         k = _first_nonzero(v)
-        params = {f"a{j + 1}": v[j] / v[k] for j in range(k + 1, len(v))}
+        params = {f"a{j + 1}": Fraction(v[j], v[k])
+                  for j in range(k + 1, len(v))}
         return _sig(f"e{k + 1}-normal", params)
 
 
@@ -407,7 +409,7 @@ class A2Strategy(Strategy):
     def classify(self, v):
         c1, c2 = v
         if c2 != 0:
-            return _sig("e2", {}, [_exp_step(0, -c1 / c2)])
+            return _sig("e2", {}, lambda: [_exp_step(0, Fraction(-c1, c2))])
         return _sig("e1")
 
 
@@ -426,15 +428,12 @@ class A2A1Strategy(Strategy):
     def classify(self, v):
         c1, c2, c3 = v
         if c2 != 0:
-            return _sig("e2+d*e3", {"d": c3 / c2}, [_exp_step(0, -c1 / c2)])
+            return _sig("e2+d*e3", {"d": Fraction(c3, c2)},
+                        lambda: [_exp_step(0, Fraction(-c1, c2))])
         if c1 != 0 and c3 != 0:
-            steps = []
-            r = c1 / c3
-            if r < 0:
-                steps.append(_aut_step("R1"))
-                r = -r
-            steps.append(_log_step(1, r))
-            return _sig("e1+e3", {}, steps)
+            r = Fraction(c1, c3)
+            return _sig("e1+e3", {}, lambda: [_aut_step("R1")] * (r < 0)
+                        + [_log_step(1, abs(r))])
         return _sig("e1" if c1 != 0 else "e3")
 
     def vector_reps(self):
@@ -451,21 +450,15 @@ class A2A1Strategy(Strategy):
     def vector_classify(self, v):
         c1, c2, c3 = v
         if c2 != 0:
-            steps = [_exp_step(0, -c1 / c2)]
-            s = _zflip(steps, c2)
-            return _sig("v:e2", {"b": s * c2, "d": s * c3}, steps)
-        steps = []
+            s = _sign(c2)
+            return _sig("v:e2", {"b": s * c2, "d": s * c3}, lambda: [
+                _exp_step(0, Fraction(-c1, c2))] + _flip(c2))
         if c1 != 0:
-            if c1 < 0:
-                steps.append(_aut_step("R1"))
-                c1 = -c1
-            if c3 < 0:
-                steps.append(_aut_step("Z-flip"))
-                steps.append(_aut_step("R1"))
-                c3 = -c3
-            steps.append(_log_step(1, c1))
-            return _sig("v:e1", {"d": c3}, steps)
-        return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
+            return _sig("v:e1", {"d": abs(c3)}, lambda: (
+                [_aut_step("R1")] * (c1 < 0)
+                + [_aut_step("Z-flip"), _aut_step("R1")] * (c3 < 0)
+                + [_log_step(1, abs(c1))]))
+        return _sig("v:e3", {"d": abs(c3)}, lambda: _flip(c3))
 
 
 class A31Strategy(Strategy):
@@ -480,9 +473,10 @@ class A31Strategy(Strategy):
     def classify(self, v):
         c1, c2, c3 = v
         if c2 != 0:
-            return _sig("e2+d*e3", {"d": c3 / c2}, [_exp_step(2, c1 / c2)])
+            return _sig("e2+d*e3", {"d": Fraction(c3, c2)},
+                        lambda: [_exp_step(2, Fraction(c1, c2))])
         if c3 != 0:
-            return _sig("e3", {}, [_exp_step(1, -c1 / c3)])
+            return _sig("e3", {}, lambda: [_exp_step(1, Fraction(-c1, c3))])
         return _sig("e1")
 
     def vector_reps(self):
@@ -499,14 +493,13 @@ class A31Strategy(Strategy):
     def vector_classify(self, v):
         c1, c2, c3 = v
         if c2 != 0:
-            steps = [_exp_step(2, c1 / c2)]
-            s = _zflip(steps, c2)
-            return _sig("v:e2", {"b": s * c2, "d": s * c3}, steps)
+            s = _sign(c2)
+            return _sig("v:e2", {"b": s * c2, "d": s * c3}, lambda: [
+                _exp_step(2, Fraction(c1, c2))] + _flip(c2))
         if c3 != 0:
-            steps = [_exp_step(1, -c1 / c3)]
-            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
-        steps = []
-        return _sig("v:e1", {"b": _zflip(steps, c1) * c1}, steps)
+            return _sig("v:e3", {"d": abs(c3)}, lambda: [
+                _exp_step(1, Fraction(-c1, c3))] + _flip(c3))
+        return _sig("v:e1", {"b": abs(c1)}, lambda: _flip(c1))
 
 
 class A32Strategy(Strategy):
@@ -517,16 +510,16 @@ class A32Strategy(Strategy):
 
     @staticmethod
     def _kill_plane(c1, c2, c3) -> List[Step]:
-        e2s = -c2 / c3
+        e2s = Fraction(-c2, c3)
         c1b = c1 + e2s * c3   # e2 step shifts both c1 and c2 by eps*c3
-        return [_exp_step(1, e2s), _exp_step(0, -c1b / c3)]
+        return [_exp_step(1, e2s), _exp_step(0, Fraction(-c1b, c3))]
 
     def classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            return _sig("e3", {}, self._kill_plane(c1, c2, c3))
+            return _sig("e3", {}, lambda: self._kill_plane(c1, c2, c3))
         if c2 != 0:
-            return _sig("e2", {}, [_exp_step(2, c1 / c2)])
+            return _sig("e2", {}, lambda: [_exp_step(2, Fraction(c1, c2))])
         return _sig("e1")
 
     def vector_reps(self):
@@ -541,15 +534,14 @@ class A32Strategy(Strategy):
     def vector_classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            steps = self._kill_plane(c1, c2, c3)
-            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
+            return _sig("v:e3", {"d": abs(c3)},
+                        lambda: self._kill_plane(c1, c2, c3) + _flip(c3))
         if c2 != 0:
-            steps = [_exp_step(2, c1 / c2)]
-            b = mul(_zflip(steps, c2) * c2, exp(rat(-c1 / c2)))
-            return _sig("v:e2", {"b": b}, steps)
-        steps = [_log_step(2, abs(c1))]
-        _zflip(steps, c1)
-        return _sig("v:e1", {}, steps)
+            b = mul(abs(c2), exp(rat(Fraction(-c1, c2))))
+            return _sig("v:e2", {"b": b}, lambda: [
+                _exp_step(2, Fraction(c1, c2))] + _flip(c2))
+        return _sig("v:e1", {},
+                    lambda: [_log_step(2, abs(c1))] + _flip(c1))
 
 
 class A33Strategy(Strategy):
@@ -564,11 +556,15 @@ class A33Strategy(Strategy):
     def classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            return _sig("e3", {}, [_exp_step(0, -c1 / c3),
-                                   _exp_step(1, -c2 / c3)])
+            return _sig("e3", {}, lambda: self._kill_plane(c1, c2, c3))
         if c1 != 0:
-            return _sig("e1+d*e2", {"d": c2 / c1})
+            return _sig("e1+d*e2", {"d": Fraction(c2, c1)})
         return _sig("e2")
+
+    @staticmethod
+    def _kill_plane(c1, c2, c3) -> List[Step]:
+        return [_exp_step(0, Fraction(-c1, c3)),
+                _exp_step(1, Fraction(-c2, c3))]
 
     def vector_reps(self):
         return [
@@ -582,17 +578,13 @@ class A33Strategy(Strategy):
     def vector_classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            steps = [_exp_step(0, -c1 / c3), _exp_step(1, -c2 / c3)]
-            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
-        steps = []
+            return _sig("v:e3", {"d": abs(c3)},
+                        lambda: self._kill_plane(c1, c2, c3) + _flip(c3))
         if c1 != 0:
-            d = c2 / c1   # the flip negates c1 and c2 together
-            c1 *= _zflip(steps, c1)
-            steps.append(_log_step(2, c1))
-            return _sig("v:e1", {"d": d}, steps)
-        c2 *= _zflip(steps, c2)
-        steps.append(_log_step(2, c2))
-        return _sig("v:e2", {}, steps)
+            # the flip negates c1 and c2 together
+            return _sig("v:e1", {"d": Fraction(c2, c1)},
+                        lambda: _flip(c1) + [_log_step(2, abs(c1))])
+        return _sig("v:e2", {}, lambda: _flip(c2) + [_log_step(2, abs(c2))])
 
 
 class _DiagonalStrategy(Strategy):
@@ -612,21 +604,17 @@ class _DiagonalStrategy(Strategy):
         ]
 
     def _kill_plane(self, c1, c2, c3) -> List[Step]:
-        return [_exp_step(0, -c1 / c3), _exp_step(1, -c2 / (self._a * c3))]
+        return [_exp_step(0, Fraction(-c1, c3)),
+                _exp_step(1, Fraction(-c2, self._a * c3))]
 
     def classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            return _sig("e3", {}, self._kill_plane(c1, c2, c3))
+            return _sig("e3", {}, lambda: self._kill_plane(c1, c2, c3))
         if c1 != 0 and c2 != 0:
-            steps = []
-            if c1 < 0:
-                c1, c2 = -c1, -c2  # projective sign flip
-            if c2 < 0:
-                steps.append(_aut_step("R2"))
-                c2 = -c2
-            steps.append(_log_step(2, c2 / c1, 1 / (self._a - 1)))
-            return _sig("e1+e2", {}, steps)
+            r = Fraction(c2, c1)   # the line's sign drops out
+            return _sig("e1+e2", {}, lambda: [_aut_step("R2")] * (r < 0)
+                        + [_log_step(2, abs(r), 1 / (self._a - 1))])
         return _sig("e1" if c1 != 0 else "e2")
 
     def vector_reps(self):
@@ -643,26 +631,22 @@ class _DiagonalStrategy(Strategy):
         a = self._a
         c1, c2, c3 = v
         if c3 != 0:
-            steps = self._kill_plane(c1, c2, c3)
-            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
-        steps = []
+            return _sig("v:e3", {"d": abs(c3)},
+                        lambda: self._kill_plane(c1, c2, c3) + _flip(c3))
         if c1 != 0:
-            s = _zflip(steps, c1)
+            s = _sign(c1)
             c1, c2 = s * c1, s * c2
-            if c2 < 0:
-                steps.append(_aut_step("R2"))
-                c2 = -c2
-            steps.append(_log_step(2, c1))
+
+            def word():
+                return (_flip(s) + [_aut_step("R2")] * (c2 < 0)
+                        + [_log_step(2, c1)])
             if c2 == 0:
-                return _sig("v:e1", {}, steps)
+                return _sig("v:e1", {}, word)
             # after scaling c1 -> 1 the second slot is c2*c1^(-a)
-            q = mul(c2, powx(rat(c1), rat(-a)))
-            return _sig("v:hyp", {"q": q}, steps)
-        if c2 < 0:
-            steps.append(_aut_step("R2"))
-            c2 = -c2
-        steps.append(_log_step(2, c2, 1 / a))
-        return _sig("v:e2", {}, steps)
+            return _sig("v:hyp", {"q": mul(abs(c2), powx(rat(c1), rat(-a)))},
+                        word)
+        return _sig("v:e2", {}, lambda: [_aut_step("R2")] * (c2 < 0)
+                    + [_log_step(2, abs(c2), 1 / a)])
 
 
 class _RotationStrategy(Strategy):
@@ -676,20 +660,20 @@ class _RotationStrategy(Strategy):
     def _kill_plane(self, c1, c2, c3) -> List[Step]:
         if self.cls.name == "A3,6":
             # e1 shifts c2 by -eps*c3, e2 shifts c1 by +eps*c3
-            return [_exp_step(1, -c1 / c3), _exp_step(0, c2 / c3)]
+            return [_exp_step(1, Fraction(-c1, c3)),
+                    _exp_step(0, Fraction(c2, c3))]
         a = self.a
         det = a * a + 1
         # shifts: e1 adds (a, -1)*eps*c3, e2 adds (1, a)*eps*c3; solve
         # [a 1; -1 a] (s1, s2) = -(c1, c2)/c3
-        s1 = (c2 - a * c1) / det / c3
-        s2 = (-c1 - a * c2) / det / c3
-        return [_exp_step(0, s1), _exp_step(1, s2)]
+        return [_exp_step(0, Fraction(c2 - a * c1, det * c3)),
+                _exp_step(1, Fraction(-c1 - a * c2, det * c3))]
 
     def classify(self, v):
         c1, c2, c3 = v
         if c3 != 0:
-            return _sig("e3", {}, self._kill_plane(c1, c2, c3))
-        return _sig("e1", {}, _turn_to_e1(c1, c2))
+            return _sig("e3", {}, lambda: self._kill_plane(c1, c2, c3))
+        return _sig("e1", {}, lambda: _turn_to_e1(c1, c2))
 
     def vector_reps(self):
         note = "" if self.cls.name == "A3,6" else "plane vector up to sign"
@@ -711,14 +695,14 @@ class _RotationStrategy(Strategy):
         (-1)^(2*i*a*k), is algebraic only at k = 0: v = +-w."""
         c1, c2, c3 = v
         if c3 != 0:
-            steps = self._kill_plane(c1, c2, c3)
-            return _sig("v:e3", {"d": _zflip(steps, c3) * c3}, steps)
+            return _sig("v:e3", {"d": abs(c3)},
+                        lambda: self._kill_plane(c1, c2, c3) + _flip(c3))
         if self.cls.name == "A3,6":
             return _sig("v:plane", {"r": _norm(c1, c2)},
-                        _turn_to_e1(c1, c2))
-        steps = []
-        s = _zflip(steps, c1 if c1 != 0 else c2)
-        return _sig("v:plane", {"r": (rat(s * c1), rat(s * c2))}, steps)
+                        lambda: _turn_to_e1(c1, c2))
+        s = _sign(c1 if c1 != 0 else c2)
+        return _sig("v:plane", {"r": (rat(s * c1), rat(s * c2))},
+                    lambda: _flip(s))
 
 
 class A38Strategy(Strategy):
@@ -740,40 +724,41 @@ class A38Strategy(Strategy):
     def _q(v) -> Fraction:
         return v[1] * v[1] + 4 * v[0] * v[2]
 
-    def _normal_form(self, v) -> Tuple[str, List[Step], object]:
-        """(representative id, witness steps, signed magnitude m): the steps
-        map v to m times the representative.  exp(d ad e3) sends (c1, c2, c3)
-        to (c1, c2 + 2 d c1, c3 - d c2 - d^2 c1), and exp(eps ad e1) sends it
-        to (c1 + eps c2 - eps^2 c3, c2 - 2 eps c3, c3)."""
+    def _normal_form(self, v) -> Tuple[List[Step], object]:
+        """(witness steps, signed magnitude m): the steps map v to m times
+        the representative of the sign of Q.  exp(d ad e3) sends
+        (c1, c2, c3) to (c1, c2 + 2 d c1, c3 - d c2 - d^2 c1), and
+        exp(eps ad e1) sends it to (c1 + eps c2 - eps^2 c3, c2 - 2 eps c3,
+        c3)."""
         c1, c2, c3 = v
         q = self._q(v)
         if q > 0:
             if c1 != 0 and c3 != 0:
                 # d, a root of c3 - d c2 - d^2 c1, leaves (c1, Q^(1/2), 0)
                 root = powx(rat(q), _HALF)
-                return "e2", [_exp_step(2, add(-c2, root) / (2 * c1)),
-                              _exp_step(0, mul(-c1, powx(root, -1)))], root
+                return [_exp_step(2, add(-c2, root) / (2 * c1)),
+                        _exp_step(0, mul(-c1, powx(root, -1)))], root
             # c1 = 0 or c3 = 0 makes q = c2^2
-            steps = [_exp_step(2, c3 / c2)] if c3 != 0 else \
-                [_exp_step(0, -c1 / c2)] if c1 != 0 else []
-            return "e2", steps, c2
+            steps = [_exp_step(2, Fraction(c3, c2))] if c3 != 0 else \
+                [_exp_step(0, Fraction(-c1, c2))] if c1 != 0 else []
+            return steps, c2
         if q == 0:
             if c3 == 0:   # and so c2 = 0
-                return "e1", [], c1
+                return [], c1
             if c1 != 0:
-                return "e1", [_exp_step(2, -c2 / (2 * c1))], c1
+                return [_exp_step(2, Fraction(-c2, 2 * c1))], c1
             # c2 = 0 here; rotate the e3 line onto the e1 line
-            return "e1", [_exp_step(0, 1), _exp_step(2, -1)], -c3
+            return [_exp_step(0, 1), _exp_step(2, -1)], -c3
         # q < 0, so c1 != 0: exp(d ad e3) leaves (c1, 0, q/(4 c1)), and the
         # e2 scaling by s2^(1/2) balances the two slots
-        s2 = -q / (4 * c1 * c1)
-        return "e1-e3", [_exp_step(2, -c2 / (2 * c1)),
-                         _log_step(1, s2, Fraction(-1, 2))], \
+        s2 = Fraction(-q, 4 * c1 * c1)
+        return [_exp_step(2, Fraction(-c2, 2 * c1)),
+                _log_step(1, s2, Fraction(-1, 2))], \
             mul(c1, powx(rat(s2), _HALF))
 
     def classify(self, v):
-        rep_id, steps, _ = self._normal_form(v)
-        return _sig(rep_id, {}, steps)
+        return _sig({1: "e2", 0: "e1", -1: "e1-e3"}[_sign(self._q(v))], {},
+                    lambda: self._normal_form(v)[0])
 
     def vector_reps(self):
         return [
@@ -786,15 +771,16 @@ class A38Strategy(Strategy):
 
     def vector_classify(self, v):
         q = self._q(v)
-        rep_id, steps, m = self._normal_form(v)
-        _zflip(steps, m)
+
+        def word():
+            steps, m = self._normal_form(v)
+            steps += _flip(m)
+            return steps + [_log_step(1, abs(m))] if q == 0 else steps
         if q > 0:
-            return _sig("v:hyp", {"b": powx(rat(q), _HALF)}, steps)
+            return _sig("v:hyp", {"b": powx(rat(q), _HALF)}, word)
         if q == 0:
-            steps.append(_log_step(1, abs(m)))
-            return _sig("v:nil", {}, steps)
-        b = mul(_HALF, powx(rat(-q), _HALF))
-        return _sig("v:ell", {"b": b}, steps)
+            return _sig("v:nil", {}, word)
+        return _sig("v:ell", {"b": mul(_HALF, powx(rat(-q), _HALF))}, word)
 
 
 class A39Strategy(Strategy):
@@ -802,21 +788,23 @@ class A39Strategy(Strategy):
         return [SubalgebraRep(_unit_coeffs(3, {0: ONE}), rep_id="e1")]
 
     def classify(self, v):
-        c1, c2, c3 = v
-        # rotate around e3 to kill c2, then around e2 to kill c3
-        steps = _turn_to_e1(c1, c2)
-        if c3 != 0:
-            inv = powx(_norm(c1, c2, c3), -1)
-            steps.append(Step("rot", 1, turn=(mul(_norm(c1, c2), inv),
-                                              mul(c3, inv))))
-        return _sig("e1", {}, steps)
+        def word():
+            c1, c2, c3 = v
+            # rotate around e3 to kill c2, then around e2 to kill c3
+            steps = _turn_to_e1(c1, c2)
+            if c3 != 0:
+                inv = powx(_norm(c1, c2, c3), -1)
+                steps.append(Step("rot", 1, turn=(mul(_norm(c1, c2), inv),
+                                                  mul(c3, inv))))
+            return steps
+        return _sig("e1", {}, word)
 
     def vector_reps(self):
         return [SubalgebraRep(_unit_coeffs(3, {0: sym("r")}),
                               (ParamSpec("r", "positive"),), rep_id="v:e1")]
 
     def vector_classify(self, v):
-        return _sig("v:e1", {"r": _norm(*v)}, self.classify(v).steps)
+        return _sig("v:e1", {"r": _norm(*v)}, self.classify(v).word)
 
 
 class TwoA2Strategy(Strategy):
@@ -842,28 +830,34 @@ class TwoA2Strategy(Strategy):
 
     def classify(self, v):
         c1, c2, c3, c4 = v
-        steps: List[Step] = []
-        if (c2 == 0 and c4 != 0) or (c2 == 0 == c4 and c1 == 0 and c3 != 0) \
-                or (c2 != 0 and c4 != 0 and abs(c4) > abs(c2)):
-            steps.append(_aut_step("S"))
+        swap = (c2 == 0 and (c4 != 0 or c1 == 0 and c3 != 0)
+                or c2 != 0 and c4 != 0 and abs(c4) > abs(c2))
+        if swap:
             c1, c2, c3, c4 = c3, c4, c1, c2
+
+        def word():
+            steps = [_aut_step("S")] * swap
+            if c2 != 0:
+                steps.append(_exp_step(0, Fraction(-c1, c2)))
+                if c4 != 0:
+                    steps.append(_exp_step(2, Fraction(-c3, c4)))
+                elif c3 != 0:
+                    steps.append(_log_step(3, abs(Fraction(c3, c2))))
+            elif c1 != 0 and c3 != 0:   # and c4 = 0
+                steps.append(_log_step(1, abs(Fraction(c1, c3))))
+            return steps
         if c2 != 0 and c4 != 0:
-            steps.append(_exp_step(0, -c1 / c2))
-            steps.append(_exp_step(2, -c3 / c4))
-            return _sig("e2+a*e4", {"a": c4 / c2}, steps)
+            return _sig("e2+a*e4", {"a": Fraction(c4, c2)}, word)
         if c2 != 0:
-            steps.append(_exp_step(0, -c1 / c2))
             if c3 == 0:
-                return _sig("e2", {}, steps)
-            s = 1 if (c3 > 0) == (c2 > 0) else -1
-            steps.append(_log_step(3, abs(c3 / c2)))
-            return _sig("e2+e3" if s > 0 else "e2-e3", {}, steps)
+                return _sig("e2", {}, word)
+            return _sig("e2+e3" if (c3 > 0) == (c2 > 0) else "e2-e3", {},
+                        word)
         # c2 = c4 = 0
         if c1 != 0 and c3 != 0:
-            s = 1 if (c1 > 0) == (c3 > 0) else -1
-            steps.append(_log_step(1, abs(c1 / c3)))
-            return _sig("e1+e3" if s > 0 else "e1-e3", {}, steps)
-        return _sig("e1", {}, steps)
+            return _sig("e1+e3" if (c1 > 0) == (c3 > 0) else "e1-e3", {},
+                        word)
+        return _sig("e1", {}, word)
 
 
 class SumA1Strategy(Strategy):
@@ -894,12 +888,12 @@ class SumA1Strategy(Strategy):
         c4 = v[-1]
         if c4 == 0:
             inner = self.base.classify(v[:-1])
-            return _sig("L:" + inner.rep_id, inner.params, inner.steps)
-        vx = tuple(x / c4 for x in v[:-1])
+            return _sig("L:" + inner.rep_id, inner.params, inner.word)
+        vx = tuple(Fraction(x, c4) for x in v[:-1])
         if not any(vx):
             return _sig("S:zero")
         inner = self.base.vector_classify(vx)
-        return _sig("S:" + inner.rep_id, inner.params, inner.steps)
+        return _sig("S:" + inner.rep_id, inner.params, inner.word)
 
 
 MINUS_ONE_EXPR = mul(-1, ONE)
@@ -947,6 +941,7 @@ class ClassifiedAlgebra(NamedTuple):
     strategy: Strategy
     to_canonical: Matrix      # algebra -> canonical coords
     from_canonical: Matrix    # T^t: canonical rep -> algebra
+    integer_map: List[List[int]]   # to_canonical times the lcm of its dens
 
     @classmethod
     def build(cls, L: LieAlgebra,
@@ -963,14 +958,23 @@ class ClassifiedAlgebra(NamedTuple):
         Tt_inv = inverse(Tt)
         if Tt_inv is None:
             raise ExprError("singular identification witness")
+        d = math.lcm(*(x.denominator for row in Tt_inv for x in row))
         return cls(L=L, ident=ident, strategy=strategy,
-                   to_canonical=Tt_inv, from_canonical=Tt)
+                   to_canonical=Tt_inv, from_canonical=Tt,
+                   integer_map=[[x.numerator * (d // x.denominator)
+                                 for x in row] for row in Tt_inv])
 
     def canonical_coords(self, v: Sequence[Fraction]) -> List[Fraction]:
         return matvec(self.to_canonical, list(v))
 
     def classify(self, v: Sequence[Fraction]) -> Signature:
-        return self.strategy.classify(self.canonical_coords(v))
+        """The strategy's signature of v, classified in integers: v scaled
+        to integers, times the integer map, is a positive multiple of its
+        canonical coordinates."""
+        d = math.lcm(*(x.denominator for x in v))
+        w = [x.numerator * (d // x.denominator) for x in v]
+        return self.strategy.classify(
+            [sum(map(operator.mul, row, w)) for row in self.integer_map])
 
 
 def _normalize_leading(coeffs: List[Expr]) -> Tuple[Expr, ...]:
@@ -1037,8 +1041,8 @@ def are_conjugate(L: LieAlgebra, v: Sequence[Fraction],
             invariant += "; " + ca.strategy.invariant
         return ConjugacyResult("not-conjugate", invariant=invariant,
                                values=(sv.brief(), sw.brief()))
-    back = [s.inverse() for s in reversed(sw.steps)]
-    steps = tuple(s for s in sv.steps + back
+    back = [s.inverse() for s in reversed(sw.word())]
+    steps = tuple(s for s in sv.word() + back
                   if not (s.kind == "exp" and s.epsilon.is_zero_literal))
     try:
         image = apply_word(ca.strategy.cls, ca.strategy.a, steps,

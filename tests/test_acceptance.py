@@ -19,10 +19,11 @@ from liesym.symmetry import find_symmetries, invariance_residual, is_symmetry
 from liesym.equivalence import (EquivalenceTransformation, apply_et,
                                 compose_et, invert_et, normalize_coefficient,
                                 pushforward_field, remove_drift)
-from liesym.algebra import (canonical_class_by_name, identify,
+from liesym.algebra import (ad_matrix, canonical_class_by_name, identify,
                             structure_constants)
-from liesym.optimal import (SubalgebraRep, ad_matrix_rational,
-                            construct_optimal_system, exact_expm,
+from liesym.linalg import identity
+from liesym.optimal import (SubalgebraRep, construct_optimal_system,
+                            exact_expm,
                             verify_candidate_system)
 from liesym.reduction import (ClosedFormSolution, reduce_pde,
                               transform_solution_et, verify_solution)
@@ -269,7 +270,7 @@ def test_c08_duplicate_detection():
     ident = identify(L)
     reps = construct_optimal_system(L, ident)
     base = reps[0].rational_coeffs()
-    E = exact_expm(ad_matrix_rational(L, 0), rat(F(3, 2)))
+    E = exact_expm(ad_matrix(L, identity(L.dim)[0]), rat(F(3, 2)))
     image = []
     for i in range(3):
         acc = F(0)

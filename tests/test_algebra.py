@@ -1,5 +1,6 @@
 """Brackets, structure constants, invariants, identification witnesses."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -9,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liesym import algebra, expr, linalg, poly
+from liesym import algebra, catalog, expr, linalg, poly
 from liesym.dsl import parse_pde, parse_vector_field
 from liesym.expr import (ZERO, ONE, Add, add, differentiate, exp, mul, powx,
                          rat, substitute, sym)
@@ -454,3 +455,118 @@ def test_witness_reproduces_canonical_constants():
     got = _transform_constants(L, ident.witness)
     want = ident.canonical.instantiated(ident.parameter).rational_constants()
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the sparse kernels against the dense ones they replaced
+# ---------------------------------------------------------------------------
+
+def _dense_bracket(L: LieAlgebra, v, w):
+    c = L.rational_constants()
+    out = [Fraction(0)] * L.dim
+    for i, j, k in itertools.product(range(L.dim), repeat=3):
+        out[k] += v[i] * w[j] * c[i][j][k]
+    return out
+
+
+def _dense_ad(L: LieAlgebra, v):
+    return [list(r) for r in zip(*(_dense_bracket(L, v, e)
+                                   for e in identity(L.dim)))]
+
+
+def _dense_killing(L: LieAlgebra):
+    n = L.dim
+    ad = [_dense_ad(L, e) for e in identity(n)]
+    return [[sum((linalg.matmul(ad[i], ad[j])[k][k] for k in range(n)),
+                 Fraction(0)) for j in range(n)] for i in range(n)]
+
+
+def _dense_jacobi(L: LieAlgebra):
+    """The message of the first Jacobi failure, summing every product of
+    constants, zeros included; None when the identity holds."""
+    n, c = L.dim, L.c
+    for i, j, k in itertools.combinations(range(n), 3):
+        for l in range(n):
+            total = ZERO
+            for m in range(n):
+                total = add(total, mul(c[i][j][m], c[m][k][l]),
+                            mul(c[j][k][m], c[m][i][l]),
+                            mul(c[k][i][m], c[m][j][l]))
+            if not total.is_zero_literal:
+                return (f"Jacobi identity fails at ({i},{j},{k};{l}): "
+                        f"{total!r}")
+    return None
+
+
+def _jacobi_message(L: LieAlgebra):
+    try:
+        L.check_jacobi()
+    except expr.ExprError as exc:
+        return str(exc)
+    return None
+
+
+def _altered(L: LieAlgebra, i: int, j: int, k: int, delta):
+    """L with delta added to c[i][j][k] (and taken from c[j][i][k])."""
+    entries = {p: list(L.c[p[0]][p[1]])
+               for p in itertools.combinations(range(L.dim), 2)}
+    entries[(i, j)][k] = add(entries[(i, j)][k], delta)
+    return LieAlgebra.from_constants(L.dim, entries, check_jacobi=False)
+
+
+_KERNEL_CLASSES = [*load_class_catalog(), "A2+2A1", "A3,5+A1", "A3,8+A1",
+                   "A3,9+A1"]
+_small_fractions = st.fractions(-3, 3, max_denominator=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_KERNEL_CLASSES), st.data())
+def test_sparse_kernels_match_the_dense_ones(name, data):
+    """On a random rational basis change of a catalog class (constants
+    transported with the dense bracket), the sparse bracket, ad matrix,
+    Killing form and Jacobi check agree with dense references; with one
+    constant altered, the Jacobi check fails exactly when the dense one
+    does, with the same message."""
+    cls = canonical_class_by_name(name)
+    a = data.draw(_small_fractions, label="a") if cls.parameter else None
+    L = cls.instantiated(a)
+    n = L.dim
+    vector = st.lists(_small_fractions, min_size=n, max_size=n)
+    T = data.draw(st.lists(vector, min_size=n, max_size=n).filter(
+        lambda T: linalg.inverse(T) is not None), label="T")
+    back = linalg.inverse([list(col) for col in zip(*T)])
+    moved = LieAlgebra.from_constants(n, {
+        (i, j): matvec(back, _dense_bracket(L, T[i], T[j]))
+        for i, j in itertools.combinations(range(n), 2)}, check_jacobi=False)
+    v, w = data.draw(vector, label="v"), data.draw(vector, label="w")
+    assert algebra._bracket_rational(moved, v, w) == \
+        _dense_bracket(moved, v, w)
+    assert algebra.ad_matrix(moved, v) == _dense_ad(moved, v)
+    assert killing_form(moved) == _dense_killing(moved)
+    assert _jacobi_message(moved) is None is _dense_jacobi(moved)
+    if n < 3:
+        return
+    i, j = sorted(data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                     max_size=2, unique=True), label="pair"))
+    k = data.draw(st.integers(0, n - 1), label="k")
+    delta = data.draw(_small_fractions.filter(bool), label="delta")
+    altered = _altered(moved, i, j, k, rat(delta))
+    assert _jacobi_message(altered) == _dense_jacobi(altered)
+
+
+def test_sparse_jacobi_on_the_symbolic_eq5_table():
+    """The symbolic case:eq5 table passes both Jacobi checks, and each of
+    its constants altered by 1 or by m gives both the same verdict and
+    message; setting [e1, e2] = e3 fails by (m - 2p - 1) e3."""
+    L = structure_constants(
+        catalog.load_catalog()["eq5"].fields())
+    assert L.is_symbolic()
+    assert _jacobi_message(L) is None is _dense_jacobi(L)
+    for i, j in itertools.combinations(range(3), 2):
+        for k in range(3):
+            for delta in (ONE, m):
+                altered = _altered(L, i, j, k, delta)
+                assert _jacobi_message(altered) == _dense_jacobi(altered)
+    message = _jacobi_message(_altered(L, 0, 1, 2, ONE))
+    assert message is not None and message.startswith(
+        "Jacobi identity fails at (0,1,2;2)")

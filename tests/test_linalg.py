@@ -9,14 +9,13 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from liesym import linalg
-from liesym.algebra import canonical_class_by_name
+from liesym.algebra import ad_matrix, canonical_class_by_name
 from liesym.dsl import parse_pde, render
 from liesym.expr import ZERO, powx, rat, sym
 from liesym.linalg import (_primitive, exact_expm, inverse, matmul, matvec,
                            nullspace, rank, rref, solve, solve_symbolic,
                            sparse_rows)
 from liesym.jets import dcr_symbols
-from liesym.optimal import ad_matrix_rational
 from liesym.pde import EvolutionPDE
 from liesym.symmetry import _ansatz_basis, _determining_matrix
 
@@ -539,5 +538,6 @@ def test_exact_expm_refuses_a_cycle(case, data):
 @pytest.mark.parametrize("name,i", [("A3,6", 2), ("A3,9", 0), ("A3,9", 1),
                                     ("A3,9", 2)])
 def test_exact_expm_refuses_rotation_generators(name, i):
-    M = ad_matrix_rational(canonical_class_by_name(name).algebra, i)
+    M = ad_matrix(canonical_class_by_name(name).algebra,
+                  linalg.identity(3)[i])
     assert exact_expm(M, sym("eps")) is None

@@ -3,24 +3,27 @@
 import ast
 import itertools
 import json
+import math
 import random
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liesym.expr import (ZERO, ONE, Expr, ExprError, SymbolTable, add, log,
                          mul, powx, rat, substitute, sym)
 from liesym.jets import VectorField, dcr_symbols
-from liesym.algebra import (canonical_class_by_name, identify,
-                            structure_constants)
+from liesym import optimal
+from liesym.algebra import (_sum_name, ad_matrix, canonical_class_by_name,
+                            identify, structure_constants)
 from liesym.catalog import load_catalog
 from liesym.cli import _load_candidates, main
 from liesym.dsl import parse, parse_vector_field
-from liesym.linalg import matmul
-from liesym.optimal import (ClassifiedAlgebra, ParamSpec, Step, SubalgebraRep,
-                            _Candidate, _overlap, ad_matrix_rational,
+from liesym.linalg import identity, matmul
+from liesym.optimal import (_STRATEGIES, ClassifiedAlgebra, ParamSpec, Step,
+                            Strategy, SubalgebraRep, _Candidate, _overlap,
                             adjoint_matrix, apply_word, are_conjugate,
                             construct_optimal_system, exact_expm,
                             strategy_for, verify_candidate_system)
@@ -75,7 +78,7 @@ class TestAdjointMatrix:
         X2 = VectorField(ZERO, ONE, ZERO)
         X3 = VectorField(-5 * t, -2 * x - t, u)
         L = structure_constants([X1, X2, X3])
-        M = ad_matrix_rational(L, 2)
+        M = ad_matrix(L, identity(L.dim)[2])
         assert [M[0][0], M[1][1], M[2][2]] == [F(5), F(2), F(0)]
         E = adjoint_matrix(L, 2, sym("eps"))
         from liesym.expr import EULER
@@ -123,7 +126,8 @@ class TestAdjointMatrix:
         # by an exact (cos, sin)
         cls = canonical_class_by_name("A3,9")
         L = cls.algebra
-        assert exact_expm(ad_matrix_rational(L, 0), sym("eps")) is None
+        assert exact_expm(ad_matrix(L, identity(L.dim)[0]),
+                          sym("eps")) is None
         with pytest.raises(ExprError):
             adjoint_matrix(L, 0, sym("eps"))
         turn = Step("rot", 0, turn=(rat(F(3, 5)), rat(F(4, 5))))
@@ -191,7 +195,7 @@ def _group_steps(cls, a):
     L = cls.instantiated(a)
     out = []
     for i in range(cls.dim):
-        M = ad_matrix_rational(L, i)
+        M = ad_matrix(L, identity(L.dim)[i])
         P = M
         for _ in range(cls.dim - 1):
             P = matmul(P, M)
@@ -244,7 +248,7 @@ class TestWitnessVerification:
                         (name, sig.rep_id, ps.name, sig.params[ps.name])
                 bind = {k: as_expr(v) for k, v in sig.params.items()}
                 target = [substitute(c, bind) for c in rep.coeffs]
-            assert_same_line(apply_word(strategy.cls, a, sig.steps, vec),
+            assert_same_line(apply_word(strategy.cls, a, sig.word(), vec),
                              target)
             if n % 4 or not moves:
                 continue
@@ -357,7 +361,7 @@ class TestOptimalSystems:
         ident = identify(L)
         reps = construct_optimal_system(L, ident)
         base = reps[0].rational_coeffs()
-        E = exact_expm(ad_matrix_rational(L, 0), rat(F(3, 2)))
+        E = exact_expm(ad_matrix(L, identity(L.dim)[0]), rat(F(3, 2)))
         image = []
         for i in range(3):
             acc = F(0)
@@ -634,3 +638,92 @@ def test_optimal_has_no_float_path():
         if isinstance(node, ast.ImportFrom):
             assert node.module != "math", node.lineno
         assert not (isinstance(node, ast.Name) and node.id == "PARAM_TOL")
+
+
+# every X + A1 sum with a classifier: the bases with vector orbits
+_SUMS = [name for name in (_sum_name(b) for b, S in _STRATEGIES.items()
+                           if S.vector_classify is not Strategy.vector_classify)
+         if name not in _STRATEGIES]
+_PARAMETER = {"A3,5": F(2, 5), "A3,7": F(1, 2)}
+
+
+@pytest.mark.parametrize("name", [*_STRATEGIES, *_SUMS])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_classification_is_projective(name, data):
+    """A line classifier reads only ratios and signs, and takes int and
+    Fraction coordinates alike: v, lam*v for a positive integer lam, and
+    the integer multiple of v get one signature, from the strategy and from
+    the classified algebra.  v and lam*v are conjugate, with a word that
+    re-applies exactly."""
+    a = _PARAMETER.get(name.split("+")[0])
+    strategy = strategy_for(name, a)
+    L = strategy.cls.instantiated(a)
+    ident = identify(L)
+    ca = ClassifiedAlgebra.build(L, ident)
+    v = data.draw(st.lists(st.fractions(-5, 5, max_denominator=4),
+                           min_size=L.dim, max_size=L.dim).filter(any))
+    lam = data.draw(st.integers(1, 12), label="lam")
+    d = math.lcm(*(x.denominator for x in v))
+    scaled = [lam * x for x in v]
+    integral = [int(x * d) for x in v]
+    for classify, vectors in ((strategy.classify, (v, scaled, integral)),
+                              (ca.classify, (v, scaled, integral))):
+        sigs = [classify(w) for w in vectors]
+        assert all((s.rep_id, s.params) == (sigs[0].rep_id, sigs[0].params)
+                   for s in sigs), (name, v, lam)
+    res = are_conjugate(L, v, scaled, ident)
+    assert res.verdict == "conjugate", (name, v, lam, res.reason)
+    assert_same_line(apply_word(ca.strategy.cls, ca.strategy.a,
+                                res.witness.steps, ca.canonical_coords(v)),
+                     ca.canonical_coords(scaled))
+
+
+def test_audit_builds_no_word(monkeypatch):
+    """The regression's 2A2 and A3,5 systems audit to the same summary when
+    every word step refuses to be built: neither the samples nor the
+    candidates' instances ask for a word.  The sampler's first vectors are
+    pinned, so that a change to its stream, which the audit goldens pin
+    too, shows up here first."""
+    cases = load_catalog()
+    algebras = [structure_constants(cases["ovsiannikov"].fields({"m": "2"})),
+                structure_constants(cases["eq5"].fields({"m": "2",
+                                                         "p": "3"}))]
+
+    def audits():
+        out = []
+        for L in algebras:
+            ident = identify(L)
+            out.append(verify_candidate_system(
+                L, construct_optimal_system(L, ident), n_samples=300,
+                ident=ident).summary())
+        return out
+
+    want = audits()
+
+    def refuse(*args, **kw):
+        raise AssertionError("a witness word was built")
+
+    for step in ("_exp_step", "_log_step", "_aut_step"):
+        monkeypatch.setattr(optimal, step, refuse)
+    assert audits() == want
+    assert all(s.startswith("pairs flagged: 0\ncoverage gaps: 0 of 300 ")
+               for s in want)
+    assert optimal._sample_directions(4, 5, 1)[:2] == [
+        (F(-1, 4), F(1, 4), F(-8, 3), F(-14, 3)), (F(19, 4), F(-2), F(-5), 0)]
+    assert optimal._sample_directions(3, 5, 11)[:2] == [
+        (F(2), F(4), F(-9, 4)), (F(-5, 4), F(-1), F(9, 2))]
+
+
+def test_audit_of_a_huge_candidate_line_needs_no_word(tmp_path, capsys):
+    """A complete A3,5 list whose e1+e2 line has a 40-digit coefficient is
+    audited clean: the scaling word of that line would need the log of a
+    rational that cannot be factored, and the audit never reads it."""
+    path = tmp_path / "cands.txt"
+    path.write_text("0, 0, 1\n1, 0, 0\n0, 1, 0\n"
+                    "1, 1234567890123456789012345678901234567891, 0\n")
+    code = main(["audit-system", "--algebra", "case:eq5", "--params",
+                 "m=2,p=3", "--candidates", str(path), "--samples", "200"])
+    out = capsys.readouterr().out
+    assert code == 0, out
+    assert "liesym audit-system: clean" in out
