@@ -941,7 +941,7 @@ class ClassifiedAlgebra(NamedTuple):
     strategy: Strategy
     to_canonical: Matrix      # algebra -> canonical coords
     from_canonical: Matrix    # T^t: canonical rep -> algebra
-    integer_map: List[List[int]]   # to_canonical times the lcm of its dens
+    integer_map: List[List[int]]   # to_canonical times its denominators' lcm
 
     @classmethod
     def build(cls, L: LieAlgebra,
