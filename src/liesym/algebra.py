@@ -545,13 +545,19 @@ class Identification:
 
 def _transform_constants(L: LieAlgebra, T: Matrix) -> List[List[List[Fraction]]]:
     """Structure constants in the basis f_i = sum_j T[i][j] e_j: each
-    bracket [f_i, f_j] in f-coordinates, through one inverse of T^t."""
+    bracket [f_i, f_j], i < j, in f-coordinates, through one inverse of
+    T^t.  The rest follow from antisymmetry, which holds for the bracket of
+    every LieAlgebra, since from_constants sets c[j][i] = -c[i][j] and
+    leaves c[i][i] zero."""
     n = L.dim
     Tt_inv = inverse([[T[i][j] for i in range(n)] for j in range(n)])
     if Tt_inv is None:
         raise ExprError("witness basis is singular")
-    return [[matvec(Tt_inv, _bracket_rational(L, T[i], T[j]))
-             for j in range(n)] for i in range(n)]
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.combinations(range(n), 2):
+        out[i][j] = matvec(Tt_inv, _bracket_rational(L, T[i], T[j]))
+        out[j][i] = [-x for x in out[i][j]]
+    return out
 
 
 def _verify_witness(L: LieAlgebra, T: Matrix, cls: CanonicalClass,

@@ -7,6 +7,8 @@ nothing is trusted.  Failures carry the certificate that refutes the claim
 
 from __future__ import annotations
 
+import os
+import threading
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -101,9 +103,15 @@ class CatalogCase:
     def fields(self, bindings: Optional[Dict[str, str]] = None
                ) -> List[VectorField]:
         table = self.table()
-        fields = [parse_vector_field(text, table) for text in self.basis_text]
+        return self.bind([parse_vector_field(text, table)
+                          for text in self.basis_text], bindings)
+
+    def bind(self, fields: List[VectorField],
+             bindings: Optional[Dict[str, str]]) -> List[VectorField]:
+        """The parsed basis fields with the sample bindings substituted."""
         if not bindings:
             return fields
+        table = self.table()
         b = {k: parse(str(v), table) for k, v in bindings.items()}
         return [f.substitute(b) for f in fields]
 
@@ -273,7 +281,7 @@ def _check_case(case: CatalogCase, seed: int,
             spanned = _in_span(found.fields, want)
             add_result(f"[{tag}] contains {sample.extra_generator}", spanned)
         if sample.label is not None:
-            sfields = case.fields(sample.bindings)
+            sfields = case.bind(fields, sample.bindings)
             L = structure_constants(sfields)
             ident = identify(L)
             ok = (ident.status == "identified" and ident.label == sample.label)
@@ -295,7 +303,7 @@ def _check_case(case: CatalogCase, seed: int,
                 add_result(f"[{tag}] optimal-system audit clean", audit.ok,
                            audit.summary().replace("\n", "; "))
         elif sample.optimal_count is not None:
-            sfields = case.fields(sample.bindings) or found.fields
+            sfields = case.bind(fields, sample.bindings) or found.fields
             L = structure_constants(sfields)
             ident = identify(L)
             sysreps = construct_optimal_system(L, ident)
@@ -345,30 +353,111 @@ def _in_span(fields: Sequence[VectorField], target: VectorField) -> bool:
     return isinstance(sol, list)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _check_share(cases: List[CatalogCase], k: int, workers: int, seed: int,
+                 audit_samples: int) -> Dict[int, List[CheckResult]]:
+    """Results of cases k, k + workers, ..., by index."""
+    return {i: _check_case(cases[i], seed, audit_samples)
+            for i in range(k, len(cases), workers)}
+
+
+def _fork_share(cases: List[CatalogCase], k: int, workers: int, seed: int,
+                audit_samples: int):
+    """Fork a child that checks share k and pickles into a pipe either
+    ({index: results}, None) or (exception, its traceback), then exits;
+    returns the child's pid and the pipe's read end.  An exception that
+    cannot be rebuilt from its pickle is sent as a RuntimeError that names
+    its type and message."""
+    import pickle
+
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    code = 1
+    try:
+        os.close(r)
+        try:
+            msg = (_check_share(cases, k, workers, seed, audit_samples), None)
+        except BaseException as exc:
+            import traceback
+
+            trace = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:   # it holds Expr nodes, or needs __init__ args
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            msg = (exc, trace)
+        with os.fdopen(w, "wb") as pipe:
+            pickle.dump(msg, pipe)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_regression(catalog: Dict[str, CatalogCase],
                    case_ids: Optional[Sequence[str]] = None,
                    seed: int = DEFAULT_SEED, audit_samples: int = 300,
                    jobs: int = 1) -> RegressionReport:
-    """Re-derive every stored claim; aggregate pass/fail per check.  jobs
-    caps the worker processes, and there is never more than one per case:
-    with jobs 1, or when only a single case is selected, every case runs in
-    the calling process and no worker starts."""
-    # every name of a case maps to the same case: keep catalog order
-    cases = {c.case_id: c for c in catalog.values()
-             if case_ids is None or c.case_id in case_ids
-             or any(a in case_ids for a in c.aliases)}
-    results: List[CheckResult] = []
-    workers = min(jobs, len(cases))
-    if workers > 1:
-        import concurrent.futures as cf
+    """Re-derive every stored claim; aggregate pass/fail per check.
 
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_check_case, c, seed, audit_samples)
-                    for c in cases.values()]
-            for fut in futs:  # deterministic merge order
-                results.extend(fut.result())
-    else:
-        for c in cases.values():
-            results.extend(_check_case(c, seed, audit_samples))
+    jobs caps the processes that share the cases, the calling one
+    included; there are never more of them than cases or CPUs this process
+    may use.  Process k checks cases k, k + workers, ... in catalog order:
+    the caller is process 0 and the others are children forked for the
+    call, each sending its results back through a pipe.  With one worker,
+    without os.fork, or while other threads run, the caller checks every
+    case and nothing forks.  An exception in a child is raised again here
+    with its type, a child that exits without its results raises
+    RuntimeError naming the cases, and no child outlives the call: if it
+    raises, the children left are killed, and every child is reaped."""
+    # every name of a case maps to the same case: keep catalog order
+    cases = list({c.case_id: c for c in catalog.values()
+                  if case_ids is None or c.case_id in case_ids
+                  or any(a in case_ids for a in c.aliases)}.values())
+    workers = 1
+    # a forked child holds only the forking thread: a lock that another
+    # thread held at the fork would stay locked in the child forever
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        workers = max(1, min(jobs, len(cases), _usable_cpus()))
+    if workers > 1:
+        import pickle
+        import signal
+    children = []   # (share, pid, pipe) of each child not yet reaped
+    try:
+        for k in range(1, workers):
+            children.append(
+                (k, *_fork_share(cases, k, workers, seed, audit_samples)))
+        by_index = _check_share(cases, 0, workers, seed, audit_samples)
+        while children:
+            k, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            if status or not data:
+                missing = ", ".join(c.case_id for c in cases[k::workers])
+                raise RuntimeError(
+                    f"regression worker {pid} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} without the "
+                    f"results of {missing}")
+            got, trace = pickle.loads(data)
+            if trace is not None:
+                raise got from RuntimeError(f"in regression worker {pid}:\n"
+                                            f"{trace}")
+            by_index.update(got)
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [r for i in sorted(by_index) for r in by_index[i]]
     return RegressionReport(results=results, seed=seed,
                             audit_samples=audit_samples)

@@ -573,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress", help="run the catalog regression")
     common(p)
     p.add_argument("--catalog", help="case catalog file")
-    p.add_argument("--jobs", type=_count(1), default=1)
+    p.add_argument("--jobs", type=_count(1), default=1,
+                   help="processes that share the cases, this one included "
+                        "(at most one per case and per usable CPU)")
     sampling(p, 300)
     p.add_argument("--cases", nargs="*", help="restrict to these case ids")
     p.set_defaults(func=cmd_regress)

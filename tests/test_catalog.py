@@ -1,14 +1,20 @@
 """Catalog loading, schema validation, and the self-certifying regression."""
 
-import concurrent.futures
 import json
+import os
 import textwrap
+import threading
+import time
 from importlib import resources
+from types import SimpleNamespace
 
 import pytest
 import yaml
 
 from liesym import catalog as catalog_module
+from liesym.algebra import NotClosedError
+from liesym.dsl import parse_vector_field
+from liesym.jets import dcr_symbols
 from liesym.catalog import CatalogError, load_catalog, run_regression
 
 
@@ -90,38 +96,168 @@ def test_parallel_jobs_give_same_results(catalog):
     assert [r.line() for r in a.results] == [r.line() for r in b.results]
 
 
-class _InlinePool:
-    """Stand-in for ProcessPoolExecutor: records its size and runs each
-    submitted call at once in this process."""
+@pytest.fixture
+def forks(monkeypatch):
+    """pids of the children this process forks, through the real os.fork."""
+    pids = []
+    real = os.fork
 
-    sizes = []
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
-    def __enter__(self):
-        return self
 
-    def __exit__(self, *exc):
-        return False
+def _set_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: n)
 
-    def submit(self, fn, *args):
-        fut = concurrent.futures.Future()
-        fut.set_result(fn(*args))
-        return fut
+
+def _stub_catalog(n):
+    return {f"c{i}": SimpleNamespace(case_id=f"c{i}", aliases=[])
+            for i in range(n)}
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.parametrize("case_ids, jobs, sizes", [
-    (["heat"], 2, []),                   # one case: no pool, no fork
-    (["heat", "eq1"], 8, [2]),           # at most one worker per case
+    (["heat"], 2, []),                   # one case: no fork
+    (["heat", "eq1"], 8, [2]),           # at most one process per case
     (["heat", "eq1", "eq4"], 2, [2]),
     (["heat", "eq1"], 1, []),
 ])
-def test_pool_size_follows_cases(catalog, monkeypatch, case_ids, jobs, sizes):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlinePool)
-    monkeypatch.setattr(_InlinePool, "sizes", [])
+def test_pool_size_follows_cases(catalog, monkeypatch, forks, case_ids, jobs,
+                                 sizes):
+    # sizes: the processes that share the cases, the caller and its forked
+    # children, or none when the caller checks every case alone
+    _set_cpus(monkeypatch, 8)
     monkeypatch.setattr(catalog_module, "_check_case",
                         lambda case, seed, samples: [case.case_id])
     report = run_regression(catalog, case_ids=case_ids, jobs=jobs)
-    assert _InlinePool.sizes == sizes
-    assert sorted(report.results) == sorted(case_ids)
+    assert ([len(forks) + 1] if forks else []) == sizes
+    # every case checked exactly once, merged in catalog order
+    assert report.results == [c for c in catalog if c in case_ids]
+    _no_child_left()
+
+
+@pytest.mark.parametrize("jobs", [3, 5000])
+def test_workers_capped_at_usable_cpus(monkeypatch, forks, jobs):
+    _set_cpus(monkeypatch, 3)
+    monkeypatch.setattr(catalog_module, "_check_case",
+                        lambda case, seed, samples: [(case.case_id,
+                                                      os.getpid())])
+    report = run_regression(_stub_catalog(6), jobs=jobs)
+    assert len(forks) == 2
+    assert [c for c, _ in report.results] == [f"c{i}" for i in range(6)]
+    # process k checks cases k, k + 3: the caller is process 0
+    assert [pid for _, pid in report.results] == [os.getpid(), *forks] * 2
+    _no_child_left()
+
+
+def test_cpu_count_without_affinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert catalog_module._usable_cpus() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert catalog_module._usable_cpus() == 3
+
+
+def test_no_fork_means_one_process(monkeypatch):
+    _set_cpus(monkeypatch, 4)
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(catalog_module, "_check_case",
+                        lambda case, seed, samples: [(case.case_id,
+                                                      os.getpid())])
+    report = run_regression(_stub_catalog(3), jobs=4)
+    assert report.results == [(f"c{i}", os.getpid()) for i in range(3)]
+
+
+def test_no_fork_while_other_threads_run(monkeypatch, forks):
+    _set_cpus(monkeypatch, 4)
+    monkeypatch.setattr(catalog_module, "_check_case",
+                        lambda case, seed, samples: [case.case_id])
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        report = run_regression(_stub_catalog(3), jobs=4)
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    assert forks == []
+    assert report.results == ["c0", "c1", "c2"]
+
+
+def test_child_exception_keeps_its_type(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+
+    def check(case, seed, samples):
+        if case.case_id == "c1":
+            raise ValueError(f"boom in {case.case_id}")
+        return [case.case_id]
+
+    monkeypatch.setattr(catalog_module, "_check_case", check)
+    with pytest.raises(ValueError, match="boom in c1") as err:
+        run_regression(_stub_catalog(4), jobs=2)
+    assert "ValueError: boom in c1" in str(err.value.__cause__)
+    _no_child_left()
+
+
+def test_child_exception_that_cannot_be_pickled(monkeypatch):
+    # a NotClosedError holds the bracket, whose Expr nodes do not pickle
+    _set_cpus(monkeypatch, 2)
+    leftover = parse_vector_field("x^2*Dx", dcr_symbols())
+
+    def check(case, seed, samples):
+        if case.case_id == "c1":
+            raise NotClosedError(0, 1, leftover)
+        return [case.case_id]
+
+    monkeypatch.setattr(catalog_module, "_check_case", check)
+    with pytest.raises(RuntimeError, match=r"^NotClosedError: bracket \[e1, "
+                       r"e2\] leaves the span") as err:
+        run_regression(_stub_catalog(2), jobs=2)
+    assert "NotClosedError" in str(err.value.__cause__)
+    _no_child_left()
+
+
+def test_child_that_dies_names_its_cases(monkeypatch):
+    _set_cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def check(case, seed, samples):
+        if case.case_id == "c1":
+            assert os.getpid() != caller
+            os._exit(3)
+        return [case.case_id]
+
+    monkeypatch.setattr(catalog_module, "_check_case", check)
+    with pytest.raises(RuntimeError,
+                       match="status 3 without the results of c1, c3$"):
+        run_regression(_stub_catalog(4), jobs=2)
+    _no_child_left()
+
+
+def test_caller_failure_kills_children(monkeypatch):
+    _set_cpus(monkeypatch, 3)
+
+    def check(case, seed, samples):
+        if case.case_id == "c0":
+            raise KeyError(case.case_id)
+        time.sleep(60)
+
+    monkeypatch.setattr(catalog_module, "_check_case", check)
+    start = time.perf_counter()
+    with pytest.raises(KeyError):
+        run_regression(_stub_catalog(3), jobs=3)
+    assert time.perf_counter() - start < 30
+    _no_child_left()

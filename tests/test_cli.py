@@ -419,6 +419,44 @@ def test_packaged_catalog_calls_leave_yaml_out(argv):
     assert proc.stdout.splitlines()[-1] == "0 False"
 
 
+def test_regress_with_jobs_loads_no_pool_module():
+    # regress --jobs forks its workers itself: neither concurrent.futures
+    # nor multiprocessing is imported, even where two workers run
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import os, sys; os.sched_getaffinity = lambda pid: {0, 1}\n"
+         "from liesym.cli import main\n"
+         "code = main(['regress', '--jobs', '2', '--samples', '10'])\n"
+         "print(code, sorted({'concurrent.futures', 'multiprocessing'}"
+         " & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
+def test_regress_jobs_do_not_change_the_report(tmp_path, capsys,
+                                               monkeypatch):
+    # the whole packaged catalog at the default samples, with two processes
+    # sharing the cases wherever the test runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    docs, stdout = [], []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"regress-{jobs}.json"
+        assert main(["regress", "--jobs", jobs, "--out", str(out)]) == 0
+        docs.append(out.read_bytes())
+        stdout.append([line for line in capsys.readouterr().out.splitlines()
+                       if not line.startswith("elapsed")])
+    assert json.loads(docs[1])["inputs"]["jobs"] == 2
+    assert docs[1].count(b'"jobs": 2') == 1
+    assert docs[1].replace(b'"jobs": 2', b'"jobs": 1') == docs[0]
+    assert stdout[0] and stdout[0] == stdout[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_import_loads_every_traced_module():
     # bench/run.py --trace 1 patches the functions in its TARGETS through
     # sys.modules after importing liesym.cli, so a lazy import there breaks
