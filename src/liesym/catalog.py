@@ -7,8 +7,6 @@ nothing is trusted.  Failures carry the certificate that refutes the claim
 
 from __future__ import annotations
 
-import os
-import threading
 from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -19,8 +17,8 @@ from .jets import VectorField, dcr_symbols
 from .pde import DCRInstance, EvolutionPDE, build_dcr
 from .symmetry import find_symmetries, is_symmetry
 from .algebra import (
-    check_closure, components, field_coordinates, identify, load_packaged,
-    load_yaml, structure_constants,
+    DependentBasisError, NotClosedError, components, field_coordinates,
+    identify, load_packaged, load_yaml, structure_constants,
 )
 from .linalg import solve_symbolic
 from .optimal import (DEFAULT_SEED, construct_optimal_system,
@@ -32,7 +30,6 @@ from .equivalence import apply_et, remove_drift
 class CatalogError(ExprError):
     def __init__(self, message: str, location: str = ""):
         super().__init__(f"{message}" + (f" [{location}]" if location else ""))
-        self.location = location
 
 
 class SampleSpec:
@@ -56,20 +53,19 @@ class SampleSpec:
 
 
 class CatalogCase:
-    """One family member with its claimed data."""
+    """One family member with its claimed data; the catalog's description
+    and notes are for its readers and are not loaded."""
 
-    __slots__ = ("case_id", "description", "params", "basis_text", "aliases",
+    __slots__ = ("case_id", "params", "basis_text", "aliases",
                  "basis_variants", "extra_generators", "samples",
-                 "structure", "solutions", "checks", "notes")
+                 "structure", "solutions", "checks")
 
-    def __init__(self, case_id: str, description: str,
-                 params: Dict[str, str], basis_text: List[str],
-                 aliases: List[str], basis_variants: List[dict],
-                 extra_generators: List[dict], samples: List[SampleSpec],
-                 structure: List[dict], solutions: List[dict],
-                 checks: List[str], notes: str):
+    def __init__(self, case_id: str, params: Dict[str, str],
+                 basis_text: List[str], aliases: List[str],
+                 basis_variants: List[dict], extra_generators: List[dict],
+                 samples: List[SampleSpec], structure: List[dict],
+                 solutions: List[dict], checks: List[str]):
         self.case_id = case_id
-        self.description = description
         self.params = params
         self.basis_text = basis_text
         self.aliases = aliases
@@ -79,7 +75,6 @@ class CatalogCase:
         self.structure = structure
         self.solutions = solutions
         self.checks = checks
-        self.notes = notes
 
     def table(self) -> SymbolTable:
         return dcr_symbols()
@@ -135,24 +130,29 @@ def load_catalog(path: Optional[str] = None) -> Dict[str, CatalogCase]:
         for key in ("id", "params", "basis"):
             if key not in item:
                 raise CatalogError(f"missing field {key!r}", loc)
+        params, names = item["params"], DCRInstance._fields
+        if not isinstance(params, dict) or set(params) != set(names):
+            raise CatalogError(
+                "params must bind exactly " + ", ".join(names), loc)
         samples = []
-        for s in item.get("samples", []):
-            extra = {k: v for k, v in s.items()
-                     if k not in ("bindings", "find_count", "label",
-                                  "label_param", "optimal_count",
-                                  "extra_generator")}
+        for j, s in enumerate(item.get("samples", [])):
+            # every slot after bindings and overrides is a claim
+            claims = {k: s.get(k) for k in SampleSpec.__slots__[2:]}
+            if claims["label_param"] is not None:
+                try:
+                    Fraction(str(claims["label_param"]))
+                except (ValueError, ZeroDivisionError):
+                    raise CatalogError(
+                        "label_param must be a rational literal, got "
+                        f"{claims['label_param']!r}", f"{loc}.samples[{j}]")
             samples.append(SampleSpec(
                 bindings=dict(s.get("bindings", {})),
-                overrides=extra,
-                find_count=s.get("find_count"),
-                label=s.get("label"),
-                label_param=s.get("label_param"),
-                optimal_count=s.get("optimal_count"),
-                extra_generator=s.get("extra_generator")))
+                overrides={k: v for k, v in s.items()
+                           if k != "bindings" and k not in claims},
+                **claims))
         case = CatalogCase(
             case_id=item["id"],
-            description=item.get("description", "").strip(),
-            params={k: str(v) for k, v in item["params"].items()},
+            params={k: str(v) for k, v in params.items()},
             basis_text=[str(b) for b in item["basis"]],
             aliases=list(item.get("aliases", [])),
             basis_variants=list(item.get("basis_variants", [])),
@@ -161,7 +161,6 @@ def load_catalog(path: Optional[str] = None) -> Dict[str, CatalogCase]:
             structure=list(item.get("structure", [])),
             solutions=list(item.get("solutions", [])),
             checks=list(item.get("checks", [])),
-            notes=item.get("notes", "").strip(),
         )
         for name in [case.case_id] + case.aliases:
             if name in out:
@@ -216,6 +215,14 @@ def _check_case(case: CatalogCase, seed: int,
     def add_result(check, passed, detail=""):
         out.append(CheckResult(case.case_id, check, passed, detail))
 
+    def algebra(fields, check):
+        """The algebra of fields, or None once check has failed for it."""
+        try:
+            return structure_constants(fields)
+        except (NotClosedError, DependentBasisError) as exc:
+            add_result(check, False, str(exc))
+            return None
+
     table = case.table()
     pde = case.pde()
     fields = case.fields()
@@ -225,24 +232,23 @@ def _check_case(case: CatalogCase, seed: int,
         add_result(f"symmetry of {text}", v.is_symmetry,
                    "" if v.is_symmetry else f"residual {render(v.residual)}")
     # closure of the claimed basis
-    if len(fields) > 1:
-        rep = check_closure(fields)
-        add_result("bracket closure", rep.closed,
-                   "" if rep.closed else str(rep.violations))
-        if rep.closed and case.structure:
-            ok = True
-            detail = ""
-            for entry in case.structure:
-                i, j = entry["pair"]
-                want = [parse(str(c), table) for c in entry["coeffs"]]
-                got = rep.algebra.c[i - 1][j - 1]
-                if list(got) != want:
-                    ok = False
-                    detail = (f"[e{i},e{j}] = "
-                              f"{[render(g) for g in got]}, "
-                              f"stored {[render(w) for w in want]}")
-                    break
-            add_result("stored bracket table", ok, detail)
+    L = algebra(fields, "bracket closure") if len(fields) > 1 else None
+    if L is not None:
+        add_result("bracket closure", True)
+    if L is not None and case.structure:
+        ok = True
+        detail = ""
+        for entry in case.structure:
+            i, j = entry["pair"]
+            want = [parse(str(c), table) for c in entry["coeffs"]]
+            got = L.c[i - 1][j - 1]
+            if list(got) != want:
+                ok = False
+                detail = (f"[e{i},e{j}] = "
+                          f"{[render(g) for g in got]}, "
+                          f"stored {[render(w) for w in want]}")
+                break
+        add_result("stored bracket table", ok, detail)
     # negative-control variants
     for variant in case.basis_variants:
         f = parse_vector_field(variant["field"], table)
@@ -281,16 +287,17 @@ def _check_case(case: CatalogCase, seed: int,
             spanned = _in_span(found.fields, want)
             add_result(f"[{tag}] contains {sample.extra_generator}", spanned)
         if sample.label is not None:
-            sfields = case.bind(fields, sample.bindings)
-            L = structure_constants(sfields)
+            check = (f"[{tag}] identifies as {sample.label}"
+                     + (f"^a, a={sample.label_param}"
+                        if sample.label_param else ""))
+            L = algebra(case.bind(fields, sample.bindings), check)
+            if L is None:
+                continue
             ident = identify(L)
             ok = (ident.status == "identified" and ident.label == sample.label)
             if ok and sample.label_param is not None:
-                ok = ident.parameter == Fraction(sample.label_param)
-            add_result(f"[{tag}] identifies as {sample.label}"
-                       + (f"^a, a={sample.label_param}"
-                          if sample.label_param else ""),
-                       ok, ident.display)
+                ok = ident.parameter == Fraction(str(sample.label_param))
+            add_result(check, ok, ident.display)
             if ok and sample.optimal_count is not None:
                 sysreps = construct_optimal_system(L, ident)
                 audit = verify_candidate_system(L, sysreps,
@@ -303,23 +310,27 @@ def _check_case(case: CatalogCase, seed: int,
                 add_result(f"[{tag}] optimal-system audit clean", audit.ok,
                            audit.summary().replace("\n", "; "))
         elif sample.optimal_count is not None:
-            sfields = case.bind(fields, sample.bindings) or found.fields
-            L = structure_constants(sfields)
-            ident = identify(L)
-            sysreps = construct_optimal_system(L, ident)
-            add_result(f"[{tag}] optimal system has "
-                       f"{sample.optimal_count} classes",
-                       len(sysreps) == sample.optimal_count,
+            check = (f"[{tag}] optimal system has "
+                     f"{sample.optimal_count} classes")
+            L = algebra(case.bind(fields, sample.bindings) or found.fields,
+                        check)
+            if L is None:
+                continue
+            sysreps = construct_optimal_system(L, identify(L))
+            add_result(check, len(sysreps) == sample.optimal_count,
                        f"got {len(sysreps)}")
     # special handling: the four-generator algebra of u_t=(u^m)_xx samples
     if case.case_id == "ovsiannikov":
         for sample, found in zip(case.samples, founds):
             if sample.label == "2A2":
-                L = structure_constants(found.fields)
+                check = (f"[m={sample.bindings.get('m')}] discovered "
+                         "algebra identifies as 2A2")
+                L = algebra(found.fields, check)
+                if L is None:
+                    continue
                 ident = identify(L)
                 ok = ident.status == "identified" and ident.label == "2A2"
-                add_result(f"[m={sample.bindings.get('m')}] discovered "
-                           "algebra identifies as 2A2", ok, ident.display)
+                add_result(check, ok, ident.display)
                 if ok and sample.optimal_count:
                     sysreps = construct_optimal_system(L, ident)
                     audit = verify_candidate_system(
@@ -353,111 +364,17 @@ def _in_span(fields: Sequence[VectorField], target: VectorField) -> bool:
     return isinstance(sol, list)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _check_share(cases: List[CatalogCase], k: int, workers: int, seed: int,
-                 audit_samples: int) -> Dict[int, List[CheckResult]]:
-    """Results of cases k, k + workers, ..., by index."""
-    return {i: _check_case(cases[i], seed, audit_samples)
-            for i in range(k, len(cases), workers)}
-
-
-def _fork_share(cases: List[CatalogCase], k: int, workers: int, seed: int,
-                audit_samples: int):
-    """Fork a child that checks share k and pickles into a pipe either
-    ({index: results}, None) or (exception, its traceback), then exits;
-    returns the child's pid and the pipe's read end.  An exception that
-    cannot be rebuilt from its pickle is sent as a RuntimeError that names
-    its type and message."""
-    import pickle
-
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
-    code = 1
-    try:
-        os.close(r)
-        try:
-            msg = (_check_share(cases, k, workers, seed, audit_samples), None)
-        except BaseException as exc:
-            import traceback
-
-            trace = traceback.format_exc()
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:   # it holds Expr nodes, or needs __init__ args
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            msg = (exc, trace)
-        with os.fdopen(w, "wb") as pipe:
-            pickle.dump(msg, pipe)
-        code = 0
-    finally:
-        os._exit(code)
-
-
 def run_regression(catalog: Dict[str, CatalogCase],
                    case_ids: Optional[Sequence[str]] = None,
                    seed: int = DEFAULT_SEED, audit_samples: int = 300,
                    jobs: int = 1) -> RegressionReport:
-    """Re-derive every stored claim; aggregate pass/fail per check.
-
-    jobs caps the processes that share the cases, the calling one
-    included; there are never more of them than cases or CPUs this process
-    may use.  Process k checks cases k, k + workers, ... in catalog order:
-    the caller is process 0 and the others are children forked for the
-    call, each sending its results back through a pipe.  With one worker,
-    without os.fork, or while other threads run, the caller checks every
-    case and nothing forks.  An exception in a child is raised again here
-    with its type, a child that exits without its results raises
-    RuntimeError naming the cases, and no child outlives the call: if it
-    raises, the children left are killed, and every child is reaped."""
+    """Re-derive every stored claim of the selected cases, checked in turn
+    in catalog order; jobs is accepted for compatibility and changes
+    nothing (a second process made no regression faster on two cores)."""
     # every name of a case maps to the same case: keep catalog order
     cases = list({c.case_id: c for c in catalog.values()
                   if case_ids is None or c.case_id in case_ids
                   or any(a in case_ids for a in c.aliases)}.values())
-    workers = 1
-    # a forked child holds only the forking thread: a lock that another
-    # thread held at the fork would stay locked in the child forever
-    if hasattr(os, "fork") and threading.active_count() == 1:
-        workers = max(1, min(jobs, len(cases), _usable_cpus()))
-    if workers > 1:
-        import pickle
-        import signal
-    children = []   # (share, pid, pipe) of each child not yet reaped
-    try:
-        for k in range(1, workers):
-            children.append(
-                (k, *_fork_share(cases, k, workers, seed, audit_samples)))
-        by_index = _check_share(cases, 0, workers, seed, audit_samples)
-        while children:
-            k, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[0]
-            if status or not data:
-                missing = ", ".join(c.case_id for c in cases[k::workers])
-                raise RuntimeError(
-                    f"regression worker {pid} exited with status "
-                    f"{os.waitstatus_to_exitcode(status)} without the "
-                    f"results of {missing}")
-            got, trace = pickle.loads(data)
-            if trace is not None:
-                raise got from RuntimeError(f"in regression worker {pid}:\n"
-                                            f"{trace}")
-            by_index.update(got)
-    finally:
-        for _, pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    results = [r for i in sorted(by_index) for r in by_index[i]]
+    results = [r for c in cases for r in _check_case(c, seed, audit_samples)]
     return RegressionReport(results=results, seed=seed,
                             audit_samples=audit_samples)

@@ -574,8 +574,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--catalog", help="case catalog file")
     p.add_argument("--jobs", type=_count(1), default=1,
-                   help="processes that share the cases, this one included "
-                        "(at most one per case and per usable CPU)")
+                   help="accepted and recorded for compatibility; every "
+                        "case is checked in this process")
     sampling(p, 300)
     p.add_argument("--cases", nargs="*", help="restrict to these case ids")
     p.set_defaults(func=cmd_regress)

@@ -3,18 +3,12 @@
 import json
 import os
 import textwrap
-import threading
-import time
 from importlib import resources
-from types import SimpleNamespace
 
 import pytest
 import yaml
 
 from liesym import catalog as catalog_module
-from liesym.algebra import NotClosedError
-from liesym.dsl import parse_vector_field
-from liesym.jets import dcr_symbols
 from liesym.catalog import CatalogError, load_catalog, run_regression
 
 
@@ -29,12 +23,22 @@ def test_load_builtin(catalog):
     assert catalog["eq5"] is catalog["eq4"]
 
 
-def test_schema_violation(tmp_path):
+_PARAMS = 'm: "2", p: "1", b0: "0", b1: "0", c0: "0", c1: "0"'
+
+
+@pytest.mark.parametrize("case, field", [
+    ("{id: broken, basis: []}", "params"),
+    ('{id: c, params: {m: "2"}, basis: [Dx]}', "params"),
+    (f'{{id: c, params: {{{_PARAMS}, q: "1"}}, basis: [Dx]}}', "params"),
+    (f'{{id: c, params: {{{_PARAMS}}}, basis: [Dx], '
+     'samples: [{label: 2A1, label_param: abc}]}', "label_param"),
+], ids=["no-params", "missing-param", "extra-param", "label-param"])
+def test_schema_violation(tmp_path, case, field):
     bad = tmp_path / "bad.yaml"
-    bad.write_text("cases:\n  - id: broken\n    basis: []\n")
+    bad.write_text(f"cases:\n  - {case}\n")
     with pytest.raises(CatalogError) as err:
         load_catalog(str(bad))
-    assert "params" in str(err.value)
+    assert field in str(err.value)
     assert "cases[0]" in str(err.value)
 
 
@@ -96,168 +100,64 @@ def test_parallel_jobs_give_same_results(catalog):
     assert [r.line() for r in a.results] == [r.line() for r in b.results]
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """pids of the children this process forks, through the real os.fork."""
-    pids = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def _set_cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-
-def _stub_catalog(n):
-    return {f"c{i}": SimpleNamespace(case_id=f"c{i}", aliases=[])
-            for i in range(n)}
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def test_basis_that_does_not_close_fails_its_checks(tmp_path):
+    # a case or sample whose basis spans no algebra fails its checks; the
+    # other cases are still checked and the regression runs to its report
+    path = tmp_path / "open.yaml"
+    path.write_text(textwrap.dedent("""
+        cases:
+          - id: fine
+            params: {m: "2", p: "1", b0: "0", b1: "0", c0: "0", c1: "0"}
+            basis: ["Dt", "Dx"]
+          - id: open
+            params: {m: "2", p: "1", b0: "0", b1: "0", c0: "0", c1: "0"}
+            basis: ["Dx", "x^3*Dx"]
+            samples:
+              - label: A2
+          - id: dependent
+            params: {m: "m", p: "1", b0: "0", b1: "0", c0: "0", c1: "0"}
+            basis: ["Dx", "(m-2)*Dt"]
+            samples:
+              - {bindings: {m: "2"}, label: 2A1}
+              - {bindings: {m: "2"}, optimal_count: 2}
+          - id: twice
+            params: {m: "2", p: "1", b0: "0", b1: "0", c0: "0", c1: "0"}
+            basis: ["Dx", "2*Dx"]
+    """))
+    report = run_regression(load_catalog(str(path)), audit_samples=20)
+    assert ({r.case_id for r in report.results}
+            == {"fine", "open", "dependent", "twice"})
+    assert all(r.passed for r in report.results if r.case_id == "fine")
+    failed = {(r.case_id, r.check): r.detail for r in report.failures()}
+    for check in ("bracket closure", "[-] identifies as A2"):
+        assert failed[("open", check)].startswith(
+            "bracket [e1, e2] leaves the span")
+    assert failed[("twice", "bracket closure")] == \
+        "basis fields are linearly dependent"
+    assert failed[("dependent", "[m=2] identifies as 2A1")] == \
+        "basis fields are linearly dependent"
+    assert failed[("dependent", "[m=2] optimal system has 2 classes")] == \
+        "basis fields are linearly dependent"
 
 
 @pytest.mark.parametrize("case_ids, jobs, sizes", [
-    (["heat"], 2, []),                   # one case: no fork
-    (["heat", "eq1"], 8, [2]),           # at most one process per case
+    (["heat"], 2, []),
+    (["heat", "eq1"], 8, [2]),
     (["heat", "eq1", "eq4"], 2, [2]),
     (["heat", "eq1"], 1, []),
 ])
-def test_pool_size_follows_cases(catalog, monkeypatch, forks, case_ids, jobs,
+def test_pool_size_follows_cases(catalog, monkeypatch, case_ids, jobs,
                                  sizes):
-    # sizes: the processes that share the cases, the caller and its forked
-    # children, or none when the caller checks every case alone
-    _set_cpus(monkeypatch, 8)
+    # sizes only keeps the rows' test ids; whatever jobs says, the caller
+    # checks every case alone
+    def fork():
+        raise AssertionError("the regression forked")
+
+    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(catalog_module, "_check_case",
-                        lambda case, seed, samples: [case.case_id])
+                        lambda case, seed, samples: [(case.case_id,
+                                                      os.getpid())])
     report = run_regression(catalog, case_ids=case_ids, jobs=jobs)
-    assert ([len(forks) + 1] if forks else []) == sizes
-    # every case checked exactly once, merged in catalog order
-    assert report.results == [c for c in catalog if c in case_ids]
-    _no_child_left()
-
-
-@pytest.mark.parametrize("jobs", [3, 5000])
-def test_workers_capped_at_usable_cpus(monkeypatch, forks, jobs):
-    _set_cpus(monkeypatch, 3)
-    monkeypatch.setattr(catalog_module, "_check_case",
-                        lambda case, seed, samples: [(case.case_id,
-                                                      os.getpid())])
-    report = run_regression(_stub_catalog(6), jobs=jobs)
-    assert len(forks) == 2
-    assert [c for c, _ in report.results] == [f"c{i}" for i in range(6)]
-    # process k checks cases k, k + 3: the caller is process 0
-    assert [pid for _, pid in report.results] == [os.getpid(), *forks] * 2
-    _no_child_left()
-
-
-def test_cpu_count_without_affinity(monkeypatch):
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert catalog_module._usable_cpus() == 1
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert catalog_module._usable_cpus() == 3
-
-
-def test_no_fork_means_one_process(monkeypatch):
-    _set_cpus(monkeypatch, 4)
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(catalog_module, "_check_case",
-                        lambda case, seed, samples: [(case.case_id,
-                                                      os.getpid())])
-    report = run_regression(_stub_catalog(3), jobs=4)
-    assert report.results == [(f"c{i}", os.getpid()) for i in range(3)]
-
-
-def test_no_fork_while_other_threads_run(monkeypatch, forks):
-    _set_cpus(monkeypatch, 4)
-    monkeypatch.setattr(catalog_module, "_check_case",
-                        lambda case, seed, samples: [case.case_id])
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(30,))
-    other.start()
-    try:
-        report = run_regression(_stub_catalog(3), jobs=4)
-    finally:
-        release.set()
-        other.join(30)
-    assert not other.is_alive()
-    assert forks == []
-    assert report.results == ["c0", "c1", "c2"]
-
-
-def test_child_exception_keeps_its_type(monkeypatch):
-    _set_cpus(monkeypatch, 2)
-
-    def check(case, seed, samples):
-        if case.case_id == "c1":
-            raise ValueError(f"boom in {case.case_id}")
-        return [case.case_id]
-
-    monkeypatch.setattr(catalog_module, "_check_case", check)
-    with pytest.raises(ValueError, match="boom in c1") as err:
-        run_regression(_stub_catalog(4), jobs=2)
-    assert "ValueError: boom in c1" in str(err.value.__cause__)
-    _no_child_left()
-
-
-def test_child_exception_that_cannot_be_pickled(monkeypatch):
-    # a NotClosedError holds the bracket, whose Expr nodes do not pickle
-    _set_cpus(monkeypatch, 2)
-    leftover = parse_vector_field("x^2*Dx", dcr_symbols())
-
-    def check(case, seed, samples):
-        if case.case_id == "c1":
-            raise NotClosedError(0, 1, leftover)
-        return [case.case_id]
-
-    monkeypatch.setattr(catalog_module, "_check_case", check)
-    with pytest.raises(RuntimeError, match=r"^NotClosedError: bracket \[e1, "
-                       r"e2\] leaves the span") as err:
-        run_regression(_stub_catalog(2), jobs=2)
-    assert "NotClosedError" in str(err.value.__cause__)
-    _no_child_left()
-
-
-def test_child_that_dies_names_its_cases(monkeypatch):
-    _set_cpus(monkeypatch, 2)
-    caller = os.getpid()
-
-    def check(case, seed, samples):
-        if case.case_id == "c1":
-            assert os.getpid() != caller
-            os._exit(3)
-        return [case.case_id]
-
-    monkeypatch.setattr(catalog_module, "_check_case", check)
-    with pytest.raises(RuntimeError,
-                       match="status 3 without the results of c1, c3$"):
-        run_regression(_stub_catalog(4), jobs=2)
-    _no_child_left()
-
-
-def test_caller_failure_kills_children(monkeypatch):
-    _set_cpus(monkeypatch, 3)
-
-    def check(case, seed, samples):
-        if case.case_id == "c0":
-            raise KeyError(case.case_id)
-        time.sleep(60)
-
-    monkeypatch.setattr(catalog_module, "_check_case", check)
-    start = time.perf_counter()
-    with pytest.raises(KeyError):
-        run_regression(_stub_catalog(3), jobs=3)
-    assert time.perf_counter() - start < 30
-    _no_child_left()
+    # every case checked exactly once, in catalog order, in this process
+    assert report.results == [(c, os.getpid()) for c in catalog
+                              if c in case_ids]

@@ -157,6 +157,21 @@ class TestExitCodes:
             assert run(["regress", "--samples", "20", "--cases", *cases]) == 0
             assert "total: 0," not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_regress_basis_that_does_not_close_is_refuted(self, tmp_path,
+                                                          capsys, jobs):
+        params = 'params: {m: "2", p: "1", b0: "0", b1: "0", c0: "0", c1: "0"}'
+        cat = tmp_path / "cases.yaml"
+        cat.write_text(f"cases:\n"
+                       f"  - {{id: fine, {params}, basis: [Dt, Dx]}}\n"
+                       f"  - {{id: open, {params}, basis: [Dx, x^3*Dx],\n"
+                       f"     samples: [{{label: A2}}]}}\n")
+        assert run(["regress", "--catalog", str(cat), "--jobs", jobs]) == 1
+        out = capsys.readouterr().out
+        assert "[pass] fine: bracket closure" in out
+        assert ("[FAIL] open: [-] identifies as A2 -- bracket [e1, e2] "
+                "leaves the span") in out
+
     def test_audit_family_with_pole(self, tmp_path, capsys):
         # 1/a has a pole at a = 0: the family is probed where it is defined
         cand = tmp_path / "c.txt"

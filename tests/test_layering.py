@@ -57,3 +57,26 @@ def test_only_the_kernel_splits_sums():
     readers = {f.name: _terms_readers(f.name) for f in PKG.glob("*.py")
                if f.name != "expr.py"}
     assert {k: v for k, v in readers.items() if v} == {"dsl.py": {"render"}}
+
+
+def test_no_module_forks_or_pools():
+    # the regression checks its cases in the calling process: no fork path,
+    # thread or process pool, or pickled results come back unnoticed
+    banned = {"threading", "pickle", "signal", "multiprocessing",
+              "concurrent"}
+    found = set()
+    for f in PKG.rglob("*.py"):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "os"):
+                names = ["os.fork"]
+            else:
+                continue
+            found.update((f.name, n) for n in names
+                         if n == "os.fork" or n.split(".")[0] in banned)
+    assert found == set()
